@@ -1,0 +1,110 @@
+"""Differential tests against sympy's permutation-group algorithms.
+
+Random generator subsets of permutation-backed catalog groups are closed by
+the engine and by sympy.combinatorics, and the two must agree on subgroup
+order, normal closure and normality, the lower central series, the center
+and quotient order.  sympy is an optional oracle: the module is skipped when
+it is not installed.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy_comb = pytest.importorskip("sympy.combinatorics")
+
+from pcentral.catalog import build_group  # noqa: E402
+from pcentral.groups import (  # noqa: E402
+    center,
+    is_normal,
+    normal_closure,
+    quotient,
+    subgroup_generated,
+)
+from pcentral.series import lower_central_series  # noqa: E402
+
+SPECS = (
+    "sym(4)",
+    "dihedral(16)",
+    "wreath_cp_cp(3)",
+    "sl2_3()",
+    "direct_product(quaternion(8), cyclic(3,1))",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _group(spec):
+    return build_group(spec)
+
+
+def _sympy_group(elements):
+    # sympy composes left to right, the engine right to left; the subgroup
+    # generated by a set is the same either way
+    return sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation([int(v) for v in x.images]) for x in elements])
+
+
+@st.composite
+def seeded_subgroups(draw):
+    """(G, seeds): a catalog group and one to three of its elements."""
+    G = _group(draw(st.sampled_from(SPECS)))
+    idx = draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    return G, [G.elements[i] for i in idx]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeded_subgroups())
+def test_subgroup_generated_order(case):
+    G, seeds = case
+    assert subgroup_generated(G, seeds).order == _sympy_group(seeds).order()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeded_subgroups())
+def test_normal_closure_and_normality(case):
+    G, seeds = case
+    SG, SH = _sympy_group(G.generators), _sympy_group(seeds)
+    H = subgroup_generated(G, seeds)
+    assert is_normal(G, H) == SH.is_normal(SG)
+    N = normal_closure(G, seeds)
+    assert N.order == SG.normal_closure(SH).order()
+    assert is_normal(G, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_subgroups())
+def test_lower_central_series_orders(case):
+    G, seeds = case
+    H = subgroup_generated(G, seeds).to_group()
+    ours = lower_central_series(H).orders()
+    # the engine repeats the stable term once; sympy stops at it
+    assert ours[:-1] == [t.order() for t in _sympy_group(seeds).lower_central_series()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_subgroups())
+def test_center_order(case):
+    G, seeds = case
+    H = subgroup_generated(G, seeds).to_group()
+    assert center(H).order == _sympy_group(seeds).center().order()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_subgroups())
+def test_quotient_order(case):
+    G, seeds = case
+    N = normal_closure(G, seeds)
+    SG = _sympy_group(G.generators)
+    SN = SG.normal_closure(_sympy_group(seeds))
+    assert quotient(G, N).order == SG.order() // SN.order()
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_whole_group_agrees(spec):
+    G = _group(spec)
+    SG = _sympy_group(G.generators)
+    assert G.order == SG.order()
+    assert lower_central_series(G).orders()[:-1] == [
+        t.order() for t in SG.lower_central_series()]
+    assert center(G).order == SG.center().order()

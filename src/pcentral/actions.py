@@ -15,19 +15,21 @@ against each other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .elements import Element, Permutation
+from .elements import Element
 from .errors import BudgetExceeded, CapExceeded, NotInvariant, NotPGroup
 from .groups import (
     Automorphism,
     GroupTable,
-    QuotientGroup,
     Subgroup,
+    _closure,
     automorphism_from_images,
     conjugation_aut,
     identity_automorphism,
+    normal_closure,
     quotient,
     restrict_automorphism,
     subgroup_generated,
@@ -73,20 +75,11 @@ class ActionPair:
             if a.domain is not G:
                 raise ValueError("acting automorphism is not defined on the given group")
         ident = identity_automorphism(G)
-        closed: Dict[tuple, Automorphism] = {ident.signature: ident}
-        frontier = [ident]
-        gens = list(A_generators) or [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in gens:
-                    c = a * b
-                    if c.signature not in closed:
-                        closed[c.signature] = c
-                        new.append(c)
-                        if len(closed) > cap:
-                            raise CapExceeded(f"action closure exceeded cap of {cap}")
-            frontier = new
+        try:
+            closed = _closure(ident, list(A_generators) or [ident], operator.mul,
+                              key=lambda a: a.signature, cap=cap)
+        except CapExceeded:
+            raise CapExceeded(f"action closure exceeded cap of {cap}") from None
         elements = sorted(closed.values(), key=lambda a: a.signature)
         return cls(G, A_generators, elements)
 
@@ -112,36 +105,12 @@ def mixed_commutator(g: Element, a: Automorphism) -> Element:
     return a.domain.canon(g.inverse() * a(g))
 
 
-def _closed_under_action(pair: ActionPair, seeds: Iterable[Element]) -> Subgroup:
-    """<seeds> closed under conjugation by G and images under A's generators.
-
-    The fixpoint condition is exactly normality in G plus A-invariance, so the
-    returned subgroup carries both properties by construction.
-    """
-    G = pair.G
-    H = subgroup_generated(G, seeds)
-    while True:
-        grown: List[Element] = []
-        for h in H.elements:
-            for g in G.generators:
-                c = G.conj(h, g)
-                if c.key not in H.keys:
-                    grown.append(c)
-            for a in pair.A_generators:
-                c = a(h)
-                if c.key not in H.keys:
-                    grown.append(c)
-        if not grown:
-            return H
-        H = subgroup_generated(G, tuple(H.gens) + tuple(grown))
-
-
 def mixed_commutator_subgroup(pair: ActionPair) -> Subgroup:
     """[G, A]: generated by generator commutators, closed under G and A."""
     if "H" not in pair._cache:
         seeds = {mixed_commutator(g, a)
                  for g in pair.G.generators for a in pair.A_generators}
-        pair._cache["H"] = _closed_under_action(pair, seeds)
+        pair._cache["H"] = normal_closure(pair.G, seeds, pair.A_generators)
     return pair._cache["H"]
 
 
@@ -161,7 +130,7 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
             prev = terms[-1]
             seeds = {mixed_commutator(c, a)
                      for c in prev.elements for a in pair.A_generators}
-            nxt = _closed_under_action(pair, seeds)
+            nxt = normal_closure(G, seeds, pair.A_generators)
             if nxt.order == prev.order:
                 break
             terms.append(nxt)
@@ -308,22 +277,13 @@ class PermRealization:
 
 def aut_perm_realization(pair: ActionPair) -> PermRealization:
     if "perm_realization" not in pair._cache:
-        G = pair.G
-        index = G._index
-        perms = []
-        back: Dict[bytes, Automorphism] = {}
-        for a in pair.A_elements:
-            images = [index[a._map[x.key].key] for x in G.elements]
-            perm = Permutation(images)
-            perms.append(perm)
-            back[perm.key] = a
+        perms = [a.as_permutation() for a in pair.A_elements]
+        back: Dict[bytes, Automorphism] = {
+            perm.key: a for perm, a in zip(perms, pair.A_elements)}
         if len(back) != len(pair.A_elements):
             raise AssertionError("distinct automorphisms produced equal permutations")
-        gen_perms = []
-        for a in pair.A_generators:
-            images = [index[a._map[x.key].key] for x in G.elements]
-            gen_perms.append(Permutation(images))
-        table = GroupTable(perms, gen_perms, p=G.p)
+        gen_perms = [a.as_permutation() for a in pair.A_generators]
+        table = GroupTable(perms, gen_perms, p=pair.G.p)
         pair._cache["perm_realization"] = PermRealization(table, back)
     return pair._cache["perm_realization"]
 

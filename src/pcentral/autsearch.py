@@ -9,14 +9,15 @@ only in tests, as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .elements import Element, Permutation, _require_prime
+from .elements import Element, Permutation, _p_split, _require_prime
 from .errors import BudgetExceeded
 from .groups import (
     Automorphism,
     GroupTable,
     Subgroup,
+    _extend_hom,
     minimal_generating_sequence,
     subgroup_generated,
 )
@@ -31,37 +32,10 @@ class AutGroupResult:
     domain: GroupTable
     automorphisms: Tuple[Automorphism, ...]
     perm_group: GroupTable
-    aut_by_perm_key: Dict[bytes, Automorphism]
 
     @property
     def order(self) -> int:
         return len(self.automorphisms)
-
-
-def _partial_hom(G: GroupTable, gens: Sequence[Element], images: Sequence[Element],
-                 expected: int) -> Optional[Dict[bytes, Element]]:
-    """Extend gens -> images over <gens>; None on conflict or non-injectivity."""
-    full: Dict[bytes, Element] = {G.identity.key: G.identity}
-    frontier: List[Element] = [G.identity]
-    while frontier:
-        new: List[Element] = []
-        for x in frontier:
-            fx = full[x.key]
-            for g, fg in zip(gens, images):
-                y = G.mul(x, g)
-                fy = G.mul(fx, fg)
-                known = full.get(y.key)
-                if known is None:
-                    full[y.key] = fy
-                    new.append(y)
-                elif known != fy:
-                    return None
-        frontier = new
-    if len(full) != expected:
-        raise AssertionError("partial closure disagrees with the subgroup chain")
-    if len({v.key for v in full.values()}) != expected:
-        return None
-    return full
 
 
 def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGroupResult:
@@ -71,8 +45,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     if not gens:  # trivial group
         ident = Automorphism(G, {G.identity.key: G.identity})
         perm = Permutation.identity(1)
-        table = GroupTable([perm], [perm])
-        return AutGroupResult(G, (ident,), table, {perm.key: ident})
+        return AutGroupResult(G, (ident,), GroupTable([perm], [perm]))
     chain = [subgroup_generated(G, gens[:i + 1]).order for i in range(len(gens))]
     by_order: Dict[int, List[Element]] = {}
     for x in G.elements:
@@ -88,8 +61,12 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
                 raise BudgetExceeded(
                     f"automorphism search exceeded {budget} candidate tuples")
             trial = images + [cand]
-            full = _partial_hom(G, gens[:depth + 1], trial, chain[depth])
+            full = _extend_hom(G, gens[:depth + 1], trial)
             if full is None:
+                continue
+            if len(full) != chain[depth]:
+                raise AssertionError("partial closure disagrees with the subgroup chain")
+            if len({v.key for v in full.values()}) != chain[depth]:
                 continue
             if depth + 1 == len(gens):
                 found.append(Automorphism(G, full))
@@ -99,38 +76,17 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     descend(0, [])
     found.sort(key=lambda a: a.signature)
 
-    index = G._index
-    perms: List[Permutation] = []
-    back: Dict[bytes, Automorphism] = {}
-    for a in found:
-        perm = Permutation([index[a._map[x.key].key] for x in G.elements])
-        perms.append(perm)
-        back[perm.key] = a
-    if len(back) != len(found):
+    perms = [a.as_permutation() for a in found]
+    if len({perm.key for perm in perms}) != len(found):
         raise AssertionError("automorphism search produced duplicate maps")
     staging = GroupTable(perms, perms)
     perm_gens = minimal_generating_sequence(staging)
-    table = GroupTable(perms, perm_gens)
-    return AutGroupResult(G, tuple(found), table, back)
-
-
-def _p_part(n: int, p: int) -> int:
-    q = 1
-    while n % p == 0:
-        n //= p
-        q *= p
-    return q
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return AutGroupResult(G, tuple(found), GroupTable(perms, perm_gens))
 
 
 def normalizer(G: GroupTable, P: Subgroup) -> Subgroup:
     """N_G(P); conjugating P's generators into P suffices by finiteness."""
-    pgens = P.gens if P.gens else tuple(x for x in P.elements if not x.is_identity())
+    pgens = P.generating_set
     members = [g for g in G.elements
                if all(G.conj(h, g).key in P.keys for h in pgens)]
     return Subgroup(G, members, ())
@@ -139,19 +95,19 @@ def normalizer(G: GroupTable, P: Subgroup) -> Subgroup:
 def sylow_p_subgroup(G: GroupTable, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown inside successive normalizers."""
     _require_prime(p)
-    target = _p_part(G.order, p)
+    target = p ** _p_split(G.order, p)[0]
     if target == 1:
         return G.trivial_subgroup
     seed = next(x for x in G.elements
-                if x.order() > 1 and _is_p_power(x.order(), p))
+                if x.order() > 1 and _p_split(x.order(), p)[1] == 1)
     P = subgroup_generated(G, [seed])
     while P.order < target:
         N = normalizer(G, P)
         for y in N.elements:
-            if y.key in P.keys or not (y.order() > 1 and _is_p_power(y.order(), p)):
+            if y.key in P.keys or not (y.order() > 1 and _p_split(y.order(), p)[1] == 1):
                 continue
             cand = subgroup_generated(G, tuple(P.gens) + (y,))
-            if _is_p_power(cand.order, p):
+            if _p_split(cand.order, p)[1] == 1:
                 P = cand
                 break
         else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .actions import ActionPair, inner_action, trivial_action
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut
-from .elements import Element, FpMatrix, Permutation, _is_prime
+from .elements import Element, FpMatrix, Permutation, _is_prime, _p_split
 from .errors import CapExceeded, ConfigError, UnknownFamily
 from .groups import DEFAULT_CLOSURE_CAP, GroupTable, automorphism_from_images, close
 
@@ -127,12 +127,8 @@ def _prime_power_base(n: int):
     """The prime p with n = p^k (k >= 1), or None."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 and _is_prime(p) else None
-    return None
+    p = next(d for d in range(2, n + 1) if n % d == 0)  # the least divisor is prime
+    return p if _p_split(n, p)[1] == 1 else None
 
 
 # -- matrix-backed families ----------------------------------------------

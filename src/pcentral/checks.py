@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from .actions import (
     ActionPair,
@@ -31,6 +31,7 @@ from .actions import (
 )
 from .autsearch import brute_force_aut, sylow_p_subgroup
 from .catalog import paper_sigma_pair, sigma_matrix, sigma_power_closed_form
+from .elements import _p_split
 from .groups import (
     GroupTable,
     Subgroup,
@@ -89,19 +90,6 @@ def _timed(fn: Callable[..., Verdict]) -> Callable[..., Verdict]:
     return wrapper
 
 
-def _plog(x: int, p: int) -> Optional[int]:
-    """m with x = p^m, or None."""
-    m = 0
-    while x % p == 0:
-        x //= p
-        m += 1
-    return m if x == 1 else None
-
-
-def _gens_or_elements(sub: Subgroup):
-    return sub.gens if sub.gens else sub.elements
-
-
 def _p_central_on_term(pair: ActionPair, k: int) -> bool:
     return is_p_central_action(pair, gamma_term(pair, k))
 
@@ -111,17 +99,11 @@ def _lift(G: GroupTable, sub: Subgroup) -> Subgroup:
     return Subgroup(G, (G._bykey[k] for k in sub.keys), sub.gens)
 
 
-def _pprime_part(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n
-
-
 def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
     """Do the p'-elements form a subgroup of full p'-order?"""
     members = [x for x in G.elements if math.gcd(x.order(), p) == 1]
     keys = {x.key for x in members}
-    target = _pprime_part(G.order, p)
+    target = _p_split(G.order, p)[1]
     closed = all(G.mul(x, y).key in keys for x in members for y in members)
     return {
         "p_prime_element_count": len(members),
@@ -173,9 +155,9 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     for i in range(1, s.stabilized_at + 2):
         for j in range(1, alcs.stabilized_at + 2):
             target = s.term(i + j)
-            for aperm in _gens_or_elements(alcs.term(j)):
+            for aperm in alcs.term(j).generating_set:
                 a = real.aut_of(aperm)
-                for c in _gens_or_elements(s.term(i)):
+                for c in s.term(i).generating_set:
                     w = mixed_commutator(c, a)
                     if w.key not in target.keys:
                         graded_bad.append({"i": i, "j": j, "witness": w.key.hex()})
@@ -262,7 +244,7 @@ def check_xu_regularity(G: GroupTable) -> Verdict:
         witnesses["central"] = hyp
     if not hyp:
         return conclude("xu_regularity", False, None, witnesses)
-    m = _plog(G.exponent(), p) or 1
+    m = _p_split(G.exponent(), p)[0] or 1
     per_n = []
     ok = True
     for n in range(1, m + 1):
@@ -292,10 +274,10 @@ def check_omega_exponent_bound(pair: ActionPair) -> Verdict:
                         {"group_is_p_group": base})
     p = G.p
     H = commutator_group_of_pair(pair)
-    m = _plog(H.exponent(), p)
+    m, r = _p_split(H.exponent(), p)
     per_n = []
-    ok = m is not None
-    for n in range(1, (m or 0) + 1):
+    ok = r == 1
+    for n in range(1, (m if ok else 0) + 1):
         om = omega_subgroup(H, n)
         worst = max(x.order() for x in om.elements)
         row: Dict[str, object] = {"n": n, "omega_order": om.order,
@@ -438,7 +420,7 @@ def check_faithful_p_group(pair: ActionPair) -> Verdict:
     if not (base and any_hyp):
         return conclude("faithful_p_group", False, None,
                         {"group_is_p_group": base, "per_i": per_i})
-    is_pg = _plog(pair.A_order, G.p) is not None
+    is_pg = _p_split(pair.A_order, G.p)[1] == 1
     return conclude("faithful_p_group", True, is_pg,
                     {"per_i": per_i, "A_order": pair.A_order})
 
@@ -456,8 +438,8 @@ def check_power_order_criterion(pair: ActionPair) -> Verdict:
                         {"group_is_p_group": base})
     p = G.p
     exp_a = aut_as_perm_group(pair).exponent()
-    m = _plog(exp_a, p)
-    if m is None:
+    m, r = _p_split(exp_a, p)
+    if r != 1:
         return conclude("power_order_criterion", True, False,
                         {"acting_exponent": exp_a,
                          "reason": "acting exponent is not a p-power"})
@@ -491,23 +473,19 @@ def check_main_regularity(pair: ActionPair) -> Verdict:
     P = aut_as_perm_group(pair)
     parts: Dict[str, object] = {}
 
-    mH = _plog(H.exponent(), p)
-    parts["omega_sets_subgroups_in_H"] = mH is not None and all(
+    mH, rH = _p_split(H.exponent(), p)
+    parts["omega_sets_subgroups_in_H"] = rH == 1 and all(
         is_omega_regular(H, i) for i in range(1, mH + 1))
 
-    if P.is_p_group:
-        mA = _plog(P.exponent(), p)
-        parts["omega_sets_subgroups_in_A"] = mA is not None and all(
-            is_omega_regular(P, i) for i in range(1, mA + 1))
-    else:
-        parts["omega_sets_subgroups_in_A"] = False
+    mA, rA = _p_split(P.exponent(), p)
+    parts["omega_sets_subgroups_in_A"] = P.is_p_group and rA == 1 and all(
+        is_omega_regular(P, i) for i in range(1, mA + 1))
 
     parts["equal_exponents"] = H.exponent() == P.exponent()
 
-    n = _plog(P.exponent(), p)
     cH = nilpotency_class(H)
     cA = nilpotency_class(P)
-    bound = None if n is None else n + p - 2
+    bound = mA + p - 2 if rA == 1 else None
     parts["class_bound"] = (bound is not None and cH is not None
                             and cA is not None and cH <= bound and cA <= bound)
     ok = all(bool(v) for v in parts.values())
@@ -558,7 +536,7 @@ def check_derived_omega_identity(G: GroupTable) -> Verdict:
     p = G.p
     Q = quotient(G, center(G))
     derived = lower_central_series(G).term(2).to_group()
-    m = _plog(Q.exponent(), p) or 0
+    m = _p_split(Q.exponent(), p)[0]
     per_k = []
     ok = True
     for k in range(1, max(m, 1) + 1):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all conclusions passed or were skipped; 2 a conclusion failed
 (counterexample candidate; reproducer bundle written); 3 a cap or search
-budget was exhausted; 4 bad configuration or usage.
+budget was exhausted; 4 bad configuration or usage, including an entry whose
+configuration fails at run time (the run's report is still written).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .catalog import build_group
 from .checks import check_sigma_example_tightness
 from .corpus import (
     EXIT_BUDGET,
+    EXIT_CONFIG,
     EXIT_COUNTEREXAMPLE,
     ExperimentConfig,
     default_config,
@@ -35,7 +37,7 @@ from .series import (
 from .groups import center
 from .verdict import FAIL
 
-EXIT_USAGE = 4
+EXIT_USAGE = EXIT_CONFIG
 
 
 class _Parser(argparse.ArgumentParser):

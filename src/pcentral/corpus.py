@@ -9,6 +9,8 @@ every entry with a failing conclusion, and reports via exit code:
     0   every conclusion passed or was skipped (hypothesis unmet)
     2   some conclusion failed (a counterexample candidate; bundle written)
     3   a cap or search budget was exhausted before an answer
+    4   an entry hit a configuration error at run time (e.g. an action that
+        does not fit its group); the other entries still report
 
 Expected structural facts in ``catalog_facts`` entries were frozen from an
 independent enumeration run; corrupting one is the supported way to exercise
@@ -55,11 +57,13 @@ __all__ = [
     "EXIT_OK",
     "EXIT_COUNTEREXAMPLE",
     "EXIT_BUDGET",
+    "EXIT_CONFIG",
 ]
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
+EXIT_CONFIG = 4
 
 DEFAULT_CAPS: Dict[str, int] = {
     "closure_cap": DEFAULT_CLOSURE_CAP,
@@ -450,8 +454,8 @@ def _cached_build_group(spec: str, caps: Dict[str, int]) -> GroupTable:
     path = Path(cache) / (_slug(spec) + ".pcg")
     if path.exists():
         try:
-            return load_group(path)
-        except Exception:
+            return load_group(path, cap=caps["closure_cap"])
+        except ValueError:  # not a readable cache file: rebuild it
             path.unlink()
     G = build_group(spec, cap=caps["closure_cap"])
     save_group(G, path)
@@ -502,7 +506,7 @@ def _entry_worker(entry_dict: Dict[str, object],
     entry = _parse_entry(entry_dict, None)
     try:
         verdicts = run_entry(entry, caps)
-    except (CapExceeded, BudgetExceeded) as e:
+    except (CapExceeded, BudgetExceeded, ConfigError) as e:
         return entry.entry_id, [], {"type": type(e).__name__, "message": str(e)}
     return entry.entry_id, [v.to_dict() for v in verdicts], None
 
@@ -568,10 +572,12 @@ def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
+    config_error = False
     for e in config.entries:
         dicts, err = results[e.entry_id]
         if err is not None:
             counts["aborted"] += 1
+            config_error |= err["type"] == ConfigError.__name__
             records.append({"entry": e.entry_id, "error": err})
             continue
         failing = False
@@ -583,7 +589,9 @@ def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
         if failing and out_path is not None:
             bundle_dirs.append(_write_bundle(out_path, e, caps, dicts))
 
-    if counts["aborted"]:
+    if config_error:
+        exit_code = EXIT_CONFIG
+    elif counts["aborted"]:
         exit_code = EXIT_BUDGET
     elif counts["fail"]:
         exit_code = EXIT_COUNTEREXAMPLE

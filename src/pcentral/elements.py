@@ -14,7 +14,7 @@ hood), permutations are image tuples with composition (a*b)(i) = a(b(i)).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +24,6 @@ __all__ = [
     "Element",
     "FpMatrix",
     "Permutation",
-    "multiply",
-    "invert",
-    "power",
     "decode_element",
 ]
 
@@ -51,6 +48,15 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be a prime, got {p!r}")
     if p >= 1 << 16:
         raise CapExceeded(f"p={p} exceeds the 16-bit residue limit")
+
+
+def _p_split(n: int, p: int) -> Tuple[int, int]:
+    """(m, r) with n = p^m * r and r prime to p."""
+    m = 0
+    while n % p == 0:
+        n //= p
+        m += 1
+    return m, n
 
 
 class Element:
@@ -137,16 +143,14 @@ class FpMatrix(Element):
         self.arr = arr
         if self.n > 255:
             raise CapExceeded(f"matrix size {self.n} exceeds the 1-byte encoding limit")
-        if p <= 256:
-            self.key = (
-                bytes((_TAG_MATRIX,))
-                + p.to_bytes(2, "little")
-                + bytes((self.n,))
-                + arr.astype(np.uint8).tobytes()
-            )
-        else:
-            # arithmetic still works; anything needing a key refuses first
-            self.key = None
+        if p > 256:
+            raise CapExceeded(f"entries mod {p} do not fit the 1-byte encoding")
+        self.key = (
+            bytes((_TAG_MATRIX,))
+            + p.to_bytes(2, "little")
+            + bytes((self.n,))
+            + arr.astype(np.uint8).tobytes()
+        )
         self._inv = None
         self._ord = None
 
@@ -197,11 +201,6 @@ class FpMatrix(Element):
 
     def is_identity(self) -> bool:
         return bool((self.arr == np.eye(self.n, dtype=np.int64)).all())
-
-    def __hash__(self) -> int:
-        if self.key is None:
-            raise CapExceeded(f"entries mod {self.p} do not fit the 1-byte encoding")
-        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {[list(r) for r in self.rows()]})"
@@ -283,18 +282,6 @@ class Permutation(Element):
 
     def __repr__(self) -> str:
         return f"Permutation({list(map(int, self.images))})"
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def invert(a: Element) -> Element:
-    return a.inverse()
-
-
-def power(a: Element, k: int) -> Element:
-    return a ** k
 
 
 def decode_element(key: bytes) -> Element:

@@ -11,9 +11,10 @@ are validated on construction.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .elements import Element, _require_prime
+from .elements import Element, Permutation, _p_split, _require_prime
 from .errors import (
     BackendMismatch,
     CapExceeded,
@@ -39,8 +40,6 @@ __all__ = [
     "commutator_subgroup",
     "center",
     "centralizer",
-    "element_order",
-    "exponent",
     "automorphism_from_images",
     "identity_automorphism",
     "conjugation_aut",
@@ -107,12 +106,7 @@ class GroupTable:
 
     @property
     def is_p_group(self) -> bool:
-        if self.p is None:
-            return False
-        n = self.order
-        while n % self.p == 0:
-            n //= self.p
-        return n == 1
+        return self.p is not None and _p_split(self.order, self.p)[1] == 1
 
     def require_p_group(self) -> int:
         if self.p is None:
@@ -188,14 +182,44 @@ class Subgroup:
     def issubset(self, other: "Subgroup") -> bool:
         return self.keys <= other.keys
 
+    @property
+    def generating_set(self) -> Tuple[Element, ...]:
+        """The recorded generators, or else every non-identity element."""
+        return self.gens or tuple(x for x in self.elements if not x.is_identity())
+
     def to_group(self) -> GroupTable:
         """The subgroup as a standalone table (same element objects)."""
-        gens = self.gens if self.gens else tuple(
-            x for x in self.elements if not x.is_identity())
-        return GroupTable(self.elements, gens, p=self.parent.p)
+        return GroupTable(self.elements, self.generating_set, p=self.parent.p)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
+
+
+_element_key = operator.attrgetter("key")
+
+
+def _closure(start, gens: Sequence, mul: Callable, key: Callable[..., Hashable] = _element_key,
+             cap: Optional[int] = None) -> dict:
+    """Breadth-first closure of {start} under right multiplication by gens.
+
+    The one orbit search behind group, subgroup and action closure.  Returns
+    key -> element; raises CapExceeded once more than `cap` elements are found.
+    """
+    found = {key(start): start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                k = key(y)
+                if k not in found:
+                    found[k] = y
+                    new.append(y)
+                    if cap is not None and len(found) > cap:
+                        raise CapExceeded(f"closure exceeded cap of {cap} elements")
+        frontier = new
+    return found
 
 
 def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
@@ -203,20 +227,7 @@ def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
     """Enumerate the group generated by `generators` (BFS over right products)."""
     if not generators:
         raise ValueError("need at least one generator")
-    identity = generators[0].identity_like()
-    els: Dict[bytes, Element] = {identity.key: identity}
-    frontier: List[Element] = [identity]
-    while frontier:
-        new: List[Element] = []
-        for x in frontier:
-            for g in generators:
-                y = x * g
-                if y.key not in els:
-                    els[y.key] = y
-                    new.append(y)
-                    if len(els) > cap:
-                        raise CapExceeded(f"closure exceeded cap of {cap} elements")
-        frontier = new
+    els = _closure(generators[0].identity_like(), generators, operator.mul, cap=cap)
     return GroupTable(els.values(), generators, p=p)
 
 
@@ -233,20 +244,9 @@ def subgroup_generated(G: GroupTable, seeds: Iterable[Element]) -> Subgroup:
     gens: List[Element] = []
     els: Dict[bytes, Element] = {G.identity.key: G.identity}
     for s in pool:
-        if s.key in els:
-            continue
-        gens.append(s)
-        els = {G.identity.key: G.identity}
-        frontier: List[Element] = [G.identity]
-        while frontier:
-            new: List[Element] = []
-            for x in frontier:
-                for g in gens:
-                    y = G.mul(x, g)
-                    if y.key not in els:
-                        els[y.key] = y
-                        new.append(y)
-            frontier = new
+        if s.key not in els:
+            gens.append(s)
+            els = _closure(G.identity, gens, G.mul)
     return Subgroup(G, els.values(), gens)
 
 
@@ -254,12 +254,16 @@ def is_normal(G: GroupTable, H: Subgroup) -> bool:
     return all(G.conj(h, g).key in H.keys for g in G.generators for h in H.elements)
 
 
-def normal_closure(G: GroupTable, seeds: Iterable[Element]) -> Subgroup:
-    """Smallest normal subgroup of G containing the seeds."""
+def normal_closure(G: GroupTable, seeds: Iterable[Element],
+                   maps: Sequence["Automorphism"] = ()) -> Subgroup:
+    """Smallest normal subgroup of G containing the seeds and invariant under
+    the automorphisms in `maps`: the fixpoint of closing under conjugation by
+    G's generators and images under the maps."""
     H = subgroup_generated(G, seeds)
     while True:
         grown = [c for h in H.elements for g in G.generators
                  if (c := G.conj(h, g)).key not in H.keys]
+        grown += [c for h in H.elements for a in maps if (c := a(h)).key not in H.keys]
         if not grown:
             return H
         H = subgroup_generated(G, tuple(H.gens) + tuple(grown))
@@ -279,8 +283,7 @@ def commutator_subgroup(G: GroupTable, X: Subgroup, Y: Subgroup) -> Subgroup:
     the test oracle).  When X and Y are both normal the closure pass must be a
     no-op, and that is asserted.
     """
-    ygens = Y.gens if Y.gens else tuple(y for y in Y.elements if not y.is_identity())
-    seeds = {G.comm(x, t) for x in X.elements for t in ygens}
+    seeds = {G.comm(x, t) for x in X.elements for t in Y.generating_set}
     H0 = subgroup_generated(G, seeds)
     H = normal_closure(G, H0.elements)
     if H.order != H0.order and is_normal(G, X) and is_normal(G, Y):
@@ -300,14 +303,6 @@ def centralizer(G: GroupTable, S: Iterable[Element]) -> Subgroup:
     S = [G.canon(s) for s in S]
     members = [x for x in G.elements if all(G.mul(x, s) == G.mul(s, x) for s in S)]
     return Subgroup(G, members, ())
-
-
-def element_order(x: Element) -> int:
-    return x.order()
-
-
-def exponent(G: GroupTable) -> int:
-    return G.exponent()
 
 
 class Automorphism:
@@ -341,6 +336,11 @@ class Automorphism:
     def is_identity(self) -> bool:
         return all(g.key == img for g, img in zip(self.domain.generators, self.signature))
 
+    def as_permutation(self) -> Permutation:
+        """The automorphism as a permutation of the indices of domain.elements."""
+        index = self.domain._index
+        return Permutation([index[self._map[x.key].key] for x in self.domain.elements])
+
     def order(self) -> int:
         if self._ord is None:
             k, a = 1, self
@@ -361,14 +361,13 @@ class Automorphism:
         return f"Automorphism(on order-{self.domain.order} group)"
 
 
-def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
-                             images: Sequence[Element]) -> Automorphism:
-    """Extend generator images over the Cayley graph, verifying both
-    well-definedness (every edge consistent) and bijectivity."""
-    if len(gens) != len(images):
-        raise ValueError(f"{len(gens)} generators but {len(images)} images")
-    gens = [G.canon(g) for g in gens]
-    images = [G.canon(m) for m in images]
+def _extend_hom(G: GroupTable, gens: Sequence[Element],
+                images: Sequence[Element]) -> Optional[Dict[bytes, Element]]:
+    """Extend gens -> images over <gens> along the Cayley graph (BFS).
+
+    Returns the map x.key -> f(x), or None at the first edge whose two
+    readings of f disagree.  Size and injectivity are left to the caller.
+    """
     full: Dict[bytes, Element] = {G.identity.key: G.identity}
     frontier: List[Element] = [G.identity]
     while frontier:
@@ -383,9 +382,20 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
                     full[y.key] = fy
                     new.append(y)
                 elif known != fy:
-                    raise NotAHomomorphism(
-                        "generator images are inconsistent on the Cayley graph")
+                    return None
         frontier = new
+    return full
+
+
+def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
+                             images: Sequence[Element]) -> Automorphism:
+    """Extend generator images over the Cayley graph, verifying both
+    well-definedness (every edge consistent) and bijectivity."""
+    if len(gens) != len(images):
+        raise ValueError(f"{len(gens)} generators but {len(images)} images")
+    full = _extend_hom(G, [G.canon(g) for g in gens], [G.canon(m) for m in images])
+    if full is None:
+        raise NotAHomomorphism("generator images are inconsistent on the Cayley graph")
     if len(full) != G.order:
         raise ValueError("the given elements do not generate the group")
     if len({v.key for v in full.values()}) != G.order:

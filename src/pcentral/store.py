@@ -43,7 +43,7 @@ def save_group(G: GroupTable, path: str) -> None:
 def load_group(path: str, *, cap: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _MAGIC:
+    if len(blob) < 13 or blob[:4] != _MAGIC:
         raise ValueError(f"{path} is not a group cache file")
     backend = blob[4]
     p = int.from_bytes(blob[5:7], "little") or None
@@ -60,7 +60,7 @@ def load_group(path: str, *, cap: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
         if len(key) != klen:
             raise ValueError(f"{path}: truncated generator key")
         pos += klen
-        if key[0] != backend:
+        if not key or key[0] != backend:
             raise ValueError(f"{path}: generator backend disagrees with header")
         gens.append(decode_element(bytes(key)))
     if pos != len(blob):

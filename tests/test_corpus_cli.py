@@ -9,6 +9,7 @@ import pytest
 from pcentral.cli import main
 from pcentral.corpus import (
     EXIT_BUDGET,
+    EXIT_CONFIG,
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     ExperimentConfig,
@@ -202,6 +203,95 @@ def test_cap_exhaustion_aborts_with_exit_3(tmp_path):
     # the small entry still ran
     assert any(r.get("check") == "xu_regularity" and r["entry"] == "fine"
                for r in result.records)
+
+
+def test_prime_beyond_matrix_encoding_aborts_with_exit_3(tmp_path):
+    data = {"entries": [{"id": "e257", "group": "elementary_abelian(257,1)",
+                         "checks": ["xu_regularity"]}]}
+    result = run_corpus(ExperimentConfig.from_dict(data), tmp_path / "out")
+    assert result.exit_code == EXIT_BUDGET
+    [err] = result.records
+    assert err["error"]["type"] == "CapExceeded"
+    assert "1-byte encoding" in err["error"]["message"]
+
+
+def _runtime_config_error_dict():
+    # "jordan" passes validation but needs a group with a designated prime
+    return {
+        "entries": [
+            {"id": "q8--inner", "group": "quaternion(8)", "action": "inner",
+             "checks": ["main_regularity"]},
+            {"id": "s3--jordan", "group": "sym(3)", "action": "jordan",
+             "checks": ["main_regularity"]},
+            {"id": "too-big", "group": "ut(4,3)",
+             "checks": ["xu_regularity"]},
+        ],
+        "caps": {"closure_cap": 100},
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runtime_config_error_keeps_the_report(tmp_path, workers):
+    cfg = ExperimentConfig.from_dict(_runtime_config_error_dict())
+    cfg.parallelism = workers
+    result = run_corpus(cfg, tmp_path / "out")
+    # a configuration error outranks the cap abort of "too-big"
+    assert result.exit_code == EXIT_CONFIG
+    assert result.counts["aborted"] == 2
+    lines = [json.loads(line) for line in
+             (tmp_path / "out" / "report.ndjson").read_text().splitlines()]
+    assert [(r["entry"], r.get("check")) for r in lines] == [
+        ("q8--inner", "main_regularity"), ("s3--jordan", None), ("too-big", None)]
+    assert lines[1]["error"]["type"] == "ConfigError"
+    assert "designated prime" in lines[1]["error"]["message"]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["exit_code"] == EXIT_CONFIG
+    assert summary["counts"]["aborted"] == 2
+
+
+def test_cli_runtime_config_error_exits_4(tmp_path, capsys):
+    data = _runtime_config_error_dict()
+    del data["entries"][2]
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out),
+                 "--quiet"]) == 4
+    records = [json.loads(line) for line in
+               (out / "report.ndjson").read_text().splitlines()]
+    assert records[0]["entry"] == "q8--inner" and "check" in records[0]
+    assert records[1] == {"entry": "s3--jordan", "error": records[1]["error"]}
+
+
+def _write_config(tmp_path, caps):
+    path = tmp_path / f"ut43-{len(caps)}.json"
+    path.write_text(json.dumps({"caps": caps, "entries": [
+        {"id": "ut43", "group": "ut(4,3)", "checks": ["catalog_facts"],
+         "expect": {"order": 729}}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_closure_cap_applies_on_cache_hits(tmp_path, monkeypatch, warm):
+    monkeypatch.setenv("PCENTRAL_CACHE_DIR", str(tmp_path / "cache"))
+    if warm:
+        assert main(["run", "--config", _write_config(tmp_path, {}),
+                     "--out", str(tmp_path / "warm"), "--quiet"]) == EXIT_OK
+        assert (tmp_path / "cache" / "ut-4-3.pcg").exists()
+    config_path = _write_config(tmp_path, {"closure_cap": 100})
+    assert main(["run", "--config", config_path, "--out",
+                 str(tmp_path / "out"), "--quiet"]) == EXIT_BUDGET
+    # a cap hit is not a corrupt file: the cached table stays
+    assert (tmp_path / "cache" / "ut-4-3.pcg").exists() == warm
+
+
+def test_corrupt_cache_file_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("PCENTRAL_CACHE_DIR", str(tmp_path / "cache"))
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "ut-4-3.pcg").write_bytes(b"PCG1")
+    assert main(["run", "--config", _write_config(tmp_path, {}),
+                 "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    assert (tmp_path / "cache" / "ut-4-3.pcg").stat().st_size > 5
 
 
 def test_group_cache_reused(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcentral.elements import FpMatrix, Permutation, decode_element
-from pcentral.errors import BackendMismatch, SingularMatrix
+from pcentral.errors import BackendMismatch, CapExceeded, SingularMatrix
 
 
 def schoolbook(a, b, p):
@@ -56,6 +56,17 @@ def test_mixed_backends_and_shapes_rejected():
         a * FpMatrix(3, [[1]])
     with pytest.raises(BackendMismatch):
         a * Permutation.identity(2)
+
+
+def test_prime_above_the_key_encoding_rejected_at_construction():
+    FpMatrix(251, [[1, 250], [0, 1]])  # the largest prime with 1-byte entries
+    with pytest.raises(CapExceeded):
+        FpMatrix(257, [[1, 0], [0, 1]])
+    with pytest.raises(CapExceeded):
+        FpMatrix.identity(257, 2)
+    key = b"\x00" + (257).to_bytes(2, "little") + b"\x01\x01"
+    with pytest.raises(CapExceeded):
+        decode_element(key)
 
 
 def test_key_roundtrip():

@@ -1,0 +1,83 @@
+"""Every exported name resolves, and so does every name the layer tracer of
+``perfbench/`` rebinds, so a deleted or renamed function cannot silently
+break a traced benchmark run.  The tracer is read as source, not imported.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import pcentral
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _modules():
+    yield pcentral
+    for info in pkgutil.iter_modules(pcentral.__path__):
+        yield importlib.import_module(f"pcentral.{info.name}")
+
+
+@pytest.mark.parametrize("module", list(_modules()), ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{module.__name__}.__all__ names missing attributes {missing}"
+
+
+@pytest.fixture(scope="module")
+def tracer_tree():
+    if not TRACER.exists():
+        pytest.skip("perfbench/tracer.py is not present")
+    return ast.parse(TRACER.read_text())
+
+
+def _assigned(tree, name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == name:
+            return node.value
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name
+                                                for t in node.targets):
+            return node.value
+    raise AssertionError(f"tracer.py no longer assigns {name}")
+
+
+def test_spanned_functions_resolve(tracer_tree):
+    spanned = ast.literal_eval(_assigned(tracer_tree, "SPANNED"))
+    for layer, names in spanned.items():
+        mod = importlib.import_module(f"pcentral.{layer}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                assert isinstance(vars(getattr(mod, cls_name)).get(meth), classmethod), name
+            else:
+                assert callable(getattr(mod, name, None)), f"pcentral.{layer}.{name}"
+
+
+def test_leaf_methods_resolve(tracer_tree):
+    from pcentral import elements
+
+    for key in _assigned(tracer_tree, "LEAVES").keys:
+        cls_name, meth = ast.literal_eval(key).split(".")
+        assert meth in vars(getattr(elements, cls_name)), key.value
+
+
+def test_check_registries_resolve(tracer_tree):
+    from pcentral import checks
+
+    read = {node.attr for node in ast.walk(tracer_tree)
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "checks"}
+    imported = {alias.name for node in ast.walk(tracer_tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "pcentral.checks"
+                for alias in node.names}
+    registries = {n for n in read if n.endswith("_CHECKS")}
+    assert len(registries) == 5 and "ALL_CHECK_NAMES" in imported
+    names = set()
+    for n in registries:
+        registry = getattr(checks, n)
+        assert isinstance(registry, dict) and all(map(callable, registry.values())), n
+        names |= set(registry)
+    assert names == set(checks.ALL_CHECK_NAMES)

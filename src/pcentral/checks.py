@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .actions import (
     ActionPair,
@@ -29,7 +29,7 @@ from .actions import (
     restrict_action,
     order_matches_quotient_triviality,
 )
-from .autsearch import brute_force_aut, sylow_p_subgroup
+from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import paper_sigma_pair, sigma_matrix, sigma_power_closed_form
 from .elements import _p_split
 from .groups import (
@@ -58,6 +58,9 @@ __all__ = [
     "GROUP_PRIME_CHECKS",
     "SIGMA_CHECKS",
     "FACT_CHECKS",
+    "CHECK_KINDS",
+    "CHECK_KIND",
+    "CHECK_CAPS",
     "ALL_CHECK_NAMES",
     "check_catalog_facts",
     "check_mixed_series_ladder",
@@ -554,7 +557,8 @@ def check_derived_omega_identity(G: GroupTable) -> Verdict:
 
 
 @_timed
-def check_sylow_aut_exponent(G: GroupTable) -> Verdict:
+def check_sylow_aut_exponent(G: GroupTable, *,
+                             budget: int = DEFAULT_AUT_BUDGET) -> Verdict:
     """Non-cyclic exponent-p groups of order at most p^p have Sylow p-subgroups
     of the automorphism group of exponent (dividing) p."""
     base = G.p is not None and G.is_p_group
@@ -566,7 +570,7 @@ def check_sylow_aut_exponent(G: GroupTable) -> Verdict:
                         {"group_is_p_group": base,
                          "order": G.order,
                          "exponent": G.exponent() if base else None})
-    result = brute_force_aut(G)
+    result = brute_force_aut(G, budget=budget)
     S = sylow_p_subgroup(result.perm_group, p)
     exp_s = max(x.order() for x in S.elements)
     return conclude("sylow_aut_exponent", True, exp_s <= p,
@@ -696,5 +700,31 @@ FACT_CHECKS: Dict[str, Callable[[GroupTable, Dict[str, object]], Verdict]] = {
     "catalog_facts": check_catalog_facts,
 }
 
-ALL_CHECK_NAMES = (set(PAIR_CHECKS) | set(GROUP_CHECKS) | set(GROUP_PRIME_CHECKS)
-                   | set(SIGMA_CHECKS) | set(FACT_CHECKS))
+
+class CheckKind(NamedTuple):
+    """A registry of checks that take the same inputs, which are called
+    through the registry dict.  An input is "group" (the built group), "pair"
+    (the group with the entry's action), or the entry field of that name."""
+    registry: Dict[str, Callable[..., Verdict]]
+    takes: Tuple[str, ...]  # the checks' positional inputs, in order
+    needs: Optional[str]    # the entry field those inputs need
+
+
+CHECK_KINDS = (
+    CheckKind(PAIR_CHECKS, ("pair",), "action"),
+    CheckKind(GROUP_CHECKS, ("group",), None),
+    CheckKind(GROUP_PRIME_CHECKS, ("group", "p"), "p"),
+    CheckKind(SIGMA_CHECKS, ("sigma",), "sigma"),
+    CheckKind(FACT_CHECKS, ("group", "expect"), "expect"),
+)
+
+CHECK_KIND = {name: kind for kind in CHECK_KINDS for name in kind.registry}
+
+ALL_CHECK_NAMES = set(CHECK_KIND)
+
+# check name -> {keyword-only parameter: the configuration cap passed to it}
+CHECK_CAPS: Dict[str, Dict[str, str]] = {
+    "mixed_series_oracle": {"k_max": "oracle_k_max",
+                            "size_limit": "oracle_size_limit"},
+    "sylow_aut_exponent": {"budget": "aut_budget"},
+}

@@ -9,8 +9,8 @@ every entry with a failing conclusion, and reports via exit code:
     0   every conclusion passed or was skipped (hypothesis unmet)
     2   some conclusion failed (a counterexample candidate; bundle written)
     3   a cap or search budget was exhausted before an answer
-    4   an entry hit a configuration error at run time (e.g. an action that
-        does not fit its group); the other entries still report
+    4   an entry hit an error other than a cap or budget at run time (e.g. an
+        action that does not fit its group); the other entries still report
 
 Expected structural facts in ``catalog_facts`` entries were frozen from an
 independent enumeration run; corrupting one is the supported way to exercise
@@ -19,31 +19,22 @@ the counterexample path end to end.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .autsearch import DEFAULT_AUT_BUDGET
 from .catalog import ACTION_NAMES, FAMILY_NAMES, build_action, build_group, parse_family
-from .checks import (
-    ALL_CHECK_NAMES,
-    FACT_CHECKS,
-    GROUP_CHECKS,
-    GROUP_PRIME_CHECKS,
-    PAIR_CHECKS,
-    SIGMA_CHECKS,
-    check_catalog_facts,
-    check_mixed_series_oracle,
-)
+from .checks import ALL_CHECK_NAMES, CHECK_CAPS, CHECK_KIND
 from .elements import _is_prime
-from .errors import BudgetExceeded, CapExceeded, ConfigError
+from .errors import BudgetExceeded, CapExceeded, ConfigError, PcentralError
 from .groups import DEFAULT_CLOSURE_CAP, GroupTable
-from .store import cache_dir_from_env, load_group, save_group
+from .store import load_group, save_group
 from .verdict import FAIL, Verdict
 
 __all__ = [
@@ -74,6 +65,9 @@ DEFAULT_CAPS: Dict[str, int] = {
 }
 
 _ENTRY_KEYS = {"id", "group", "action", "p", "sigma", "checks", "expect"}
+# how a missing entry field is named in "check ... needs ..." errors
+_NEEDS = {"action": "an 'action'", "p": "a prime 'p'",
+          "expect": "an 'expect' object", "sigma": "a 'sigma' entry"}
 _TOP_KEYS = {"caps", "parallelism", "entries"}
 
 
@@ -154,7 +148,7 @@ def _parse_entry(data: object, raw: Optional[str]) -> Entry:
         if not isinstance(sigma, int) or not _is_prime(sigma):
             raise _fail(here + f"'sigma' must be a prime, got {sigma!r}",
                         raw, json.dumps(entry_id))
-        bad = [c for c in checks if c not in SIGMA_CHECKS]
+        bad = [c for c in checks if CHECK_KIND[c].needs != "sigma"]
         if bad:
             raise _fail(here + f"check {bad[0]!r} does not apply to a "
                         "rank-parameter entry", raw, json.dumps(bad[0]))
@@ -195,17 +189,9 @@ def _parse_entry(data: object, raw: Optional[str]) -> Entry:
                     json.dumps(entry_id))
 
     for c in checks:
-        if c in PAIR_CHECKS and action_spec is None:
-            raise _fail(here + f"check {c!r} needs an 'action'", raw,
-                        json.dumps(c))
-        if c in GROUP_PRIME_CHECKS and p is None:
-            raise _fail(here + f"check {c!r} needs a prime 'p'", raw,
-                        json.dumps(c))
-        if c in FACT_CHECKS and expect is None:
-            raise _fail(here + f"check {c!r} needs an 'expect' object", raw,
-                        json.dumps(c))
-        if c in SIGMA_CHECKS:
-            raise _fail(here + f"check {c!r} needs a 'sigma' entry", raw,
+        needs = CHECK_KIND[c].needs
+        if needs is not None and data.get(needs) is None:
+            raise _fail(here + f"check {c!r} needs {_NEEDS[needs]}", raw,
                         json.dumps(c))
     return Entry(entry_id, tuple(checks), group_spec=group_spec,
                  action_spec=action_spec, p=p, expect=expect)
@@ -447,68 +433,37 @@ def default_config() -> ExperimentConfig:
 # -- execution ------------------------------------------------------------
 
 
-def _cached_build_group(spec: str, caps: Dict[str, int]) -> GroupTable:
-    cache = cache_dir_from_env()
-    if cache is None:
-        return build_group(spec, cap=caps["closure_cap"])
-    path = Path(cache) / (_slug(spec) + ".pcg")
-    if path.exists():
-        try:
-            return load_group(path, cap=caps["closure_cap"])
-        except ValueError:  # not a readable cache file: rebuild it
-            path.unlink()
-    G = build_group(spec, cap=caps["closure_cap"])
-    save_group(G, path)
-    return G
-
-
 def run_entry(entry: Entry, caps: Dict[str, int],
               G: Optional[GroupTable] = None) -> List[Verdict]:
-    """Run one entry's checks; cap and budget errors propagate.
+    """Run one entry's checks, each through its registry with its caps.
 
     ``G`` overrides the catalog build (used when replaying a bundle, which
     restores the serialized table instead of rebuilding from the family).
     """
+    if G is None and entry.group_spec is not None:
+        G = build_group(entry.group_spec, cap=caps["closure_cap"])
+    inputs = {"group": G, "p": entry.p, "sigma": entry.sigma,
+              "expect": entry.expect}
+    if any("pair" in CHECK_KIND[c].takes for c in entry.checks):
+        inputs["pair"] = build_action(G, entry.action_spec,
+                                      action_cap=caps["action_cap"],
+                                      aut_budget=caps["aut_budget"])
     verdicts: List[Verdict] = []
-    if entry.sigma is not None:
-        for c in entry.checks:
-            verdicts.append(SIGMA_CHECKS[c](entry.sigma))
-        return verdicts
-    if G is None:
-        G = _cached_build_group(entry.group_spec, caps)
-    pair = None
-    if any(c in PAIR_CHECKS for c in entry.checks):
-        pair = build_action(G, entry.action_spec,
-                            action_cap=caps["action_cap"],
-                            aut_budget=caps["aut_budget"])
     for c in entry.checks:
-        if c in PAIR_CHECKS:
-            if c == "mixed_series_oracle":
-                verdicts.append(check_mixed_series_oracle(
-                    pair, k_max=caps["oracle_k_max"],
-                    size_limit=caps["oracle_size_limit"]))
-            else:
-                verdicts.append(PAIR_CHECKS[c](pair))
-        elif c in GROUP_CHECKS:
-            verdicts.append(GROUP_CHECKS[c](G))
-        elif c in GROUP_PRIME_CHECKS:
-            verdicts.append(GROUP_PRIME_CHECKS[c](G, entry.p))
-        elif c in FACT_CHECKS:
-            verdicts.append(check_catalog_facts(G, entry.expect))
-        else:  # pragma: no cover - guarded by config validation
-            raise ConfigError(f"unroutable check {c!r}")
+        kind = CHECK_KIND[c]
+        kwargs = {kw: caps[cap] for kw, cap in CHECK_CAPS.get(c, {}).items()}
+        verdicts.append(kind.registry[c](*(inputs[i] for i in kind.takes),
+                                         **kwargs))
     return verdicts
 
 
-def _entry_worker(entry_dict: Dict[str, object],
-                  caps: Dict[str, int]) -> Tuple[str, List[Dict[str, object]],
-                                                 Optional[Dict[str, str]]]:
-    entry = _parse_entry(entry_dict, None)
+def _entry_worker(entry_dict: Dict[str, object], caps: Dict[str, int]
+                  ) -> Tuple[List[Dict[str, object]], Optional[Dict[str, str]]]:
     try:
-        verdicts = run_entry(entry, caps)
-    except (CapExceeded, BudgetExceeded, ConfigError) as e:
-        return entry.entry_id, [], {"type": type(e).__name__, "message": str(e)}
-    return entry.entry_id, [v.to_dict() for v in verdicts], None
+        verdicts = run_entry(_parse_entry(entry_dict, None), caps)
+    except PcentralError as e:
+        return [], {"type": type(e).__name__, "message": str(e)}
+    return [v.to_dict() for v in verdicts], None
 
 
 @dataclass
@@ -541,29 +496,15 @@ def _write_bundle(out_dir: Path, entry: Entry, caps: Dict[str, int],
     return bundle
 
 
+# the errors that abort an entry with EXIT_BUDGET; any other one is EXIT_CONFIG
+_BUDGET_ERRORS = (CapExceeded.__name__, BudgetExceeded.__name__)
+
+
 def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
                progress: Optional[Callable[[str], None]] = None) -> CorpusResult:
     """Run every entry; write report.ndjson, summary.json and bundles."""
     say = progress or (lambda s: None)
     caps = dict(config.caps)
-    by_id = {e.entry_id: e for e in config.entries}
-    results: Dict[str, Tuple[List[Dict[str, object]], Optional[Dict[str, str]]]] = {}
-
-    if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [(e.entry_id,
-                        pool.submit(_entry_worker, e.to_dict(), caps))
-                       for e in config.entries]
-            for entry_id, fut in futures:
-                _, dicts, err = fut.result()
-                results[entry_id] = (dicts, err)
-                say(f"[{entry_id}] {'ABORT ' + err['type'] if err else f'{len(dicts)} verdicts'}")
-    else:
-        for e in config.entries:
-            _, dicts, err = _entry_worker(e.to_dict(), caps)
-            results[e.entry_id] = (dicts, err)
-            say(f"[{e.entry_id}] {'ABORT ' + err['type'] if err else f'{len(dicts)} verdicts'}")
-
     records: List[Dict[str, object]] = []
     counts = {"entries": len(config.entries), "verdicts": 0, "pass": 0,
               "skipped": 0, "fail": 0, "aborted": 0}
@@ -572,24 +513,31 @@ def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    config_error = False
-    for e in config.entries:
-        dicts, err = results[e.entry_id]
-        if err is not None:
-            counts["aborted"] += 1
-            config_error |= err["type"] == ConfigError.__name__
-            records.append({"entry": e.entry_id, "error": err})
-            continue
-        failing = False
-        for d in dicts:
-            counts["verdicts"] += 1
-            counts[d["conclusion"]] += 1
-            failing |= d["conclusion"] == FAIL
-            records.append({"entry": e.entry_id, **d})
-        if failing and out_path is not None:
-            bundle_dirs.append(_write_bundle(out_path, e, caps, dicts))
+    entry_error = False
+    serial = config.parallelism <= 1
+    with (nullcontext() if serial else
+          ProcessPoolExecutor(max_workers=config.parallelism)) as pool:
+        outcomes = (map if serial else pool.map)(
+            _entry_worker, [e.to_dict() for e in config.entries],
+            [caps] * len(config.entries))
+        # results arrive in entry order, serial or not
+        for e, (dicts, err) in zip(config.entries, outcomes):
+            say(f"[{e.entry_id}] {'ABORT ' + err['type'] if err else f'{len(dicts)} verdicts'}")
+            if err is not None:
+                counts["aborted"] += 1
+                entry_error |= err["type"] not in _BUDGET_ERRORS
+                records.append({"entry": e.entry_id, "error": err})
+                continue
+            failing = False
+            for d in dicts:
+                counts["verdicts"] += 1
+                counts[d["conclusion"]] += 1
+                failing |= d["conclusion"] == FAIL
+                records.append({"entry": e.entry_id, **d})
+            if failing and out_path is not None:
+                bundle_dirs.append(_write_bundle(out_path, e, caps, dicts))
 
-    if config_error:
+    if entry_error:
         exit_code = EXIT_CONFIG
     elif counts["aborted"]:
         exit_code = EXIT_BUDGET
@@ -628,7 +576,8 @@ def replay_bundle(bundle_dir: os.PathLike,
     entry = _parse_entry(meta["entry"], None)
     caps = dict(DEFAULT_CAPS)
     caps.update(meta.get("caps", {}))
-    G = load_group(bundle / "group.bin") if entry.sigma is None else None
+    G = (load_group(bundle / "group.bin", cap=caps["closure_cap"])
+         if entry.sigma is None else None)
     verdicts = run_entry(entry, caps, G=G)
     records = [{"entry": entry.entry_id, **v.to_dict()} for v in verdicts]
     counts = {"entries": 1, "verdicts": len(records), "pass": 0,

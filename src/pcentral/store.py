@@ -1,4 +1,4 @@
-"""On-disk group cache files.
+"""Serialization of reproducer bundles: a group as its generators.
 
 Binary layout: magic "PCG1" | backend tag (1 byte) | p (2 bytes LE, 0 = none)
 | order (4 bytes LE) | generator count (2 bytes LE) | per generator:
@@ -10,22 +10,19 @@ stale file cannot smuggle in a wrong group.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from .elements import decode_element
 from .errors import CapExceeded
 from .groups import DEFAULT_CLOSURE_CAP, GroupTable, close
 
-__all__ = ["save_group", "load_group", "cache_dir_from_env"]
+__all__ = ["save_group", "load_group"]
 
 _MAGIC = b"PCG1"
-
-CACHE_DIR_ENV = "PCENTRAL_CACHE_DIR"
 
 
 def save_group(G: GroupTable, path: str) -> None:
     if not G.generators:
-        raise ValueError("cannot cache a group without generators")
+        raise ValueError("cannot serialize a group without generators")
     blob = bytearray(_MAGIC)
     blob.append(G.generators[0].key[0])
     blob += (G.p or 0).to_bytes(2, "little")
@@ -44,7 +41,7 @@ def load_group(path: str, *, cap: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 13 or blob[:4] != _MAGIC:
-        raise ValueError(f"{path} is not a group cache file")
+        raise ValueError(f"{path} is not a serialized group file")
     backend = blob[4]
     p = int.from_bytes(blob[5:7], "little") or None
     order = int.from_bytes(blob[7:11], "little")
@@ -71,10 +68,3 @@ def load_group(path: str, *, cap: int = DEFAULT_CLOSURE_CAP) -> GroupTable:
     if G.order != order:
         raise ValueError(f"{path}: re-closed order {G.order} != stored order {order}")
     return G
-
-
-def cache_dir_from_env() -> Optional[str]:
-    d = os.environ.get(CACHE_DIR_ENV)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    return d or None

@@ -1,5 +1,6 @@
 """Checker verdicts on hand-verified rows: hypothesis/conclusion pairs and witnesses."""
 
+import inspect
 from functools import lru_cache
 
 import pytest
@@ -212,3 +213,21 @@ def test_sigma_example_tightness(p):
     assert w["deep_reading_order"] == p
     assert w["deep_reading_small_trivial"] is True
     assert w["closed_form_matches_powers"] is True
+
+
+# -- the check table -----------------------------------------------------
+
+
+def test_every_check_is_in_exactly_one_registry():
+    for name in ALL_CHECK_NAMES:
+        assert sum(name in kind.registry for kind in C.CHECK_KINDS) == 1, name
+
+
+def test_check_caps_are_configured_keyword_parameters():
+    from pcentral.corpus import DEFAULT_CAPS
+
+    for name, caps in C.CHECK_CAPS.items():
+        params = inspect.signature(C.CHECK_KIND[name].registry[name]).parameters
+        for keyword, cap in caps.items():
+            assert cap in DEFAULT_CAPS, (name, cap)
+            assert params[keyword].kind is inspect.Parameter.KEYWORD_ONLY, (name, keyword)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pcentral.catalog import build_group
 from pcentral.cli import main
 from pcentral.corpus import (
     EXIT_BUDGET,
@@ -18,6 +19,7 @@ from pcentral.corpus import (
     run_corpus,
 )
 from pcentral.errors import ConfigError
+from pcentral.store import save_group
 
 
 def mini_config_dict():
@@ -271,37 +273,57 @@ def _write_config(tmp_path, caps):
     return str(path)
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_closure_cap_applies_on_cache_hits(tmp_path, monkeypatch, warm):
-    monkeypatch.setenv("PCENTRAL_CACHE_DIR", str(tmp_path / "cache"))
-    if warm:
-        assert main(["run", "--config", _write_config(tmp_path, {}),
-                     "--out", str(tmp_path / "warm"), "--quiet"]) == EXIT_OK
-        assert (tmp_path / "cache" / "ut-4-3.pcg").exists()
+def test_closure_cap_aborts_a_run_with_exit_3(tmp_path):
     config_path = _write_config(tmp_path, {"closure_cap": 100})
     assert main(["run", "--config", config_path, "--out",
                  str(tmp_path / "out"), "--quiet"]) == EXIT_BUDGET
-    # a cap hit is not a corrupt file: the cached table stays
-    assert (tmp_path / "cache" / "ut-4-3.pcg").exists() == warm
 
 
-def test_corrupt_cache_file_is_rebuilt(tmp_path, monkeypatch):
-    monkeypatch.setenv("PCENTRAL_CACHE_DIR", str(tmp_path / "cache"))
-    (tmp_path / "cache").mkdir()
-    (tmp_path / "cache" / "ut-4-3.pcg").write_bytes(b"PCG1")
-    assert main(["run", "--config", _write_config(tmp_path, {}),
-                 "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
-    assert (tmp_path / "cache" / "ut-4-3.pcg").stat().st_size > 5
+def test_aut_budget_bounds_sylow_aut_exponent(tmp_path):
+    data = {"caps": {"aut_budget": 5}, "entries": [
+        {"id": "aut--e32", "group": "elementary_abelian(3,2)",
+         "checks": ["sylow_aut_exponent"]}]}
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out),
+                 "--quiet"]) == EXIT_BUDGET
+    [record] = [json.loads(line) for line in
+                (out / "report.ndjson").read_text().splitlines()]
+    assert record["entry"] == "aut--e32"
+    assert record["error"]["type"] == "BudgetExceeded"
 
 
-def test_group_cache_reused(tmp_path, monkeypatch):
-    monkeypatch.setenv("PCENTRAL_CACHE_DIR", str(tmp_path / "cache"))
-    cfg = ExperimentConfig.from_text(json.dumps(mini_config_dict()))
-    first = run_corpus(cfg, tmp_path / "a")
-    cached = list((tmp_path / "cache").glob("*.pcg"))
-    assert cached, "expected serialized groups in the cache directory"
-    second = run_corpus(cfg, tmp_path / "b")
-    assert stripped(first.records) == stripped(second.records)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runtime_math_error_keeps_the_report(tmp_path, workers):
+    # "jordan" on Z4 x Z2 passes validation, but its generator images do not
+    # extend to a homomorphism
+    cfg = ExperimentConfig.from_dict({"entries": [
+        {"id": "q8--inner", "group": "quaternion(8)", "action": "inner",
+         "checks": ["main_regularity"]},
+        {"id": "z4z2--jordan", "group": "direct_product(cyclic(2,2), cyclic(2,1))",
+         "action": "jordan", "checks": ["main_regularity"]}]})
+    cfg.parallelism = workers
+    result = run_corpus(cfg, tmp_path / "out")
+    assert result.exit_code == EXIT_CONFIG
+    lines = [json.loads(line) for line in
+             (tmp_path / "out" / "report.ndjson").read_text().splitlines()]
+    assert lines[0]["entry"] == "q8--inner"
+    assert lines[0]["check"] == "main_regularity"
+    assert lines[1]["entry"] == "z4z2--jordan"
+    assert lines[1]["error"]["type"] == "NotAHomomorphism"
+
+
+def test_replay_applies_the_bundle_closure_cap(tmp_path, capsys):
+    bundle = tmp_path / "repro--ut43"
+    bundle.mkdir()
+    save_group(build_group("ut(4,3)"), bundle / "group.bin")
+    (bundle / "meta.json").write_text(json.dumps({
+        "entry": {"id": "ut43", "group": "ut(4,3)",
+                  "checks": ["xu_regularity"]},
+        "caps": {"closure_cap": 100}, "failing_checks": ["xu_regularity"]}))
+    assert main(["replay", str(bundle)]) == EXIT_BUDGET
+    assert "budget exhausted" in capsys.readouterr().err
 
 
 # -- command line --------------------------------------------------------

@@ -81,3 +81,7 @@ def test_check_registries_resolve(tracer_tree):
         assert isinstance(registry, dict) and all(map(callable, registry.values())), n
         names |= set(registry)
     assert names == set(checks.ALL_CHECK_NAMES)
+    # a registry the tracer does not read would drop out of traced runs
+    tabled = {id(kind.registry) for kind in checks.CHECK_KINDS}
+    assert tabled == {id(getattr(checks, n)) for n in registries}
+    assert len(checks.CHECK_KINDS) == 5

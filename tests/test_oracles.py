@@ -3,8 +3,9 @@
 Random generator subsets of permutation-backed catalog groups are closed by
 the engine and by sympy.combinatorics, and the two must agree on subgroup
 order, normal closure and normality, the lower central series, the center
-and quotient order.  sympy is an optional oracle: the module is skipped when
-it is not installed.
+and quotient order.  The permutation group that the Aut(G) search realizes
+is compared on its order, its Sylow subgroups and its derived series.  sympy
+is an optional oracle: the module is skipped when it is not installed.
 """
 
 import functools
@@ -14,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 
+from pcentral.autsearch import brute_force_aut, sylow_p_subgroup  # noqa: E402
 from pcentral.catalog import build_group  # noqa: E402
 from pcentral.groups import (  # noqa: E402
     center,
+    commutator_subgroup,
     is_normal,
     normal_closure,
     quotient,
@@ -108,3 +111,35 @@ def test_whole_group_agrees(spec):
     assert lower_central_series(G).orders()[:-1] == [
         t.order() for t in SG.lower_central_series()]
     assert center(G).order == SG.center().order()
+
+
+AUT_SPECS = (
+    "quaternion(8)",
+    "dihedral(8)",
+    "sym(3)",
+    "cyclic(2,3)",
+    "elementary_abelian(2,3)",
+    "heisenberg(3)",
+)
+
+
+def _derived_orders(P):
+    """Orders along the derived series of P, down to its stable term."""
+    H = P.top
+    orders = [H.order]
+    while True:
+        D = commutator_subgroup(P, H, H)
+        if D.order == H.order:
+            return orders
+        H = D
+        orders.append(H.order)
+
+
+@pytest.mark.parametrize("spec", AUT_SPECS)
+def test_aut_perm_group_agrees(spec):
+    P = brute_force_aut(_group(spec)).perm_group
+    SP = _sympy_group(P.generators)
+    assert P.order == SP.order()
+    for p in (q for q in (2, 3, 5, 7) if P.order % q == 0):
+        assert sylow_p_subgroup(P, p).order == SP.sylow_subgroup(p).order()
+    assert _derived_orders(P) == [t.order() for t in SP.derived_series()]

@@ -1,7 +1,8 @@
 """Brute-force automorphism groups and Sylow subgroups.
 
 No classification shortcuts: Aut(G) is found by trying generator images (order
-matching plus partial-homomorphism pruning), and Sylow subgroups by repeatedly
+matching plus partial-homomorphism pruning, on element indices with G's cached
+product columns), and Sylow subgroups by repeatedly
 extending a p-subgroup inside its normalizer.  Classical order formulas appear
 only in tests, as oracles.
 """
@@ -11,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .elements import Element, Permutation, _p_split, _require_prime
+from .elements import Permutation, _p_split, _require_prime
 from .errors import BudgetExceeded
 from .groups import (
     Automorphism,
     GroupTable,
     Subgroup,
+    _automorphism_from_indices,
     _extend_hom,
     minimal_generating_sequence,
     subgroup_generated,
@@ -32,6 +34,7 @@ class AutGroupResult:
     domain: GroupTable
     automorphisms: Tuple[Automorphism, ...]
     perm_group: GroupTable
+    tuples_tried: int  # candidate image tuples the search extended; aut_budget bounds it
 
     @property
     def order(self) -> int:
@@ -40,20 +43,24 @@ class AutGroupResult:
 
 def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGroupResult:
     """All automorphisms of G by depth-first image search over a minimal
-    generating sequence, with order matching and partial-map pruning."""
+    generating sequence, with order matching and partial-map pruning.
+
+    The search runs on element indices; only the automorphisms it finds are
+    built as Automorphism objects."""
     gens = minimal_generating_sequence(G)
     if not gens:  # trivial group
         ident = Automorphism(G, {G.identity.key: G.identity})
         perm = Permutation.identity(1)
-        return AutGroupResult(G, (ident,), GroupTable([perm], [perm]))
+        return AutGroupResult(G, (ident,), GroupTable([perm], [perm]), 0)
     chain = [subgroup_generated(G, gens[:i + 1]).order for i in range(len(gens))]
-    by_order: Dict[int, List[Element]] = {}
-    for x in G.elements:
-        by_order.setdefault(x.order(), []).append(x)
+    gen_idx = [G.index_of(g) for g in gens]
+    by_order: Dict[int, List[int]] = {}
+    for i, x in enumerate(G.elements):
+        by_order.setdefault(x.order(), []).append(i)
     found: List[Automorphism] = []
     tuples_tried = 0
 
-    def descend(depth: int, images: List[Element]) -> None:
+    def descend(depth: int, images: List[int]) -> None:
         nonlocal tuples_tried
         for cand in by_order.get(gens[depth].order(), ()):
             tuples_tried += 1
@@ -61,15 +68,15 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
                 raise BudgetExceeded(
                     f"automorphism search exceeded {budget} candidate tuples")
             trial = images + [cand]
-            full = _extend_hom(G, gens[:depth + 1], trial)
+            full = _extend_hom(G, gen_idx[:depth + 1], trial)
             if full is None:
                 continue
             if len(full) != chain[depth]:
                 raise AssertionError("partial closure disagrees with the subgroup chain")
-            if len({v.key for v in full.values()}) != chain[depth]:
+            if len(set(full.values())) != chain[depth]:
                 continue
             if depth + 1 == len(gens):
-                found.append(Automorphism(G, full))
+                found.append(_automorphism_from_indices(G, full))
             else:
                 descend(depth + 1, trial)
 
@@ -81,7 +88,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
         raise AssertionError("automorphism search produced duplicate maps")
     staging = GroupTable(perms, perms)
     perm_gens = minimal_generating_sequence(staging)
-    return AutGroupResult(G, tuple(found), GroupTable(perms, perm_gens))
+    return AutGroupResult(G, tuple(found), GroupTable(perms, perm_gens), tuples_tried)
 
 
 def normalizer(G: GroupTable, P: Subgroup) -> Subgroup:

@@ -11,6 +11,12 @@ every entry with a failing conclusion, and reports via exit code:
     3   a cap or search budget was exhausted before an answer
     4   an entry hit an error other than a cap or budget at run time (e.g. an
         action that does not fit its group); the other entries still report
+    5   an entry hit an internal bug (an exception that is not a pcentral
+        error, such as a failed internal assertion); the other entries still
+        report
+
+An aborted entry is recorded with its error's type and message, and the exit
+code is the largest that any entry earns, so 5 outranks 4, 3 and 2.
 
 Expected structural facts in ``catalog_facts`` entries were frozen from an
 independent enumeration run; corrupting one is the supported way to exercise
@@ -49,12 +55,14 @@ __all__ = [
     "EXIT_COUNTEREXAMPLE",
     "EXIT_BUDGET",
     "EXIT_CONFIG",
+    "EXIT_INTERNAL",
 ]
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 EXIT_CONFIG = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_CAPS: Dict[str, int] = {
     "closure_cap": DEFAULT_CLOSURE_CAP,
@@ -458,12 +466,17 @@ def run_entry(entry: Entry, caps: Dict[str, int],
 
 
 def _entry_worker(entry_dict: Dict[str, object], caps: Dict[str, int]
-                  ) -> Tuple[List[Dict[str, object]], Optional[Dict[str, str]]]:
+                  ) -> Tuple[List[Dict[str, object]], Optional[Dict[str, str]], int]:
+    """One entry's verdicts or error, and the exit code the entry earns."""
     try:
         verdicts = run_entry(_parse_entry(entry_dict, None), caps)
-    except PcentralError as e:
-        return [], {"type": type(e).__name__, "message": str(e)}
-    return [v.to_dict() for v in verdicts], None
+    except Exception as e:
+        code = (EXIT_BUDGET if isinstance(e, (CapExceeded, BudgetExceeded))
+                else EXIT_CONFIG if isinstance(e, PcentralError) else EXIT_INTERNAL)
+        return [], {"type": type(e).__name__, "message": str(e)}, code
+    dicts = [v.to_dict() for v in verdicts]
+    failing = any(d["conclusion"] == FAIL for d in dicts)
+    return dicts, None, EXIT_COUNTEREXAMPLE if failing else EXIT_OK
 
 
 @dataclass
@@ -496,10 +509,6 @@ def _write_bundle(out_dir: Path, entry: Entry, caps: Dict[str, int],
     return bundle
 
 
-# the errors that abort an entry with EXIT_BUDGET; any other one is EXIT_CONFIG
-_BUDGET_ERRORS = (CapExceeded.__name__, BudgetExceeded.__name__)
-
-
 def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
                progress: Optional[Callable[[str], None]] = None) -> CorpusResult:
     """Run every entry; write report.ndjson, summary.json and bundles."""
@@ -513,7 +522,7 @@ def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    entry_error = False
+    exit_code = EXIT_OK
     serial = config.parallelism <= 1
     with (nullcontext() if serial else
           ProcessPoolExecutor(max_workers=config.parallelism)) as pool:
@@ -521,30 +530,19 @@ def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
             _entry_worker, [e.to_dict() for e in config.entries],
             [caps] * len(config.entries))
         # results arrive in entry order, serial or not
-        for e, (dicts, err) in zip(config.entries, outcomes):
+        for e, (dicts, err, code) in zip(config.entries, outcomes):
             say(f"[{e.entry_id}] {'ABORT ' + err['type'] if err else f'{len(dicts)} verdicts'}")
+            exit_code = max(exit_code, code)
             if err is not None:
                 counts["aborted"] += 1
-                entry_error |= err["type"] not in _BUDGET_ERRORS
                 records.append({"entry": e.entry_id, "error": err})
                 continue
-            failing = False
             for d in dicts:
                 counts["verdicts"] += 1
                 counts[d["conclusion"]] += 1
-                failing |= d["conclusion"] == FAIL
                 records.append({"entry": e.entry_id, **d})
-            if failing and out_path is not None:
+            if code == EXIT_COUNTEREXAMPLE and out_path is not None:
                 bundle_dirs.append(_write_bundle(out_path, e, caps, dicts))
-
-    if entry_error:
-        exit_code = EXIT_CONFIG
-    elif counts["aborted"]:
-        exit_code = EXIT_BUDGET
-    elif counts["fail"]:
-        exit_code = EXIT_COUNTEREXAMPLE
-    else:
-        exit_code = EXIT_OK
 
     report_path = summary_path = None
     if out_path is not None:

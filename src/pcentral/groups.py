@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .elements import Element, Permutation, _p_split, _require_prime
@@ -95,6 +96,15 @@ class GroupTable:
 
     def mul(self, x: Element, y: Element) -> Element:
         return self.canon(x * y)
+
+    def _right_column(self, j: int) -> array:
+        """[index(x * e_j) for x in elements], built on first use and kept."""
+        columns = self._cache.setdefault("right_columns", {})
+        col = columns.get(j)
+        if col is None:
+            g, index = self.elements[j], self._index
+            col = columns[j] = array("i", [index[(x * g).key] for x in self.elements])
+        return col
 
     def conj(self, x: Element, g: Element) -> Element:
         """g^-1 x g, canonicalized."""
@@ -361,30 +371,38 @@ class Automorphism:
         return f"Automorphism(on order-{self.domain.order} group)"
 
 
-def _extend_hom(G: GroupTable, gens: Sequence[Element],
-                images: Sequence[Element]) -> Optional[Dict[bytes, Element]]:
+def _extend_hom(G: GroupTable, gens: Sequence[int],
+                images: Sequence[int]) -> Optional[Dict[int, int]]:
     """Extend gens -> images over <gens> along the Cayley graph (BFS).
 
-    Returns the map x.key -> f(x), or None at the first edge whose two
-    readings of f disagree.  Size and injectivity are left to the caller.
+    Works on element indices: each edge is two lookups in G's cached
+    right-multiplication columns.  Returns the map index -> index of f, or
+    None at the first edge whose two readings of f disagree.  Size and
+    injectivity are left to the caller.
     """
-    full: Dict[bytes, Element] = {G.identity.key: G.identity}
-    frontier: List[Element] = [G.identity]
+    edges = [(G._right_column(g), G._right_column(m)) for g, m in zip(gens, images)]
+    e = G.index_of(G.identity)
+    full = {e: e}
+    frontier = [e]
     while frontier:
-        new: List[Element] = []
+        new: List[int] = []
         for x in frontier:
-            fx = full[x.key]
-            for g, fg in zip(gens, images):
-                y = G.mul(x, g)
-                fy = G.mul(fx, fg)
-                known = full.get(y.key)
+            fx = full[x]
+            for col_g, col_m in edges:
+                y, fy = col_g[x], col_m[fx]
+                known = full.get(y)
                 if known is None:
-                    full[y.key] = fy
+                    full[y] = fy
                     new.append(y)
                 elif known != fy:
                     return None
         frontier = new
     return full
+
+
+def _automorphism_from_indices(G: GroupTable, full: Dict[int, int]) -> Automorphism:
+    els = G.elements
+    return Automorphism(G, {els[i].key: els[j] for i, j in full.items()})
 
 
 def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
@@ -393,14 +411,15 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
     well-definedness (every edge consistent) and bijectivity."""
     if len(gens) != len(images):
         raise ValueError(f"{len(gens)} generators but {len(images)} images")
-    full = _extend_hom(G, [G.canon(g) for g in gens], [G.canon(m) for m in images])
+    full = _extend_hom(G, [G.index_of(G.canon(g)) for g in gens],
+                       [G.index_of(G.canon(m)) for m in images])
     if full is None:
         raise NotAHomomorphism("generator images are inconsistent on the Cayley graph")
     if len(full) != G.order:
         raise ValueError("the given elements do not generate the group")
-    if len({v.key for v in full.values()}) != G.order:
+    if len(set(full.values())) != G.order:
         raise NotBijective("generator images define a non-bijective endomorphism")
-    return Automorphism(G, full)
+    return _automorphism_from_indices(G, full)
 
 
 def identity_automorphism(G: GroupTable) -> Automorphism:

@@ -1,5 +1,7 @@
 """Automorphism group search and Sylow subgroup extraction."""
 
+import functools
+
 import pytest
 
 from pcentral.autsearch import brute_force_aut, normalizer, sylow_p_subgroup
@@ -11,6 +13,7 @@ from pcentral.groups import subgroup_generated
 AUT_ORDERS = {
     "elementary_abelian(2,2)": 6,     # GL(2,2)
     "elementary_abelian(3,2)": 48,    # GL(2,3)
+    "elementary_abelian(3,3)": 11232,  # GL(3,3)
     "cyclic(2,3)": 4,                 # (Z/8)*
     "cyclic(3,2)": 6,                 # (Z/9)*
     "quaternion(8)": 24,
@@ -31,6 +34,33 @@ def test_aut_group_orders(spec, order):
 def test_aut_search_respects_budget():
     with pytest.raises(BudgetExceeded):
         brute_force_aut(build_group("elementary_abelian(3,3)"), budget=50)
+
+
+# candidate image tuples the search extends: the quantity aut_budget bounds
+TUPLES_TRIED = {
+    "heisenberg(3)": 5694,
+    "elementary_abelian(2,3)": 350,
+    "elementary_abelian(3,3)": 16926,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _aut(spec):
+    return brute_force_aut(build_group(spec))
+
+
+@pytest.mark.parametrize("spec,tried", sorted(TUPLES_TRIED.items()))
+def test_tuples_tried_counts(spec, tried):
+    assert _aut(spec).tuples_tried == tried
+
+
+@pytest.mark.parametrize("spec", ["heisenberg(3)", "elementary_abelian(2,3)"])
+def test_budget_boundary_is_tuples_tried(spec):
+    G = build_group(spec)
+    n = TUPLES_TRIED[spec]
+    assert brute_force_aut(G, budget=n).tuples_tried == n
+    with pytest.raises(BudgetExceeded, match=f"exceeded {n - 1} candidate tuples"):
+        brute_force_aut(G, budget=n - 1)
 
 
 def test_aut_permutations_compose_like_automorphisms():
@@ -78,3 +108,10 @@ def test_aut_of_heisenberg_sylow_exponent():
     S = sylow_p_subgroup(result.perm_group, 3)
     assert S.order == 27
     assert max(x.order() for x in S.elements) == 3
+
+
+def test_gl33_sylow_3_subgroup():
+    # a Sylow 3-subgroup of GL(3,3) is the unitriangular group: order 27, exponent 3
+    S = sylow_p_subgroup(_aut("elementary_abelian(3,3)").perm_group, 3)
+    assert S.order == 27
+    assert S.to_group().exponent() == 3

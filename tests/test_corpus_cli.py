@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
+from pcentral import checks
 from pcentral.catalog import build_group
 from pcentral.cli import main
 from pcentral.corpus import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_COUNTEREXAMPLE,
+    EXIT_INTERNAL,
     EXIT_OK,
     ExperimentConfig,
     default_config,
@@ -312,6 +314,40 @@ def test_runtime_math_error_keeps_the_report(tmp_path, workers):
     assert lines[0]["check"] == "main_regularity"
     assert lines[1]["entry"] == "z4z2--jordan"
     assert lines[1]["error"]["type"] == "NotAHomomorphism"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_internal_error_keeps_the_report(tmp_path, monkeypatch, workers):
+    def broken(G, *, budget):
+        raise AssertionError("partial closure disagrees with the subgroup chain")
+
+    monkeypatch.setitem(checks.GROUP_CHECKS, "sylow_aut_exponent", broken)
+    cfg = ExperimentConfig.from_dict({"entries": [
+        {"id": "q8--inner", "group": "quaternion(8)", "action": "inner",
+         "checks": ["main_regularity"]},
+        {"id": "aut--e22", "group": "elementary_abelian(2,2)",
+         "checks": ["sylow_aut_exponent"]},
+        {"id": "z4z2--jordan", "group": "direct_product(cyclic(2,2), cyclic(2,1))",
+         "action": "jordan", "checks": ["main_regularity"]},
+        corrupted_config_dict()["entries"][1]]})
+    cfg.parallelism = workers
+    out = tmp_path / "out"
+    result = run_corpus(cfg, out)
+    # an internal bug outranks a config error and a counterexample
+    assert result.exit_code == EXIT_INTERNAL
+    lines = [json.loads(line) for line in
+             (out / "report.ndjson").read_text().splitlines()]
+    assert [r["entry"] for r in lines] == [
+        "q8--inner", "aut--e22", "z4z2--jordan", "facts--q8"]
+    assert lines[0]["conclusion"] == "pass"
+    assert lines[1]["error"] == {
+        "type": "AssertionError",
+        "message": "partial closure disagrees with the subgroup chain"}
+    assert lines[2]["error"]["type"] == "NotAHomomorphism"
+    assert lines[3]["conclusion"] == "fail"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["exit_code"] == EXIT_INTERNAL
+    assert summary["counts"]["aborted"] == 2
 
 
 def test_replay_applies_the_bundle_closure_cap(tmp_path, capsys):

@@ -2,9 +2,9 @@
 
 No classification shortcuts: Aut(G) is found by trying generator images (order
 matching plus partial-homomorphism pruning, on element indices with G's cached
-product columns), and Sylow subgroups by repeatedly
-extending a p-subgroup inside its normalizer.  Classical order formulas appear
-only in tests, as oracles.
+product columns), and Sylow subgroups by repeatedly extending a p-subgroup
+inside its normalizer.  Classical order formulas appear only in tests, as
+oracles.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ every entry with a failing conclusion, and reports via exit code:
     0   every conclusion passed or was skipped (hypothesis unmet)
     2   some conclusion failed (a counterexample candidate; bundle written)
     3   a cap or search budget was exhausted before an answer
-    4   an entry hit an error other than a cap or budget at run time (e.g. an
-        action that does not fit its group); the other entries still report
+    4   an entry hit a pcentral error other than a cap or budget at run time
+        (e.g. an action that does not fit its group); the other entries still
+        report
     5   an entry hit an internal bug (an exception that is not a pcentral
         error, such as a failed internal assertion); the other entries still
         report

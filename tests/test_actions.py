@@ -1,7 +1,10 @@
 """Automorphism actions: mixed commutators, the descending series and its
 independent enumeration oracle, induced and restricted actions."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcentral.actions import (
     ActionPair,
@@ -165,3 +168,43 @@ def test_order_matches_quotient_triviality_consistency(sigma3):
     assert v1.witnesses["power_is_trivial"] is False
     assert v1.witnesses["trivial_mod_omega"] is True
     assert not is_p_central_action(sigma3, gamma_term(sigma3, 3))
+
+
+MODEL_SPECS = (
+    ("quaternion(8)", "inner"),
+    ("heisenberg(3)", "inner"),
+    ("dihedral(8)", "inner"),
+    ("elementary_abelian(2,3)", "jordan"),
+    ("elementary_abelian(3,2)", "full_aut"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_with_model(gspec, aspec):
+    """A catalog pair and its acting group as dicts: element key -> image key."""
+    pair = build_action(build_group(gspec), aspec)
+    model = [{x.key: a(x).key for x in pair.G.elements} for a in pair.A_elements]
+    return pair, model
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_automorphisms_agree_with_dict_model(data):
+    pair, model = _pair_with_model(*data.draw(st.sampled_from(MODEL_SPECS)))
+    G, A = pair.G, pair.A_elements
+    i = data.draw(st.integers(0, len(A) - 1))
+    j = data.draw(st.integers(0, len(A) - 1))
+    x = G.elements[data.draw(st.integers(0, G.order - 1))]
+    a, b, ma, mb = A[i], A[j], model[i], model[j]
+    assert (a * b)(x).key == ma[mb[x.key]]
+    assert a.inverse()(a(x)) == x
+    assert a.inverse()(x).key == {v: k for k, v in ma.items()}[x.key]
+    # the order is the least k for which a^k fixes every generator
+    k, power = 1, ma
+    while any(power[g.key] != g.key for g in G.generators):
+        power = {key: ma[v] for key, v in power.items()}
+        k += 1
+    assert a.order() == k
+    # A is listed in the order of its generator-image key tuples
+    images = [tuple(m[g.key] for g in G.generators) for m in model]
+    assert images == sorted(images)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,20 @@ def test_parallel_matches_sequential(tmp_path):
     par = run_corpus(ExperimentConfig.from_dict(data), tmp_path / "par")
     assert stripped(seq.records) == stripped(par.records)
     assert seq.counts == par.counts
+
+
+# The built-in corpus report with `millis` stripped from every record.  A
+# refactor must leave it unchanged; a deliberate verdict change regenerates
+# the file from a fresh `pcentral run` and is logged in CHANGES.md.
+GOLDEN_REPORT = Path(__file__).parent / "data" / "corpus-report.ndjson"
+
+
+def test_builtin_corpus_report_matches_golden(corpus_run):
+    got = stripped(corpus_run[0].records)
+    want = GOLDEN_REPORT.read_text().splitlines()
+    assert len(got) == len(want)
+    for line, (a, b) in enumerate(zip(got, want), 1):
+        assert a == b, f"report line {line} differs from the golden report"
 
 
 def test_seeded_fault_produces_bundle_and_replays(tmp_path):

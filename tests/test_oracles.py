@@ -3,9 +3,11 @@
 Random generator subsets of permutation-backed catalog groups are closed by
 the engine and by sympy.combinatorics, and the two must agree on subgroup
 order, normal closure and normality, the lower central series, the center
-and quotient order.  The permutation group that the Aut(G) search realizes
-is compared on its order, its Sylow subgroups and its derived series.  sympy
-is an optional oracle: the module is skipped when it is not installed.
+and quotient order.  The Aut(G) search's automorphism group and the acting
+group A of catalog action pairs are compared on their order, their Sylow
+subgroups and their derived series, read as permutations of the acted-on
+group's element indices.  sympy is an optional oracle: the module is skipped
+when it is not installed.
 """
 
 import functools
@@ -15,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 
+from pcentral.actions import aut_as_perm_group  # noqa: E402
 from pcentral.autsearch import brute_force_aut, sylow_p_subgroup  # noqa: E402
-from pcentral.catalog import build_group  # noqa: E402
+from pcentral.catalog import build_action, build_group  # noqa: E402
 from pcentral.groups import (  # noqa: E402
     center,
     commutator_subgroup,
@@ -135,11 +138,44 @@ def _derived_orders(P):
         orders.append(H.order)
 
 
-@pytest.mark.parametrize("spec", AUT_SPECS)
-def test_aut_perm_group_agrees(spec):
-    P = brute_force_aut(_group(spec)).perm_group
+def _assert_agrees(P):
+    """Order, Sylow orders and derived series of P against sympy."""
     SP = _sympy_group(P.generators)
     assert P.order == SP.order()
     for p in (q for q in (2, 3, 5, 7) if P.order % q == 0):
         assert sylow_p_subgroup(P, p).order == SP.sylow_subgroup(p).order()
     assert _derived_orders(P) == [t.order() for t in SP.derived_series()]
+
+
+@pytest.mark.parametrize("spec", AUT_SPECS)
+def test_aut_perm_group_agrees(spec):
+    _assert_agrees(brute_force_aut(_group(spec)).perm_group)
+
+
+ACTION_SPECS = (
+    ("quaternion(8)", "inner"),
+    ("heisenberg(3)", "inner"),
+    ("ut(4,2)", "inner"),
+    ("elementary_abelian(3,4)", "jordan"),
+    ("elementary_abelian(2,4)", "jordan_power(2)"),
+    ("elementary_abelian(3,2)", "full_aut"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _acting_group(gspec, aspec):
+    return aut_as_perm_group(build_action(_group(gspec), aspec))
+
+
+@pytest.mark.parametrize("gspec,aspec", ACTION_SPECS)
+def test_acting_group_agrees(gspec, aspec):
+    _assert_agrees(_acting_group(gspec, aspec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_acting_subgroup_orders(data):
+    A = _acting_group(*data.draw(st.sampled_from(ACTION_SPECS)))
+    idx = data.draw(st.lists(st.integers(0, A.order - 1), min_size=1, max_size=3))
+    seeds = [A.elements[i] for i in idx]
+    assert subgroup_generated(A, seeds).order == _sympy_group(seeds).order()

@@ -1,7 +1,7 @@
 """Automorphism actions on groups and the mixed commutator machinery.
 
-An ActionPair bundles a group G with a finite automorphism group A (closed
-under composition, identity included).  The mixed commutator [g, a] = g^-1 a(g)
+An ActionPair bundles a group G with a finite automorphism group A, held as a
+GroupTable of automorphisms (closed under composition, identity included).  The mixed commutator [g, a] = g^-1 a(g)
 matches the semidirect-product commutator, so with A = Inn(G) everything here
 degenerates to the ordinary commutator calculus — that consistency is pinned
 by tests.
@@ -15,8 +15,6 @@ against each other.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .elements import Element
@@ -25,8 +23,8 @@ from .groups import (
     Automorphism,
     GroupTable,
     Subgroup,
-    _closure,
     automorphism_from_images,
+    close,
     conjugation_aut,
     identity_automorphism,
     normal_closure,
@@ -48,7 +46,6 @@ __all__ = [
     "is_p_central_action",
     "induced_quotient_action",
     "restrict_action",
-    "PermRealization",
     "aut_perm_realization",
     "aut_as_perm_group",
     "order_matches_quotient_triviality",
@@ -62,10 +59,11 @@ class ActionPair:
     """A group together with a closed group of automorphisms acting on it."""
 
     def __init__(self, G: GroupTable, A_generators: Sequence[Automorphism],
-                 A_elements: Sequence[Automorphism]):
+                 A: GroupTable):
         self.G = G
         self.A_generators = tuple(A_generators)
-        self.A_elements = tuple(A_elements)
+        self.A = A
+        self.A_elements = A.elements
         self._cache: dict = {}
 
     @classmethod
@@ -74,18 +72,15 @@ class ActionPair:
         for a in A_generators:
             if a.domain is not G:
                 raise ValueError("acting automorphism is not defined on the given group")
-        ident = identity_automorphism(G)
         try:
-            closed = _closure(ident, list(A_generators) or [ident], operator.mul,
-                              key=lambda a: a.signature, cap=cap)
+            A = close(list(A_generators) or [identity_automorphism(G)], cap=cap, p=G.p)
         except CapExceeded:
             raise CapExceeded(f"action closure exceeded cap of {cap}") from None
-        elements = sorted(closed.values(), key=lambda a: a.signature)
-        return cls(G, A_generators, elements)
+        return cls(G, A_generators, A)
 
     @property
     def A_order(self) -> int:
-        return len(self.A_elements)
+        return self.A.order
 
     def __repr__(self) -> str:
         return f"ActionPair(|G|={self.G.order}, |A|={self.A_order})"
@@ -176,10 +171,10 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
             g_letters[g.key] = g
             g_letters[g.inverse().key] = G.canon(g.inverse())
         g_alphabet = [g for g in g_letters.values() if not g.is_identity()]
-        a_letters: Dict[tuple, Automorphism] = {}
+        a_letters: Dict[bytes, Automorphism] = {}
         for a in pair.A_generators:
-            a_letters[a.signature] = a
-            a_letters[a.inverse().signature] = a.inverse()
+            a_letters[a.key] = a
+            a_letters[a.inverse().key] = a.inverse()
         a_alphabet = [a for a in a_letters.values() if not a.is_identity()]
     else:
         raise ValueError(f"unknown entry mode {entries!r}")
@@ -264,33 +259,15 @@ def restrict_action(pair: ActionPair, H: Subgroup) -> ActionPair:
     return ActionPair.build(dom, restricted)
 
 
-@dataclass
-class PermRealization:
-    """A as permutations of G's canonical element list, with the back-map."""
-
-    group: GroupTable
-    aut_by_perm_key: Dict[bytes, Automorphism]
-
-    def aut_of(self, perm: Element) -> Automorphism:
-        return self.aut_by_perm_key[perm.key]
-
-
-def aut_perm_realization(pair: ActionPair) -> PermRealization:
-    if "perm_realization" not in pair._cache:
-        perms = [a.as_permutation() for a in pair.A_elements]
-        back: Dict[bytes, Automorphism] = {
-            perm.key: a for perm, a in zip(perms, pair.A_elements)}
-        if len(back) != len(pair.A_elements):
-            raise AssertionError("distinct automorphisms produced equal permutations")
-        gen_perms = [a.as_permutation() for a in pair.A_generators]
-        table = GroupTable(perms, gen_perms, p=pair.G.p)
-        pair._cache["perm_realization"] = PermRealization(table, back)
-    return pair._cache["perm_realization"]
+def aut_perm_realization(pair: ActionPair) -> GroupTable:
+    """A as a group table: each automorphism is a permutation of the indices
+    of G's element list."""
+    return pair.A
 
 
 def aut_as_perm_group(pair: ActionPair) -> GroupTable:
     """A itself, realized faithfully on the index set of G's element list."""
-    return aut_perm_realization(pair).group
+    return pair.A
 
 
 def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
@@ -301,7 +278,7 @@ def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
     p = G.require_p_group()
     Hgrp = commutator_group_of_pair(pair)
     left = (p ** n) % sigma.order() == 0
-    key = ("mc_image", sigma.signature)
+    key = ("mc_image", sigma.key)
     if key not in pair._cache:
         pair._cache[key] = {mixed_commutator(g, sigma).key for g in G.elements}
     image_keys = pair._cache[key]

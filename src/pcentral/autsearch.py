@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .elements import Permutation, _p_split, _require_prime
+from .elements import _p_split, _require_prime
 from .errors import BudgetExceeded
 from .groups import (
     Automorphism,
@@ -20,6 +20,7 @@ from .groups import (
     Subgroup,
     _automorphism_from_indices,
     _extend_hom,
+    identity_automorphism,
     minimal_generating_sequence,
     subgroup_generated,
 )
@@ -33,7 +34,7 @@ DEFAULT_AUT_BUDGET = 10_000_000
 class AutGroupResult:
     domain: GroupTable
     automorphisms: Tuple[Automorphism, ...]
-    perm_group: GroupTable
+    perm_group: GroupTable  # the automorphisms as a group table
     tuples_tried: int  # candidate image tuples the search extended; aut_budget bounds it
 
     @property
@@ -49,9 +50,8 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     built as Automorphism objects."""
     gens = minimal_generating_sequence(G)
     if not gens:  # trivial group
-        ident = Automorphism(G, {G.identity.key: G.identity})
-        perm = Permutation.identity(1)
-        return AutGroupResult(G, (ident,), GroupTable([perm], [perm]), 0)
+        ident = identity_automorphism(G)
+        return AutGroupResult(G, (ident,), GroupTable([ident], [ident]), 0)
     chain = [subgroup_generated(G, gens[:i + 1]).order for i in range(len(gens))]
     gen_idx = [G.index_of(g) for g in gens]
     by_order: Dict[int, List[int]] = {}
@@ -81,14 +81,11 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
                 descend(depth + 1, trial)
 
     descend(0, [])
-    found.sort(key=lambda a: a.signature)
-
-    perms = [a.as_permutation() for a in found]
-    if len({perm.key for perm in perms}) != len(found):
+    if len({a.key for a in found}) != len(found):
         raise AssertionError("automorphism search produced duplicate maps")
-    staging = GroupTable(perms, perms)
-    perm_gens = minimal_generating_sequence(staging)
-    return AutGroupResult(G, tuple(found), GroupTable(perms, perm_gens), tuples_tried)
+    staging = GroupTable(found, found)
+    aut_gens = minimal_generating_sequence(staging)
+    return AutGroupResult(G, staging.elements, GroupTable(found, aut_gens), tuples_tried)
 
 
 def normalizer(G: GroupTable, P: Subgroup) -> Subgroup:

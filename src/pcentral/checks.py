@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .actions import (
     ActionPair,
     aut_as_perm_group,
-    aut_perm_realization,
     commutator_group_of_pair,
     gamma_term,
     induced_quotient_action,
@@ -146,20 +145,18 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     central series, plus strict descent down to 1 for p-group pairs."""
     G = pair.G
     P = aut_as_perm_group(pair)
-    hyp = G.p is not None and G.is_p_group and P.is_p_group
+    hyp = G.is_p_group and P.is_p_group
     if not hyp:
         return conclude("mixed_series_ladder", False, None,
-                        {"group_is_p_group": bool(G.p and G.is_p_group),
+                        {"group_is_p_group": G.is_p_group,
                          "acting_group_is_p_group": P.is_p_group})
     s = mixed_lower_central_series(pair)
-    real = aut_perm_realization(pair)
     alcs = lower_central_series(P)
     graded_bad: List[Dict[str, object]] = []
     for i in range(1, s.stabilized_at + 2):
         for j in range(1, alcs.stabilized_at + 2):
             target = s.term(i + j)
-            for aperm in alcs.term(j).generating_set:
-                a = real.aut_of(aperm)
+            for a in alcs.term(j).generating_set:
                 for c in s.term(i).generating_set:
                     w = mixed_commutator(c, a)
                     if w.key not in target.keys:
@@ -201,7 +198,7 @@ def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
     omega of the (k-1)-th lower central term of H sits inside omega of the k-th
     mixed term, which sits inside the center of H."""
     G = pair.G
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     results: List[Dict[str, object]] = []
     any_hyp = False
     all_ok = True
@@ -235,7 +232,7 @@ def check_xu_regularity(G: GroupTable) -> Verdict:
     """If small elements of the (p-1)-th lower central term are central, the
     order-p^n element sets are subgroups, and (p odd) the agemo index is
     bounded by the omega order."""
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     hyp = False
     witnesses: Dict[str, object] = {"group_is_p_group": base}
     if base:
@@ -270,7 +267,7 @@ def check_omega_exponent_bound(pair: ActionPair) -> Verdict:
     H = [G,A] has exponent at most p^n, and for odd p the agemo index of H is
     bounded by the omega order."""
     G = pair.G
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     hyp = base and _p_central_on_term(pair, G.p)
     if not hyp:
         return conclude("omega_exponent_bound", False, None,
@@ -302,7 +299,7 @@ def check_prime_order_action(pair: ActionPair) -> Verdict:
     """An acting group of order exactly p, small-element-trivial on the p-th
     mixed term, forces exponent at most p on [G,A]."""
     G = pair.G
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     hyp = base and pair.A_order == G.p and _p_central_on_term(pair, G.p)
     if not hyp:
         return conclude("prime_order_action", False, None,
@@ -336,11 +333,11 @@ def check_quotient_inheritance(pair: ActionPair) -> Verdict:
     stays so after factoring out each omega term of H = [G,A]."""
     G = pair.G
     P = aut_as_perm_group(pair)
-    base = G.p is not None and G.is_p_group and P.is_p_group
+    base = G.is_p_group and P.is_p_group
     ks = _qualifying_ks(pair) if base else []
     if not (base and ks):
         return conclude("quotient_inheritance", False, None,
-                        {"group_is_p_group": bool(G.p and G.is_p_group),
+                        {"group_is_p_group": G.is_p_group,
                          "acting_group_is_p_group": P.is_p_group,
                          "qualifying_ks": ks})
     H = commutator_group_of_pair(pair)
@@ -369,11 +366,11 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
     omega_i(L) with the action land in omega_{i-1}(L)."""
     G = pair.G
     P = aut_as_perm_group(pair)
-    base = G.p is not None and G.is_p_group and P.is_p_group
+    base = G.is_p_group and P.is_p_group
     ks = _qualifying_ks(pair) if base else []
     if not (base and ks):
         return conclude("omega_ladder", False, None,
-                        {"group_is_p_group": bool(G.p and G.is_p_group),
+                        {"group_is_p_group": G.is_p_group,
                          "acting_group_is_p_group": P.is_p_group,
                          "qualifying_ks": ks})
     detail = []
@@ -411,7 +408,7 @@ def check_faithful_p_group(pair: ActionPair) -> Verdict:
     """If the action is small-element-trivial on some mixed term, the (always
     faithful, automorphism-realized) acting group must be a p-group."""
     G = pair.G
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     per_i = []
     any_hyp = False
     if base:
@@ -434,7 +431,7 @@ def check_power_order_criterion(pair: ActionPair) -> Verdict:
     has order dividing p^n exactly when all its mixed commutators land in
     omega_n of H = [G,A] (for every element and every n)."""
     G = pair.G
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     hyp = base and _p_central_on_term(pair, G.p)
     if not hyp:
         return conclude("power_order_criterion", False, None,
@@ -466,7 +463,7 @@ def check_main_regularity(pair: ActionPair) -> Verdict:
     mixed term: omega sets of H = [G,A] and of the acting group are subgroups,
     the two exponents agree, and both nilpotency classes obey n + p - 2."""
     G = pair.G
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     hyp = base and _p_central_on_term(pair, G.p)
     if not hyp:
         return conclude("main_regularity", False, None,
@@ -514,7 +511,7 @@ def _inner_small_central(G: GroupTable) -> bool:
 def check_derived_exponent(G: GroupTable) -> Verdict:
     """Conjugation small-element-trivial on the p-th lower central term forces
     equal exponents for the derived subgroup and the central quotient."""
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     hyp = base and _inner_small_central(G)
     if not hyp:
         return conclude("derived_exponent", False, None,
@@ -531,7 +528,7 @@ def check_derived_exponent(G: GroupTable) -> Verdict:
 def check_derived_omega_identity(G: GroupTable) -> Verdict:
     """Sharper form: commutating the preimage of omega_k(G/Z) with G yields
     exactly omega_k of the derived subgroup, for every k."""
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     hyp = base and _inner_small_central(G)
     if not hyp:
         return conclude("derived_omega_identity", False, None,
@@ -561,7 +558,7 @@ def check_sylow_aut_exponent(G: GroupTable, *,
                              budget: int = DEFAULT_AUT_BUDGET) -> Verdict:
     """Non-cyclic exponent-p groups of order at most p^p have Sylow p-subgroups
     of the automorphism group of exponent (dividing) p."""
-    base = G.p is not None and G.is_p_group
+    base = G.is_p_group
     p = G.p or 0
     hyp = (base and G.exponent() == p and G.order >= p * p
            and G.order <= p ** p)

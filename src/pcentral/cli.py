@@ -1,9 +1,11 @@
 """Command line interface.
 
-Exit codes: 0 all conclusions passed or were skipped; 2 a conclusion failed
-(counterexample candidate; reproducer bundle written); 3 a cap or search
-budget was exhausted; 4 bad configuration or usage, including an entry whose
-configuration fails at run time (the run's report is still written).
+Exit codes, the same for every subcommand: 0 all conclusions passed or were
+skipped; 2 a conclusion failed (counterexample candidate; reproducer bundle
+written); 3 a cap or search budget was exhausted; 4 bad configuration or
+usage, including an entry whose configuration fails at run time (the run's
+report is still written); 5 an internal error, an exception outside the
+package's error classes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .corpus import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_COUNTEREXAMPLE,
+    EXIT_INTERNAL,
     ExperimentConfig,
     default_config,
     replay_bundle,
@@ -117,7 +120,7 @@ def _cmd_show(args) -> int:
         "group": args.group,
         "order": G.order,
         "p": G.p,
-        "is_p_group": G.is_p_group if G.p else False,
+        "is_p_group": G.is_p_group,
         "exponent": G.exponent(),
         "nilpotency_class": nilpotency_class(G),
         "center_order": center(G).order,
@@ -125,7 +128,7 @@ def _cmd_show(args) -> int:
         "upper_central_orders": ucs.orders(),
         "order_stats": {str(k): v for k, v in sorted(G.order_stats().items())},
     }
-    if G.p is not None and G.is_p_group:
+    if G.is_p_group:
         omegas, agemos = [], []
         i = 1
         while True:
@@ -190,6 +193,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PcentralError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

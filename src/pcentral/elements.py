@@ -13,6 +13,7 @@ hood), permutations are image tuples with composition (a*b)(i) = a(b(i)).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
@@ -121,6 +122,26 @@ class Element:
 
     def __hash__(self) -> int:
         return hash(self.key)
+
+
+def _cycle_order(self) -> int:
+    """Order of an element stored as an index permutation `images`: the lcm
+    of its cycle lengths.  Permutation and groups.Automorphism share it."""
+    k = self._ord
+    if k is None:
+        images = self.images.tolist()
+        seen = bytearray(len(images))
+        k = 1
+        for start in range(len(images)):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = 1
+                i = images[i]
+                length += 1
+            if length > 1:
+                k = math.lcm(k, length)
+        self._ord = k
+    return k
 
 
 class FpMatrix(Element):
@@ -277,6 +298,8 @@ class Permutation(Element):
 
     def is_identity(self) -> bool:
         return bool((self.images == np.arange(self.degree, dtype=np.int64)).all())
+
+    order = _cycle_order
 
     __hash__ = Element.__hash__
 

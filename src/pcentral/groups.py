@@ -4,8 +4,8 @@ Everything is desk scale: groups are closed by breadth-first multiplication
 from their generators and stored as sorted element tables (sorted by canonical
 byte key), so all downstream iteration is deterministic.  Subgroups are views
 into a parent table; quotients get their own element type (cosets keyed by
-their canonically minimal representative); automorphisms store a full map and
-are validated on construction.
+their canonically minimal representative); an automorphism is an index array
+over its domain's element table, so automorphism groups are group tables too.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .elements import Element, Permutation, _p_split, _require_prime
+import numpy as np
+
+from .elements import Element, _cycle_order, _p_split, _require_prime
 from .errors import (
     BackendMismatch,
     CapExceeded,
@@ -125,10 +127,6 @@ class GroupTable:
             raise NotPGroup(f"|G| = {self.order} is not a power of p = {self.p}")
         return self.p
 
-    def with_p(self, p: int) -> "GroupTable":
-        """Same table with a (re)designated prime; element caches carry over."""
-        return GroupTable(self.elements, self.generators, p=p)
-
     def exponent(self) -> int:
         if "exponent" not in self._cache:
             self._cache["exponent"] = math.lcm(*(x.order() for x in self.elements))
@@ -205,24 +203,21 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
-_element_key = operator.attrgetter("key")
-
-
-def _closure(start, gens: Sequence, mul: Callable, key: Callable[..., Hashable] = _element_key,
-             cap: Optional[int] = None) -> dict:
+def _closure(start: Element, gens: Sequence[Element], mul: Callable,
+             cap: Optional[int] = None) -> Dict[bytes, Element]:
     """Breadth-first closure of {start} under right multiplication by gens.
 
     The one orbit search behind group, subgroup and action closure.  Returns
     key -> element; raises CapExceeded once more than `cap` elements are found.
     """
-    found = {key(start): start}
+    found = {start.key: start}
     frontier = [start]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
                 y = mul(x, g)
-                k = key(y)
+                k = y.key
                 if k not in found:
                     found[k] = y
                     new.append(y)
@@ -315,57 +310,51 @@ def centralizer(G: GroupTable, S: Iterable[Element]) -> Subgroup:
     return Subgroup(G, members, ())
 
 
-class Automorphism:
-    """A bijective homomorphism G -> G, stored as a full element map."""
+class Automorphism(Element):
+    """A bijective homomorphism G -> G as an index array: images[i] is the
+    index of the image of domain.elements[i].
 
-    __slots__ = ("domain", "_map", "signature", "_ord")
+    The key concatenates the generators' image keys.  Those all have one
+    length, so automorphisms sort by their tuple of generator images.
+    """
 
-    def __init__(self, domain: GroupTable, full_map: Dict[bytes, Element]):
+    __slots__ = ("domain", "images")
+
+    def __init__(self, domain: GroupTable, images: Sequence[int]):
         self.domain = domain
-        self._map = full_map
-        self.signature = tuple(full_map[g.key].key for g in domain.generators)
-        self._ord: Optional[int] = None
+        self.images = np.asarray(images, dtype=np.int32)
+        self.images.setflags(write=False)
+        els, index = domain.elements, domain._index
+        self.key = b"".join(els[self.images[index[g.key]]].key for g in domain.generators)
+        self._inv = None
+        self._ord = None
 
     def __call__(self, x: Element) -> Element:
+        dom = self.domain
         try:
-            return self._map[x.key]
+            i = dom._index[x.key]
         except KeyError:
             raise ValueError("element does not belong to the automorphism's domain") from None
+        return dom.elements[self.images[i]]
 
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
+    def __mul__(self, other: Element) -> "Automorphism":
         """(a * b)(x) = a(b(x)): apply b first, then a."""
-        if other.domain is not self.domain:
+        if not isinstance(other, Automorphism) or other.domain is not self.domain:
             raise BackendMismatch("automorphisms act on different groups")
-        amap = self._map
-        return Automorphism(self.domain, {k: amap[v.key] for k, v in other._map.items()})
+        return Automorphism(self.domain, self.images[other.images])
 
-    def inverse(self) -> "Automorphism":
-        byk = self.domain._bykey
-        return Automorphism(self.domain, {v.key: byk[k] for k, v in self._map.items()})
+    def _compute_inverse(self) -> "Automorphism":
+        inv = np.empty_like(self.images)
+        inv[self.images] = np.arange(len(inv), dtype=np.int32)
+        return Automorphism(self.domain, inv)
+
+    def identity_like(self) -> "Automorphism":
+        return identity_automorphism(self.domain)
 
     def is_identity(self) -> bool:
-        return all(g.key == img for g, img in zip(self.domain.generators, self.signature))
+        return bool((self.images == np.arange(len(self.images))).all())
 
-    def as_permutation(self) -> Permutation:
-        """The automorphism as a permutation of the indices of domain.elements."""
-        index = self.domain._index
-        return Permutation([index[self._map[x.key].key] for x in self.domain.elements])
-
-    def order(self) -> int:
-        if self._ord is None:
-            k, a = 1, self
-            while not a.is_identity():
-                a = a * self
-                k += 1
-            self._ord = k
-        return self._ord
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Automorphism) and other.domain is self.domain
-                and other.signature == self.signature)
-
-    def __hash__(self) -> int:
-        return hash(self.signature)
+    order = _cycle_order
 
     def __repr__(self) -> str:
         return f"Automorphism(on order-{self.domain.order} group)"
@@ -401,8 +390,7 @@ def _extend_hom(G: GroupTable, gens: Sequence[int],
 
 
 def _automorphism_from_indices(G: GroupTable, full: Dict[int, int]) -> Automorphism:
-    els = G.elements
-    return Automorphism(G, {els[i].key: els[j] for i, j in full.items()})
+    return Automorphism(G, [full[i] for i in range(G.order)])
 
 
 def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
@@ -423,22 +411,22 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
 
 
 def identity_automorphism(G: GroupTable) -> Automorphism:
-    return Automorphism(G, {x.key: x for x in G.elements})
+    return Automorphism(G, np.arange(G.order))
 
 
 def conjugation_aut(G: GroupTable, g: Element) -> Automorphism:
     g = G.canon(g)
-    return Automorphism(G, {x.key: G.conj(x, g) for x in G.elements})
+    return Automorphism(G, [G.index_of(G.conj(x, g)) for x in G.elements])
 
 
 def restrict_automorphism(a: Automorphism, H: Subgroup,
-                          H_group: Optional[GroupTable] = None) -> Automorphism:
-    """Restrict a to an A-invariant subgroup, as an automorphism of H.to_group()."""
+                          H_group: GroupTable) -> Automorphism:
+    """Restrict a to an A-invariant subgroup H, as an automorphism of
+    H_group = H.to_group()."""
     for h in H.elements:
         if a(h).key not in H.keys:
             raise NotInvariant("subgroup is not invariant under the automorphism")
-    dom = H_group if H_group is not None else H.to_group()
-    return Automorphism(dom, {h.key: dom.canon(a(h)) for h in H.elements})
+    return Automorphism(H_group, [H_group.index_of(a(h)) for h in H_group.elements])
 
 
 def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:

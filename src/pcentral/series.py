@@ -53,12 +53,12 @@ class SeriesRecord:
     def orders(self) -> List[int]:
         return [t.order for t in self.terms]
 
-    def term(self, k: int, *, one_based: bool = True) -> Subgroup:
-        """k-th term; indices beyond the recorded tail return the stable term."""
-        i = k - 1 if one_based else k
-        if i < 0:
+    def term(self, k: int) -> Subgroup:
+        """k-th term (k >= 1); indices beyond the recorded tail return the
+        stable term."""
+        if k < 1:
             raise IndexError(f"series index {k} out of range")
-        return self.terms[min(i, len(self.terms) - 1)]
+        return self.terms[min(k - 1, len(self.terms) - 1)]
 
 
 def lower_central_series(G: GroupTable) -> SeriesRecord:
@@ -165,5 +165,5 @@ def is_p_central_of_height(G: GroupTable, k: int, p: Optional[int] = None) -> bo
     _require_prime(p)
     bound = central_order_bound(p)
     small = [x for x in G.elements if bound % x.order() == 0]
-    Zk = upper_central_series(G).term(k, one_based=False)
+    Zk = upper_central_series(G).term(k + 1)
     return all(x.key in Zk.keys for x in small)

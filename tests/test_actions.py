@@ -140,10 +140,10 @@ def test_perm_realization_is_faithful_and_isomorphic():
     P = aut_as_perm_group(pair)
     assert P.order == 4  # inner automorphisms of the quaternion group
     assert P.exponent() == 2
-    real = aut_perm_realization(pair)
-    for perm in P.elements:
-        a = real.aut_of(perm)
-        assert a in pair.A_elements or a.is_identity()
+    assert aut_perm_realization(pair) is P is pair.A
+    assert P.elements == pair.A_elements
+    # faithful: distinct elements of A move G's elements differently
+    assert len({tuple(a(x).key for x in G.elements) for a in P.elements}) == 4
 
 
 def test_action_pair_closes_generators():

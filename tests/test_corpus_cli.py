@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pcentral import checks
+from pcentral import checks, cli
 from pcentral.catalog import build_group
 from pcentral.cli import main
 from pcentral.corpus import (
@@ -411,6 +411,31 @@ def test_cli_sigma(capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["check"] == "sigma_example_tightness"
     assert verdict["conclusion"] == "pass"
+
+
+def _raise_assertion(*args, **kwargs):
+    raise AssertionError("seeded internal fault")
+
+
+def test_cli_sigma_internal_error_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_sigma_example_tightness", _raise_assertion)
+    assert main(["sigma", "2"]) == EXIT_INTERNAL
+    assert ("internal error: AssertionError: seeded internal fault"
+            in capsys.readouterr().err)
+
+
+def test_cli_replay_internal_error_exits_5(tmp_path, monkeypatch, capsys):
+    bundle = tmp_path / "repro--q8"
+    bundle.mkdir()
+    save_group(build_group("quaternion(8)"), bundle / "group.bin")
+    (bundle / "meta.json").write_text(json.dumps({
+        "entry": {"id": "q8", "group": "quaternion(8)",
+                  "checks": ["xu_regularity"]},
+        "caps": {}, "failing_checks": ["xu_regularity"]}))
+    monkeypatch.setitem(checks.GROUP_CHECKS, "xu_regularity", _raise_assertion)
+    assert main(["replay", str(bundle)]) == EXIT_INTERNAL
+    assert ("internal error: AssertionError: seeded internal fault"
+            in capsys.readouterr().err)
 
 
 def test_cli_write_default_config_round_trips(tmp_path, capsys):

@@ -1,10 +1,22 @@
 """Group tables: closure, subgroups, quotients, automorphisms."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pcentral.autsearch import brute_force_aut
 from pcentral.catalog import build_group
-from pcentral.errors import CapExceeded, NotAHomomorphism, NotBijective, NotNormal
+from pcentral.elements import Element, Permutation
+from pcentral.errors import (
+    BackendMismatch,
+    CapExceeded,
+    NotAHomomorphism,
+    NotBijective,
+    NotNormal,
+)
 from pcentral.groups import (
+    Automorphism,
     automorphism_from_images,
     center,
     close,
@@ -137,3 +149,40 @@ def test_normal_closure_is_normal():
 def test_close_rejects_empty_generators():
     with pytest.raises(ValueError):
         close([])
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphisms(spec):
+    return brute_force_aut(build_group(spec)).automorphisms
+
+
+@st.composite
+def index_array_elements(draw):
+    """A random permutation, or a random automorphism of a small group."""
+    if draw(st.booleans()):
+        return Permutation(draw(st.permutations(range(draw(st.integers(1, 12))))))
+    auts = _automorphisms(draw(st.sampled_from(
+        ("quaternion(8)", "elementary_abelian(2,3)", "heisenberg(3)"))))
+    return auts[draw(st.integers(0, len(auts) - 1))]
+
+
+def _fresh(x):
+    """An uncached copy, so Element.order does not read a stored order."""
+    if isinstance(x, Automorphism):
+        return Automorphism(x.domain, x.images)
+    return Permutation(x.images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(index_array_elements())
+def test_cycle_order_matches_repeated_products(x):
+    # Element.order, by repeated products, is the reference
+    assert _fresh(x).order() == Element.order(_fresh(x))
+
+
+def test_automorphism_rejects_foreign_operands(q8, d4):
+    a = conjugation_aut(q8, q8.generators[0])
+    with pytest.raises(BackendMismatch):
+        a * conjugation_aut(d4, d4.generators[0])
+    with pytest.raises(ValueError):
+        a(d4.generators[0])

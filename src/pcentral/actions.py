@@ -1,10 +1,10 @@
 """Automorphism actions on groups and the mixed commutator machinery.
 
 An ActionPair bundles a group G with a finite automorphism group A, held as a
-GroupTable of automorphisms (closed under composition, identity included).  The mixed commutator [g, a] = g^-1 a(g)
-matches the semidirect-product commutator, so with A = Inn(G) everything here
-degenerates to the ordinary commutator calculus — that consistency is pinned
-by tests.
+GroupTable of automorphisms (closed under composition, identity included).
+The mixed commutator [g, a] = g^-1 a(g) matches the semidirect-product
+commutator, so with A = Inn(G) everything here degenerates to the ordinary
+commutator calculus — that consistency is pinned by tests.
 
 The mixed lower central series is computed by the recursion
     term_{i+1} = <[term_i, A]> closed under G-conjugation and A-images,

@@ -6,6 +6,7 @@ in the package deterministic.  Key layout:
 
   matrix:       0x00 | p (2 bytes LE) | n (1 byte) | n*n entries, row-major, 1 byte each
   permutation:  0x01 | degree (2 bytes LE) | images, 2 bytes LE each
+  automorphism: 0x02 | the domain generators' image keys (groups.Automorphism)
 
 Arithmetic is exact: matrix entries are residues mod p (numpy int64 under the
 hood), permutations are image tuples with composition (a*b)(i) = a(b(i)).
@@ -30,6 +31,7 @@ __all__ = [
 
 _TAG_MATRIX = 0
 _TAG_PERM = 1
+_TAG_AUT = 2
 
 
 @lru_cache(maxsize=None)

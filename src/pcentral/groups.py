@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elements import Element, _cycle_order, _p_split, _require_prime
+from .elements import _TAG_AUT, Element, _cycle_order, _p_split, _require_prime
 from .errors import (
     BackendMismatch,
     CapExceeded,
@@ -314,8 +314,9 @@ class Automorphism(Element):
     """A bijective homomorphism G -> G as an index array: images[i] is the
     index of the image of domain.elements[i].
 
-    The key concatenates the generators' image keys.  Those all have one
-    length, so automorphisms sort by their tuple of generator images.
+    The key is a tag byte, which no element key starts with, followed by the
+    generators' image keys.  Those all have one length, so automorphisms sort
+    by their tuple of generator images.
     """
 
     __slots__ = ("domain", "images")
@@ -325,7 +326,8 @@ class Automorphism(Element):
         self.images = np.asarray(images, dtype=np.int32)
         self.images.setflags(write=False)
         els, index = domain.elements, domain._index
-        self.key = b"".join(els[self.images[index[g.key]]].key for g in domain.generators)
+        self.key = bytes((_TAG_AUT,)) + b"".join(
+            els[self.images[index[g.key]]].key for g in domain.generators)
         self._inv = None
         self._ord = None
 

@@ -54,8 +54,7 @@ class SeriesRecord:
         return [t.order for t in self.terms]
 
     def term(self, k: int) -> Subgroup:
-        """k-th term (k >= 1); indices beyond the recorded tail return the
-        stable term."""
+        """k-th term, k >= 1; indices beyond the recorded tail return the stable term."""
         if k < 1:
             raise IndexError(f"series index {k} out of range")
         return self.terms[min(k - 1, len(self.terms) - 1)]

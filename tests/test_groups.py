@@ -186,3 +186,12 @@ def test_automorphism_rejects_foreign_operands(q8, d4):
         a * conjugation_aut(d4, d4.generators[0])
     with pytest.raises(ValueError):
         a(d4.generators[0])
+
+
+def test_automorphism_is_never_equal_to_an_element():
+    # Z9 has one generator, so the key body is the image of that generator
+    G = build_group("cyclic(3,2)")
+    g = G.generators[0]
+    a = automorphism_from_images(G, [g], [G.mul(g, g)])
+    assert a != G.mul(g, g)
+    assert a not in G

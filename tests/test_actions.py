@@ -24,7 +24,7 @@ from pcentral.actions import (
 )
 from pcentral.catalog import build_action, build_group, paper_sigma_pair
 from pcentral.errors import BudgetExceeded, NotInvariant
-from pcentral.groups import conjugation_aut, subgroup_generated
+from pcentral.groups import conjugation_aut, is_normal, normal_closure, subgroup_generated
 from pcentral.series import lower_central_series
 
 
@@ -208,3 +208,91 @@ def test_automorphisms_agree_with_dict_model(data):
     # A is listed in the order of its generator-image key tuples
     images = [tuple(m[g.key] for g in G.generators) for m in model]
     assert images == sorted(images)
+
+
+# -- generator sweeps against all-elements sweeps -------------------------
+
+GUARD_SPECS = (
+    ("heisenberg(3)", "inner"),
+    ("ut(4,2)", "inner"),
+    ("quaternion(8)", "inner"),
+    ("elementary_abelian(3,4)", "jordan"),
+    ("elementary_abelian(2,4)", "jordan_power(2)"),
+    ("sigma(3)", None),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_pair(gspec, aspec):
+    if aspec is None:
+        return paper_sigma_pair(3)
+    return build_action(build_group(gspec), aspec)
+
+
+def _all_elements_fixpoint(G, seeds, maps):
+    """Keys of the smallest subset of G holding the seeds and closed under
+    products, conjugation by every element of G and every map."""
+    found = {}
+    todo = [G.identity, *seeds]
+    while todo:
+        x = todo.pop()
+        if x.key in found:
+            continue
+        found[x.key] = x
+        members = list(found.values())
+        todo += [G.mul(x, y) for y in members] + [G.mul(y, x) for y in members]
+        todo += [G.conj(x, g) for g in G.elements] + [a(x) for a in maps]
+    return frozenset(found)
+
+
+def _normal_by_all_elements(G, H):
+    return all(G.conj(h, g).key in H.keys for g in G.elements for h in H.elements)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_normal_closure_matches_all_elements_fixpoint(data):
+    pair = _guard_pair(*data.draw(st.sampled_from(GUARD_SPECS)))
+    G = pair.G
+    idx = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    seeds = [G.elements[i] for i in idx]
+    N = normal_closure(G, seeds, pair.A_generators)
+    assert N.keys == _all_elements_fixpoint(G, seeds, pair.A_elements)
+    assert is_normal(G, N)
+    H = subgroup_generated(G, seeds)
+    assert is_normal(G, H) == _normal_by_all_elements(G, H)
+
+
+@pytest.mark.parametrize("gspec,aspec", GUARD_SPECS)
+def test_mixed_series_matches_definitional_on_guard_pairs(gspec, aspec):
+    pair = _guard_pair(gspec, aspec)
+    k_max = mixed_lower_central_series(pair).stabilized_at + 2
+    terms = mixed_series_definitional(pair, k_max)
+    for k in range(1, k_max + 1):
+        assert gamma_term(pair, k).keys == terms[k - 1].keys, k
+
+
+# [G,A] has exponent p on the first two pairs, so there omega_n([G,A]) is all
+# of [G,A] and the witness is always true; the last two make it false as well
+@pytest.mark.parametrize("gspec,aspec", [
+    ("ut(4,2)", "inner"),
+    ("sigma(3)", None),
+    ("dihedral(16)", "inner"),
+    ("cyclic(3,3)", "full_aut"),
+])
+def test_quotient_triviality_matches_all_elements_image(gspec, aspec):
+    pair = _guard_pair(gspec, aspec)
+    G, p = pair.G, pair.G.p
+    H = _all_elements_fixpoint(
+        G, [mixed_commutator(g, a) for g in G.elements for a in pair.A_elements],
+        pair.A_elements)
+    m = 0
+    while any(a.order() % p ** (m + 1) == 0 for a in pair.A_elements):
+        m += 1
+    for n in range(1, m + 2):
+        small = [x for x in G.elements if x.key in H and p ** n % x.order() == 0]
+        omega = subgroup_generated(G, small).keys
+        for sigma in pair.A_elements:
+            want = {mixed_commutator(g, sigma).key for g in G.elements} <= omega
+            v = order_matches_quotient_triviality(pair, sigma, n)
+            assert v.witnesses["trivial_mod_omega"] is want, (n, sigma.order())

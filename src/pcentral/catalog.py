@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -387,7 +387,7 @@ def _jordan_images(G: GroupTable, m: int) -> List[Element]:
         raise ConfigError("the jordan action needs a group with a designated prime")
     gens = G.generators
     images: List[Element] = []
-    for i, g in enumerate(gens):
+    for i in range(len(gens)):
         img = G.identity
         for d in range(i + 1):
             e = math.comb(m, d) % p

@@ -388,7 +388,7 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
                     else Lgrp.trivial_subgroup)
             steps_down = all(
                 mixed_commutator(x, a).key in prev.keys
-                for x in omL.elements for a in rpair.A_generators)
+                for x in omL.generating_set for a in rpair.A_generators)
             detail.append({"k": k, "i": i, "omega_order": omL.order,
                            "quotient_action_small_trivial": central_above,
                            "commutators_drop_a_level": steps_down})
@@ -427,9 +427,9 @@ def check_faithful_p_group(pair: ActionPair) -> Verdict:
 
 @_timed
 def check_power_order_criterion(pair: ActionPair) -> Verdict:
-    """Under the p-central hypothesis on the p-th mixed term: an acting element
-    has order dividing p^n exactly when all its mixed commutators land in
-    omega_n of H = [G,A] (for every element and every n)."""
+    """Under the p-central hypothesis on the p-th mixed term: each acting
+    element has order dividing p^n exactly when its mixed commutators with G's
+    generators (which suffice) land in omega_n of H = [G,A], for every n."""
     G = pair.G
     base = G.is_p_group
     hyp = base and _p_central_on_term(pair, G.p)

@@ -256,19 +256,21 @@ def subgroup_generated(G: GroupTable, seeds: Iterable[Element]) -> Subgroup:
 
 
 def is_normal(G: GroupTable, H: Subgroup) -> bool:
-    return all(G.conj(h, g).key in H.keys for g in G.generators for h in H.elements)
+    return all(G.conj(h, g).key in H.keys for g in G.generators for h in H.generating_set)
 
 
 def normal_closure(G: GroupTable, seeds: Iterable[Element],
                    maps: Sequence["Automorphism"] = ()) -> Subgroup:
     """Smallest normal subgroup of G containing the seeds and invariant under
-    the automorphisms in `maps`: the fixpoint of closing under conjugation by
-    G's generators and images under the maps."""
+    the automorphisms in `maps`: the fixpoint of adding the conjugates of H's
+    generators by G's generators and their images under the maps.  Generators
+    suffice: H = <S> is normal and invariant exactly when S^g and a(S) lie in H
+    for the generators g of G and the maps a."""
     H = subgroup_generated(G, seeds)
     while True:
-        grown = [c for h in H.elements for g in G.generators
+        grown = [c for h in H.generating_set for g in G.generators
                  if (c := G.conj(h, g)).key not in H.keys]
-        grown += [c for h in H.elements for a in maps if (c := a(h)).key not in H.keys]
+        grown += [c for h in H.generating_set for a in maps if (c := a(h)).key not in H.keys]
         if not grown:
             return H
         H = subgroup_generated(G, tuple(H.gens) + tuple(grown))
@@ -424,10 +426,9 @@ def conjugation_aut(G: GroupTable, g: Element) -> Automorphism:
 def restrict_automorphism(a: Automorphism, H: Subgroup,
                           H_group: GroupTable) -> Automorphism:
     """Restrict a to an A-invariant subgroup H, as an automorphism of
-    H_group = H.to_group()."""
-    for h in H.elements:
-        if a(h).key not in H.keys:
-            raise NotInvariant("subgroup is not invariant under the automorphism")
+    H_group = H.to_group(); invariance is checked on H's generators."""
+    if any(a(h).key not in H.keys for h in H.generating_set):
+        raise NotInvariant("subgroup is not invariant under the automorphism")
     return Automorphism(H_group, [H_group.index_of(a(h)) for h in H_group.elements])
 
 

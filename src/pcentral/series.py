@@ -136,7 +136,6 @@ def is_omega_regular(G: GroupTable, i: int) -> bool:
         return True  # the set is all of G
     members = omega_set(G, i)
     keys = {x.key for x in members}
-    bound = p ** i
     return all(G.mul(x, y).key in keys for x in members for y in members)
 
 

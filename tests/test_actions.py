@@ -6,6 +6,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcentral import actions
 from pcentral.actions import (
     ActionPair,
     aut_as_perm_group,
@@ -25,7 +26,7 @@ from pcentral.actions import (
 from pcentral.catalog import build_action, build_group, paper_sigma_pair
 from pcentral.errors import BudgetExceeded, NotInvariant
 from pcentral.groups import conjugation_aut, is_normal, normal_closure, subgroup_generated
-from pcentral.series import lower_central_series
+from pcentral.series import lower_central_series, omega_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +297,19 @@ def test_quotient_triviality_matches_all_elements_image(gspec, aspec):
             want = {mixed_commutator(g, sigma).key for g in G.elements} <= omega
             v = order_matches_quotient_triviality(pair, sigma, n)
             assert v.witnesses["trivial_mod_omega"] is want, (n, sigma.order())
+
+
+def test_quotient_triviality_commutes_only_generators(monkeypatch):
+    pair = inner_action(build_group("ut(4,3)"))
+    Hgrp = commutator_group_of_pair(pair)
+    omega_subgroup(Hgrp, 1)
+    calls = []
+    real = actions.mixed_commutator
+
+    def counting(g, a):
+        calls.append(g)
+        return real(g, a)
+
+    monkeypatch.setattr(actions, "mixed_commutator", counting)
+    order_matches_quotient_triviality(pair, pair.A_elements[-1], 1)
+    assert len(calls) == len(pair.G.generators)  # one per generator, not |G| = 729

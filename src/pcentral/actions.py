@@ -7,11 +7,11 @@ commutator, so with A = Inn(G) everything here degenerates to the ordinary
 commutator calculus — that consistency is pinned by tests.
 
 The mixed lower central series is computed by the recursion
-    term_{i+1} = <[c, a] : c, a generators of term_i, A> closed under
-G-conjugation and A-images (generators suffice: [xy, a] = y^-1 [x, a] y [y, a]),
-and independently by a raw-definition breadth-first search over left-normed
-commutator values (mixed_series_definitional), so the two can be played
-against each other.
+    term_{i+1} = <[c, a] : c generates term_i, a generates A>
+closed under G-conjugation and A-images (generators suffice, since
+[xy, a] = y^-1 [x, a] y [y, a]), and independently by a raw-definition
+breadth-first search over left-normed commutator values
+(mixed_series_definitional), so the two can be played against each other.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Random generator subsets of permutation-backed catalog groups are closed by
 the engine and by sympy.combinatorics, and the two must agree on subgroup
-order, normal closure and normality, the lower central series, the center
-and quotient order.  The Aut(G) search's automorphism group and the acting
-group A of catalog action pairs are compared on their order, their Sylow
-subgroups and their derived series, read as permutations of the acted-on
-group's element indices.  sympy is an optional oracle: the module is skipped
+order, normal closure and normality, the lower central series, the center,
+centralizers and quotient order.  The Aut(G) search's automorphism group and
+the acting group A of catalog action pairs are compared on their order, their
+Sylow subgroups and their derived series, read as permutations of the
+acted-on group's element indices.  sympy is an optional oracle: the module is skipped
 when it is not installed.
 """
 
@@ -22,6 +22,7 @@ from pcentral.autsearch import brute_force_aut, sylow_p_subgroup  # noqa: E402
 from pcentral.catalog import build_action, build_group  # noqa: E402
 from pcentral.groups import (  # noqa: E402
     center,
+    centralizer,
     commutator_subgroup,
     is_normal,
     normal_closure,
@@ -94,6 +95,33 @@ def test_center_order(case):
     G, seeds = case
     H = subgroup_generated(G, seeds).to_group()
     assert center(H).order == _sympy_group(seeds).center().order()
+
+
+def _assert_subgroup_table_agrees(H, SH):
+    """Order, center order and lower central series orders of a subgroup
+    table against the same subgroup in sympy."""
+    assert H.order == SH.order()
+    assert center(H).order == SH.center().order()
+    assert lower_central_series(H).orders()[:-1] == [
+        t.order() for t in SH.lower_central_series()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_subgroups())
+def test_centralizer_table_agrees(case):
+    # a centralizer records no generators, so its table sweeps every element
+    G, seeds = case
+    SG, SH = _sympy_group(G.generators), _sympy_group(seeds)
+    _assert_subgroup_table_agrees(centralizer(G, seeds).to_group(), SG.centralizer(SH))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_subgroups())
+def test_normal_closure_table_agrees(case):
+    G, seeds = case
+    SG, SH = _sympy_group(G.generators), _sympy_group(seeds)
+    _assert_subgroup_table_agrees(normal_closure(G, seeds).to_group(),
+                                  SG.normal_closure(SH))
 
 
 @settings(max_examples=30, deadline=None)

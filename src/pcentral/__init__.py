@@ -41,7 +41,6 @@ from .errors import (
 from .groups import (
     Automorphism,
     GroupTable,
-    Subgroup,
     automorphism_from_images,
     center,
     close,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionPair", "Automorphism", "BudgetExceeded", "CapExceeded",
     "ConfigError", "Element", "ExperimentConfig", "FpMatrix", "GroupTable",
-    "NotPGroup", "PcentralError", "Permutation", "Subgroup", "Verdict",
+    "NotPGroup", "PcentralError", "Permutation", "Verdict",
     "agemo", "aut_as_perm_group", "automorphism_from_images",
     "brute_force_aut", "build_action", "build_group", "center",
     "central_order_bound", "close", "commutator_group_of_pair",

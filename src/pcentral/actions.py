@@ -23,7 +23,6 @@ from .errors import BudgetExceeded, CapExceeded, NotInvariant, NotPGroup
 from .groups import (
     Automorphism,
     GroupTable,
-    Subgroup,
     automorphism_from_images,
     close,
     conjugation_aut,
@@ -101,7 +100,7 @@ def mixed_commutator(g: Element, a: Automorphism) -> Element:
     return a.domain.canon(g.inverse() * a(g))
 
 
-def mixed_commutator_subgroup(pair: ActionPair) -> Subgroup:
+def mixed_commutator_subgroup(pair: ActionPair) -> GroupTable:
     """[G, A]: generated by generator commutators, closed under G and A."""
     if "H" not in pair._cache:
         seeds = {mixed_commutator(g, a)
@@ -111,10 +110,8 @@ def mixed_commutator_subgroup(pair: ActionPair) -> Subgroup:
 
 
 def commutator_group_of_pair(pair: ActionPair) -> GroupTable:
-    """[G, A] as a standalone table (cached)."""
-    if "H_group" not in pair._cache:
-        pair._cache["H_group"] = mixed_commutator_subgroup(pair).to_group()
-    return pair._cache["H_group"]
+    """[G, A], the subgroup table of G (cached)."""
+    return mixed_commutator_subgroup(pair)
 
 
 def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
@@ -122,11 +119,11 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
     seeding each term by [c, a] for generators c of the last (see above)."""
     if "mixed_series" not in pair._cache:
         G = pair.G
-        terms: List[Subgroup] = [G.top]
+        terms: List[GroupTable] = [G]
         while True:
             prev = terms[-1]
             seeds = {mixed_commutator(c, a)
-                     for c in prev.generating_set for a in pair.A_generators}
+                     for c in prev.generators for a in pair.A_generators}
             nxt = normal_closure(G, seeds, pair.A_generators)
             if nxt.order == prev.order:
                 break
@@ -137,7 +134,7 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
     return pair._cache["mixed_series"]
 
 
-def gamma_term(pair: ActionPair, k: int) -> Subgroup:
+def gamma_term(pair: ActionPair, k: int) -> GroupTable:
     """k-th mixed lower central term (k >= 1); stable past stabilization."""
     return mixed_lower_central_series(pair).term(k)
 
@@ -145,7 +142,7 @@ def gamma_term(pair: ActionPair, k: int) -> Subgroup:
 def mixed_series_definitional(pair: ActionPair, k_max: int, *,
                               entries: str = "generators",
                               budget: int = DEFAULT_DEFINITIONAL_BUDGET,
-                              ) -> List[Subgroup]:
+                              ) -> List[GroupTable]:
     """Mixed series terms straight from the left-normed commutator definition.
 
     States are pairs (value, number of A-entries so far, capped at k_max - 1);
@@ -214,7 +211,7 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
                     f"definitional sweep exceeded {budget} commutator steps")
         frontier = new
 
-    terms: List[Subgroup] = [G.top]
+    terms: List[GroupTable] = [G]
     tail: Set[Element] = set()
     collected: List[Set[Element]] = [set() for _ in range(cap + 1)]
     for c in range(cap, -1, -1):
@@ -225,13 +222,13 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     return terms
 
 
-def is_p_central_action(pair: ActionPair, X: Optional[Subgroup] = None) -> bool:
+def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> bool:
     """Does A fix every element of X of order dividing p (4 if p = 2)?"""
     G = pair.G
     if G.p is None:
         raise NotPGroup("no designated prime on the acted-on group")
     bound = central_order_bound(G.p)
-    X = X if X is not None else G.top
+    X = X if X is not None else G
     for x in X.elements:
         if bound % x.order() == 0:
             for a in pair.A_generators:
@@ -240,9 +237,9 @@ def is_p_central_action(pair: ActionPair, X: Optional[Subgroup] = None) -> bool:
     return True
 
 
-def induced_quotient_action(pair: ActionPair, N: Subgroup) -> ActionPair:
+def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
     """The action induced on G/N; N must be normal and A-invariant."""
-    if any(a(n).key not in N.keys for a in pair.A_generators for n in N.generating_set):
+    if any(a(n).key not in N.keys for a in pair.A_generators for n in N.generators):
         raise NotInvariant("kernel subgroup is not invariant under the action")
     Q = quotient(pair.G, N)
     induced = []
@@ -252,11 +249,9 @@ def induced_quotient_action(pair: ActionPair, N: Subgroup) -> ActionPair:
     return ActionPair.build(Q, induced)
 
 
-def restrict_action(pair: ActionPair, H: Subgroup) -> ActionPair:
-    """The action restricted to an A-invariant subgroup, on H.to_group()."""
-    dom = H.to_group()
-    restricted = [restrict_automorphism(a, H, dom) for a in pair.A_generators]
-    return ActionPair.build(dom, restricted)
+def restrict_action(pair: ActionPair, H: GroupTable) -> ActionPair:
+    """The action restricted to an A-invariant subgroup H, acting on H."""
+    return ActionPair.build(H, [restrict_automorphism(a, H) for a in pair.A_generators])
 
 
 def aut_perm_realization(pair: ActionPair) -> GroupTable:
@@ -277,9 +272,8 @@ def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
     omega_n([G,A]) is characteristic in [G,A], so normal in G."""
     G = pair.G
     p = G.require_p_group()
-    Hgrp = commutator_group_of_pair(pair)
     left = (p ** n) % sigma.order() == 0
-    om = omega_subgroup(Hgrp, n) if Hgrp.order > 1 else Hgrp.top
+    om = omega_subgroup(commutator_group_of_pair(pair), n)
     right = all(mixed_commutator(x, sigma).key in om.keys for x in G.generators)
     return conclude("order_matches_quotient_triviality", True, left == right,
                     {"n": n, "sigma_order": sigma.order(),

@@ -17,7 +17,6 @@ from .errors import BudgetExceeded
 from .groups import (
     Automorphism,
     GroupTable,
-    Subgroup,
     _automorphism_from_indices,
     _extend_hom,
     identity_automorphism,
@@ -88,15 +87,13 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     return AutGroupResult(G, staging.elements, GroupTable(found, aut_gens), tuples_tried)
 
 
-def normalizer(G: GroupTable, P: Subgroup) -> Subgroup:
+def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
     """N_G(P); conjugating P's generators into P suffices by finiteness."""
-    pgens = P.generating_set
-    members = [g for g in G.elements
-               if all(G.conj(h, g).key in P.keys for h in pgens)]
-    return Subgroup(G, members, ())
+    return G.subgroup(g for g in G.elements
+                      if all(G.conj(h, g).key in P.keys for h in P.generators))
 
 
-def sylow_p_subgroup(G: GroupTable, p: int) -> Subgroup:
+def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     """A Sylow p-subgroup, grown inside successive normalizers."""
     _require_prime(p)
     target = p ** _p_split(G.order, p)[0]
@@ -110,7 +107,7 @@ def sylow_p_subgroup(G: GroupTable, p: int) -> Subgroup:
         for y in N.elements:
             if y.key in P.keys or not (y.order() > 1 and _p_split(y.order(), p)[1] == 1):
                 continue
-            cand = subgroup_generated(G, tuple(P.gens) + (y,))
+            cand = subgroup_generated(G, P.generators + (y,))
             if _p_split(cand.order, p)[1] == 1:
                 P = cand
                 break

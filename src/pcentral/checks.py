@@ -31,21 +31,15 @@ from .actions import (
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import paper_sigma_pair, sigma_matrix, sigma_power_closed_form
 from .elements import _p_split
-from .groups import (
-    GroupTable,
-    Subgroup,
-    center,
-    commutator_subgroup,
-    quotient,
-)
+from .groups import GroupTable, center, commutator_subgroup, quotient
 from .series import (
-    central_order_bound,
     is_omega_regular,
     is_p_central_of_height,
     lower_central_series,
     nilpotency_class,
     omega_conv,
     omega_subgroup,
+    small_elements_lie_in,
     upper_central_series,
     xu_inequality,
 )
@@ -94,11 +88,6 @@ def _timed(fn: Callable[..., Verdict]) -> Callable[..., Verdict]:
 
 def _p_central_on_term(pair: ActionPair, k: int) -> bool:
     return is_p_central_action(pair, gamma_term(pair, k))
-
-
-def _lift(G: GroupTable, sub: Subgroup) -> Subgroup:
-    """The same element set, viewed as a subgroup of the (super)table G."""
-    return Subgroup(G, (G._bykey[k] for k in sub.keys), sub.gens)
 
 
 def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
@@ -156,8 +145,8 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     for i in range(1, s.stabilized_at + 2):
         for j in range(1, alcs.stabilized_at + 2):
             target = s.term(i + j)
-            for a in alcs.term(j).generating_set:
-                for c in s.term(i).generating_set:
+            for a in alcs.term(j).generators:
+                for c in s.term(i).generators:
                     w = mixed_commutator(c, a)
                     if w.key not in target.keys:
                         graded_bad.append({"i": i, "j": j, "witness": w.key.hex()})
@@ -213,8 +202,8 @@ def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
             row: Dict[str, object] = {"k": k, "hypothesis": hyp_k}
             if hyp_k:
                 any_hyp = True
-                left = omega_conv(lcsH.term(k - 1).to_group())
-                mid = omega_conv(gamma_term(pair, k).to_group())
+                left = omega_conv(lcsH.term(k - 1))
+                mid = omega_conv(gamma_term(pair, k))
                 ok = left.keys <= mid.keys and mid.keys <= Zkeys
                 row.update(lower_omega=left.order, mid_omega=mid.order,
                            ok=ok)
@@ -238,7 +227,7 @@ def check_xu_regularity(G: GroupTable) -> Verdict:
     if base:
         p = G.p
         term = lower_central_series(G).term(max(p - 1, 1))
-        om = omega_conv(term.to_group())
+        om = omega_conv(term)
         hyp = om.keys <= center(G).keys
         witnesses["omega_of_term_order"] = om.order
         witnesses["central"] = hyp
@@ -347,7 +336,7 @@ def check_quotient_inheritance(pair: ActionPair) -> Verdict:
         i = 1
         while True:
             om = omega_subgroup(H, i)
-            qpair = induced_quotient_action(pair, _lift(G, om))
+            qpair = induced_quotient_action(pair, om)
             good = _p_central_on_term(qpair, k)
             detail.append({"k": k, "i": i, "omega_order": om.order,
                            "quotient_order": qpair.G.order, "ok": good})
@@ -388,7 +377,7 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
                     else Lgrp.trivial_subgroup)
             steps_down = all(
                 mixed_commutator(x, a).key in prev.keys
-                for x in omL.generating_set for a in rpair.A_generators)
+                for x in omL.generators for a in rpair.A_generators)
             detail.append({"k": k, "i": i, "omega_order": omL.order,
                            "quotient_action_small_trivial": central_above,
                            "commutators_drop_a_level": steps_down})
@@ -500,11 +489,7 @@ def check_main_regularity(pair: ActionPair) -> Verdict:
 
 def _inner_small_central(G: GroupTable) -> bool:
     """Does conjugation fix every small element of the p-th lower central term?"""
-    p = G.p
-    bound = central_order_bound(p)
-    term = lower_central_series(G).term(p)
-    Zkeys = center(G).keys
-    return all(x.key in Zkeys for x in term.elements if bound % x.order() == 0)
+    return small_elements_lie_in(lower_central_series(G).term(G.p), center(G), G.p)
 
 
 @_timed
@@ -516,7 +501,7 @@ def check_derived_exponent(G: GroupTable) -> Verdict:
     if not hyp:
         return conclude("derived_exponent", False, None,
                         {"group_is_p_group": base})
-    derived = lower_central_series(G).term(2).to_group()
+    derived = lower_central_series(G).term(2)
     Q = quotient(G, center(G))
     return conclude("derived_exponent", True,
                     derived.exponent() == Q.exponent(),
@@ -535,13 +520,13 @@ def check_derived_omega_identity(G: GroupTable) -> Verdict:
                         {"group_is_p_group": base})
     p = G.p
     Q = quotient(G, center(G))
-    derived = lower_central_series(G).term(2).to_group()
+    derived = lower_central_series(G).term(2)
     m = _p_split(Q.exponent(), p)[0]
     per_k = []
     ok = True
     for k in range(1, max(m, 1) + 1):
         X = Q.preimage(omega_subgroup(Q, k))
-        left = commutator_subgroup(G, X, G.top)
+        left = commutator_subgroup(G, X, G)
         right = omega_subgroup(derived, k)
         same = left.keys == right.keys
         per_k.append({"k": k, "commutator_order": left.order,
@@ -582,15 +567,13 @@ def check_sylow_aut_exponent(G: GroupTable, *,
 def check_normal_p_complement(G: GroupTable, p: int) -> Verdict:
     """Conjugation small-element-trivial on some lower central term forces a
     normal p-complement (the p'-elements form a full-order subgroup)."""
-    bound = central_order_bound(p)
-    Zkeys = center(G).keys
+    Z = center(G)
     s = lower_central_series(G)
     per_i = []
     any_hyp = False
     for i in range(1, s.stabilized_at + 2):
         term = s.term(i)
-        h = all(x.key in Zkeys
-                for x in term.elements if bound % x.order() == 0)
+        h = small_elements_lie_in(term, Z, p)
         per_i.append({"i": i, "term_order": term.order, "hypothesis": h})
         any_hyp |= h
     if not any_hyp:

@@ -29,6 +29,7 @@ from .corpus import (
     replay_bundle,
     run_corpus,
 )
+from .elements import _is_prime
 from .errors import BudgetExceeded, CapExceeded, ConfigError, PcentralError
 from .series import (
     agemo,
@@ -146,6 +147,10 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_aut(args) -> int:
+    if args.budget < 1:
+        raise ConfigError("--budget must be a positive integer")
+    if args.sylow is not None and not _is_prime(args.sylow):
+        raise ConfigError(f"--sylow must be a prime, got {args.sylow}")
     G = build_group(args.group)
     result = brute_force_aut(G, budget=args.budget)
     facts = {

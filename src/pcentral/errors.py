@@ -29,7 +29,7 @@ class BudgetExceeded(PcentralError):
 
 
 class NotNormal(PcentralError):
-    """Subgroup is not normal where normality is required."""
+    """A subgroup is not normal where normality is required."""
 
 
 class NotAHomomorphism(PcentralError):
@@ -41,7 +41,7 @@ class NotBijective(PcentralError):
 
 
 class NotInvariant(PcentralError):
-    """Subgroup is not invariant under the acting automorphisms."""
+    """A subgroup is not invariant under the acting automorphisms."""
 
 
 class NotPGroup(PcentralError):

@@ -2,10 +2,11 @@
 
 Everything is desk scale: groups are closed by breadth-first multiplication
 from their generators and stored as sorted element tables (sorted by canonical
-byte key), so all downstream iteration is deterministic.  Subgroups are views
-into a parent table; quotients get their own element type (cosets keyed by
-their canonically minimal representative); an automorphism is an index array
-over its domain's element table, so automorphism groups are group tables too.
+byte key), so all downstream iteration is deterministic.  Subgroups are tables
+that share their parent's elements; quotients get their own element type
+(cosets keyed by their canonically minimal representative); an automorphism is
+an index array over its domain's element table, so automorphism groups are
+group tables too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "GroupTable",
-    "Subgroup",
     "QuotientGroup",
     "Coset",
     "Automorphism",
@@ -54,21 +54,34 @@ DEFAULT_CLOSURE_CAP = 200_000
 
 
 class GroupTable:
-    """A finite group, fully enumerated, with a canonical element order."""
+    """A finite group, fully enumerated, with a canonical element order.
 
-    def __init__(self, elements: Iterable[Element], generators: Sequence[Element],
-                 p: Optional[int] = None):
+    A subgroup is a table with a `parent`: it canonicalises through the
+    parent, so its elements are the parent's stored objects, and it takes the
+    parent's prime.  A table given no generators takes every non-identity
+    element as its generators.
+    """
+
+    def __init__(self, elements: Iterable[Element], generators: Sequence[Element] = (),
+                 p: Optional[int] = None, parent: Optional["GroupTable"] = None):
+        if parent is not None:
+            elements = map(parent.canon, elements)
+            p = parent.p
         els = sorted(set(elements))
         if not els:
             raise ValueError("a group needs at least the identity element")
         self.elements: Tuple[Element, ...] = tuple(els)
-        self._bykey: Dict[bytes, Element] = {x.key: x for x in self.elements}
         self._index: Dict[bytes, int] = {x.key: i for i, x in enumerate(self.elements)}
-        probe = (generators[0] if generators else els[0]).identity_like()
-        if probe.key not in self._bykey:
+        self.keys = self._index.keys()
+        self.parent = parent
+        probe = (parent.identity if parent is not None
+                 else (generators[0] if generators else els[0]).identity_like())
+        if probe.key not in self._index:
             raise ValueError("element table does not contain the identity")
-        self.identity: Element = self._bykey[probe.key]
-        self.generators: Tuple[Element, ...] = tuple(self._bykey[g.key] for g in generators)
+        self.identity: Element = self.canon(probe)
+        self.generators: Tuple[Element, ...] = (
+            tuple(map(self.canon, generators)) if generators
+            else tuple(x for x in self.elements if x is not self.identity))
         if p is not None:
             _require_prime(p)
         self.p = p
@@ -81,17 +94,17 @@ class GroupTable:
         return len(self.elements)
 
     def __contains__(self, x: Element) -> bool:
-        return isinstance(x, Element) and x.key in self._bykey
+        return isinstance(x, Element) and x.key in self._index
 
     def __iter__(self):
         return iter(self.elements)
 
     def canon(self, x: Element) -> Element:
         """The stored copy of x (so per-element caches accumulate in one place)."""
-        c = self._bykey.get(x.key)
-        if c is None:
+        i = self._index.get(x.key)
+        if i is None:
             raise ValueError("element does not belong to this group")
-        return c
+        return self.elements[i]
 
     def index_of(self, x: Element) -> int:
         return self._index[x.key]
@@ -139,68 +152,26 @@ class GroupTable:
             stats[k] = stats.get(k, 0) + 1
         return stats
 
-    # -- subgroup views --------------------------------------------------
+    # -- subgroups -------------------------------------------------------
 
-    def subgroup(self, elements: Iterable[Element], gens: Sequence[Element] = ()) -> "Subgroup":
-        return Subgroup(self, elements, gens)
+    def subgroup(self, elements: Iterable[Element], gens: Sequence[Element] = ()) -> "GroupTable":
+        return GroupTable(elements, gens, parent=self)
+
+    def lies_in(self, G: "GroupTable") -> bool:
+        """Is this table G, or cut from G through a chain of parents?"""
+        H: Optional[GroupTable] = self
+        while H is not None and H is not G:
+            H = H.parent
+        return H is G
 
     @property
-    def top(self) -> "Subgroup":
-        if "top" not in self._cache:
-            self._cache["top"] = Subgroup(self, self.elements, self.generators)
-        return self._cache["top"]
-
-    @property
-    def trivial_subgroup(self) -> "Subgroup":
+    def trivial_subgroup(self) -> "GroupTable":
         if "trivial" not in self._cache:
-            self._cache["trivial"] = Subgroup(self, (self.identity,), ())
+            self._cache["trivial"] = self.subgroup((self.identity,))
         return self._cache["trivial"]
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, p={self.p})"
-
-
-class Subgroup:
-    """A subgroup of a GroupTable, stored as a sorted element view."""
-
-    def __init__(self, parent: GroupTable, elements: Iterable[Element],
-                 gens: Sequence[Element] = ()):
-        self.parent = parent
-        els = sorted({parent.canon(x) for x in elements})
-        self.elements: Tuple[Element, ...] = tuple(els)
-        self.keys = frozenset(x.key for x in els)
-        self.gens: Tuple[Element, ...] = tuple(parent.canon(g) for g in gens)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: Element) -> bool:
-        return isinstance(x, Element) and x.key in self.keys
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subgroup) and self.keys == other.keys
-
-    def __hash__(self) -> int:
-        return hash(self.keys)
-
-    def issubset(self, other: "Subgroup") -> bool:
-        return self.keys <= other.keys
-
-    @property
-    def generating_set(self) -> Tuple[Element, ...]:
-        """The recorded generators, or else every non-identity element."""
-        return self.gens or tuple(x for x in self.elements if not x.is_identity())
-
-    def to_group(self) -> GroupTable:
-        """The subgroup as a standalone table (same element objects)."""
-        return GroupTable(self.elements, self.generating_set, p=self.parent.p)
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
 def _closure(start: Element, gens: Sequence[Element], mul: Callable,
@@ -236,7 +207,7 @@ def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
     return GroupTable(els.values(), generators, p=p)
 
 
-def subgroup_generated(G: GroupTable, seeds: Iterable[Element]) -> Subgroup:
+def subgroup_generated(G: GroupTable, seeds: Iterable[Element]) -> GroupTable:
     """⟨seeds⟩ inside G (all seeds must already lie in G).
 
     Seeds already inside the running closure are dropped instead of kept as
@@ -252,15 +223,15 @@ def subgroup_generated(G: GroupTable, seeds: Iterable[Element]) -> Subgroup:
         if s.key not in els:
             gens.append(s)
             els = _closure(G.identity, gens, G.mul)
-    return Subgroup(G, els.values(), gens)
+    return G.subgroup(els.values(), gens)
 
 
-def is_normal(G: GroupTable, H: Subgroup) -> bool:
-    return all(G.conj(h, g).key in H.keys for g in G.generators for h in H.generating_set)
+def is_normal(G: GroupTable, H: GroupTable) -> bool:
+    return all(G.conj(h, g).key in H.keys for g in G.generators for h in H.generators)
 
 
 def normal_closure(G: GroupTable, seeds: Iterable[Element],
-                   maps: Sequence["Automorphism"] = ()) -> Subgroup:
+                   maps: Sequence["Automorphism"] = ()) -> GroupTable:
     """Smallest normal subgroup of G containing the seeds and invariant under
     the automorphisms in `maps`: the fixpoint of adding the conjugates of H's
     generators by G's generators and their images under the maps.  Generators
@@ -268,12 +239,12 @@ def normal_closure(G: GroupTable, seeds: Iterable[Element],
     for the generators g of G and the maps a."""
     H = subgroup_generated(G, seeds)
     while True:
-        grown = [c for h in H.generating_set for g in G.generators
+        grown = [c for h in H.generators for g in G.generators
                  if (c := G.conj(h, g)).key not in H.keys]
-        grown += [c for h in H.generating_set for a in maps if (c := a(h)).key not in H.keys]
+        grown += [c for h in H.generators for a in maps if (c := a(h)).key not in H.keys]
         if not grown:
             return H
-        H = subgroup_generated(G, tuple(H.gens) + tuple(grown))
+        H = subgroup_generated(G, H.generators + tuple(grown))
 
 
 def commutator(x: Element, y: Element) -> Element:
@@ -281,35 +252,33 @@ def commutator(x: Element, y: Element) -> Element:
     return x.inverse() * y.inverse() * x * y
 
 
-def commutator_subgroup(G: GroupTable, X: Subgroup, Y: Subgroup) -> Subgroup:
+def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTable:
     """Normal closure in G of the subgroup generated by commutators [X, Y].
 
-    Seeds run over all of X against Y's generating set; the identity
+    Seeds run over all of X against Y's generators; the identity
     [x, t1*t2] = [x,t2] * ([x,t1] conjugated by t2) makes this agree with the
     all-pairs sweep once the normal closure is taken (the all-pairs version is
     the test oracle).  When X and Y are both normal the closure pass must be a
     no-op, and that is asserted.
     """
-    seeds = {G.comm(x, t) for x in X.elements for t in Y.generating_set}
+    seeds = {G.comm(x, t) for x in X.elements for t in Y.generators}
     H0 = subgroup_generated(G, seeds)
-    H = normal_closure(G, H0.elements)
+    H = normal_closure(G, H0.generators)
     if H.order != H0.order and is_normal(G, X) and is_normal(G, Y):
         raise AssertionError("normal-closure pass grew [X,Y] for normal X, Y")
     return H
 
 
-def center(G: GroupTable) -> Subgroup:
+def center(G: GroupTable) -> GroupTable:
     if "center" not in G._cache:
-        members = [x for x in G.elements
-                   if all(G.mul(x, g) == G.mul(g, x) for g in G.generators)]
-        G._cache["center"] = Subgroup(G, members, ())
+        G._cache["center"] = G.subgroup(
+            x for x in G.elements if all(G.mul(x, g) == G.mul(g, x) for g in G.generators))
     return G._cache["center"]
 
 
-def centralizer(G: GroupTable, S: Iterable[Element]) -> Subgroup:
+def centralizer(G: GroupTable, S: Iterable[Element]) -> GroupTable:
     S = [G.canon(s) for s in S]
-    members = [x for x in G.elements if all(G.mul(x, s) == G.mul(s, x) for s in S)]
-    return Subgroup(G, members, ())
+    return G.subgroup(x for x in G.elements if all(G.mul(x, s) == G.mul(s, x) for s in S))
 
 
 class Automorphism(Element):
@@ -423,13 +392,12 @@ def conjugation_aut(G: GroupTable, g: Element) -> Automorphism:
     return Automorphism(G, [G.index_of(G.conj(x, g)) for x in G.elements])
 
 
-def restrict_automorphism(a: Automorphism, H: Subgroup,
-                          H_group: GroupTable) -> Automorphism:
-    """Restrict a to an A-invariant subgroup H, as an automorphism of
-    H_group = H.to_group(); invariance is checked on H's generators."""
-    if any(a(h).key not in H.keys for h in H.generating_set):
+def restrict_automorphism(a: Automorphism, H: GroupTable) -> Automorphism:
+    """Restrict a to an A-invariant subgroup H, as an automorphism of H;
+    invariance is checked on H's generators."""
+    if any(a(h).key not in H.keys for h in H.generators):
         raise NotInvariant("subgroup is not invariant under the automorphism")
-    return Automorphism(H_group, [H_group.index_of(a(h)) for h in H_group.elements])
+    return Automorphism(H, [H.index_of(a(h)) for h in H.elements])
 
 
 def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:
@@ -482,10 +450,10 @@ class Coset(Element):
 
 
 class CosetContext:
-    """Shared coset lookup for one quotient: parent element key -> Coset."""
+    """Shared coset lookup for one quotient: cover element key -> Coset."""
 
-    def __init__(self, parent: GroupTable):
-        self.parent = parent
+    def __init__(self, cover: GroupTable):
+        self.cover = cover
         self.by_member_key: Dict[bytes, Coset] = {}
         self.identity_coset: Optional[Coset] = None
 
@@ -494,38 +462,39 @@ class CosetContext:
 
 
 class QuotientGroup(GroupTable):
-    """G/N with canonically minimal coset representatives as element keys."""
+    """G/N with canonically minimal coset representatives as element keys;
+    G is its `cover`."""
 
-    def __init__(self, parent: GroupTable, N: Subgroup, ctx: CosetContext,
+    def __init__(self, cover: GroupTable, N: GroupTable, ctx: CosetContext,
                  cosets: Sequence[Coset]):
-        self.parent = parent
+        self.cover = cover
         self.normal_subgroup = N
         self.ctx = ctx
-        gens = [ctx.canon(g) for g in parent.generators]
-        super().__init__(cosets, gens, p=parent.p)
+        gens = [ctx.canon(g) for g in cover.generators]
+        super().__init__(cosets, gens, p=cover.p)
 
     def project(self, x: Element) -> Coset:
-        """The coset of a parent element."""
-        return self.canon(self.ctx.canon(self.parent.canon(x)))
+        """The coset of an element of the cover."""
+        return self.canon(self.ctx.canon(self.cover.canon(x)))
 
-    def preimage(self, S: Subgroup) -> Subgroup:
-        """The full preimage in the parent of a subgroup of this quotient."""
-        if S.parent is not self:
+    def preimage(self, S: GroupTable) -> GroupTable:
+        """The full preimage in the cover of a subgroup of this quotient."""
+        if not S.lies_in(self):
             raise ValueError("subgroup does not live in this quotient")
-        return Subgroup(self.parent,
-                        [x for x in self.parent.elements if self.ctx.canon(x).key in S.keys])
+        return self.cover.subgroup(
+            x for x in self.cover.elements if self.ctx.canon(x).key in S.keys)
 
     def __repr__(self) -> str:
-        return f"QuotientGroup(order={self.order} = {self.parent.order}/{self.normal_subgroup.order})"
+        return f"QuotientGroup(order={self.order} = {self.cover.order}/{self.normal_subgroup.order})"
 
 
-def quotient(G: GroupTable, N: Subgroup) -> QuotientGroup:
+def quotient(G: GroupTable, N: GroupTable) -> QuotientGroup:
     """G/N; raises NotNormal unless N is normal in G.
 
     Scanning G in canonical order makes the first unvisited member of each
     coset its minimal one, which becomes the coset's representative and key.
     """
-    if N.parent is not G:
+    if not N.lies_in(G):
         raise ValueError("subgroup does not live in the given group")
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")

@@ -13,7 +13,6 @@ from .elements import _require_prime
 from .errors import NotPGroup, OddPrimeRequired
 from .groups import (
     GroupTable,
-    Subgroup,
     center,
     commutator_subgroup,
     quotient,
@@ -33,6 +32,7 @@ __all__ = [
     "agemo",
     "is_omega_regular",
     "xu_inequality",
+    "small_elements_lie_in",
     "is_p_central_of_height",
 ]
 
@@ -47,13 +47,13 @@ class SeriesRecord:
     """A descending or ascending subgroup series with its stabilization point."""
 
     label: str
-    terms: Tuple[Subgroup, ...]
+    terms: Tuple[GroupTable, ...]
     stabilized_at: int  # index of the first term equal to its successor
 
     def orders(self) -> List[int]:
         return [t.order for t in self.terms]
 
-    def term(self, k: int) -> Subgroup:
+    def term(self, k: int) -> GroupTable:
         """k-th term, k >= 1; indices beyond the recorded tail return the stable term."""
         if k < 1:
             raise IndexError(f"series index {k} out of range")
@@ -63,9 +63,9 @@ class SeriesRecord:
 def lower_central_series(G: GroupTable) -> SeriesRecord:
     """G = γ_1 ≥ γ_2 = [G,G] ≥ [γ_2,G] ≥ ..., recorded up to stabilization."""
     if "lcs" not in G._cache:
-        terms = [G.top]
+        terms = [G]
         while True:
-            nxt = commutator_subgroup(G, terms[-1], G.top)
+            nxt = commutator_subgroup(G, terms[-1], G)
             if nxt.order == terms[-1].order:
                 break
             terms.append(nxt)
@@ -104,7 +104,7 @@ def omega_set(G: GroupTable, i: int) -> Tuple:
     return tuple(x for x in G.elements if bound % x.order() == 0)
 
 
-def omega_subgroup(G: GroupTable, i: int) -> Subgroup:
+def omega_subgroup(G: GroupTable, i: int) -> GroupTable:
     """Ω_i(G) = subgroup generated by the elements of order dividing p^i."""
     G.require_p_group()
     key = ("omega", i)
@@ -113,13 +113,13 @@ def omega_subgroup(G: GroupTable, i: int) -> Subgroup:
     return G._cache[key]
 
 
-def omega_conv(G: GroupTable) -> Subgroup:
+def omega_conv(G: GroupTable) -> GroupTable:
     """Ω(G): Ω_1 for odd p, Ω_2 for p = 2 (matching central_order_bound)."""
     p = G.require_p_group()
     return omega_subgroup(G, 2 if p == 2 else 1)
 
 
-def agemo(G: GroupTable, n: int) -> Subgroup:
+def agemo(G: GroupTable, n: int) -> GroupTable:
     """G^{p^n} = subgroup generated by all p^n-th powers."""
     p = G.require_p_group()
     key = ("agemo", n)
@@ -150,6 +150,12 @@ def xu_inequality(G: GroupTable, n: int) -> Verdict:
                     {"n": n, "index": index, "omega_order": om})
 
 
+def small_elements_lie_in(X: GroupTable, Z: GroupTable, p: int) -> bool:
+    """Does every element of X of order dividing p (4 if p = 2) lie in Z?"""
+    bound = central_order_bound(p)
+    return all(x.key in Z.keys for x in X.elements if bound % x.order() == 0)
+
+
 def is_p_central_of_height(G: GroupTable, k: int, p: Optional[int] = None) -> bool:
     """Does every element of order dividing p (4 if p = 2) lie in Z_k(G)?
 
@@ -161,7 +167,4 @@ def is_p_central_of_height(G: GroupTable, k: int, p: Optional[int] = None) -> bo
     if p is None:
         raise NotPGroup("no designated prime on this group and none supplied")
     _require_prime(p)
-    bound = central_order_bound(p)
-    small = [x for x in G.elements if bound % x.order() == 0]
-    Zk = upper_central_series(G).term(k + 1)
-    return all(x.key in Zk.keys for x in small)
+    return small_elements_lie_in(G, upper_central_series(G).term(k + 1), p)

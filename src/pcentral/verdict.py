@@ -8,7 +8,6 @@ counterexample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -35,10 +34,6 @@ class Verdict:
         if (self.conclusion == SKIPPED) != (self.hypothesis == FAIL):
             raise ValueError("conclusion must be 'skipped' iff hypothesis is 'fail'")
 
-    @property
-    def is_counterexample(self) -> bool:
-        return self.hypothesis == PASS and self.conclusion == FAIL
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "check": self.check,
@@ -47,15 +42,6 @@ class Verdict:
             "witnesses": self.witnesses,
             "millis": round(self.millis, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Verdict":
-        return cls(check=d["check"], hypothesis=d["hypothesis"],
-                   conclusion=d["conclusion"], witnesses=d.get("witnesses", {}),
-                   millis=d.get("millis", 0.0))
 
 
 def conclude(check: str, hypothesis_ok: bool, conclusion_ok: bool | None,

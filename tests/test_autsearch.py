@@ -69,14 +69,14 @@ def test_aut_permutations_compose_like_automorphisms():
     # closure: product of any two realized permutations is again realized
     for a in P.elements[:6]:
         for b in P.elements[:6]:
-            assert P.canon(a * b).key in P._bykey
+            assert P.canon(a * b).key in P.keys
 
 
 def test_sylow_subgroup_of_sym4():
     S4 = build_group("sym(4)")
     P2 = sylow_p_subgroup(S4, 2)
     assert P2.order == 8
-    assert P2.to_group().order_stats() == {1: 1, 2: 5, 4: 2}  # dihedral shape
+    assert P2.order_stats() == {1: 1, 2: 5, 4: 2}  # dihedral shape
     P3 = sylow_p_subgroup(S4, 3)
     assert P3.order == 3
 
@@ -114,4 +114,4 @@ def test_gl33_sylow_3_subgroup():
     # a Sylow 3-subgroup of GL(3,3) is the unitriangular group: order 27, exponent 3
     S = sylow_p_subgroup(_aut("elementary_abelian(3,3)").perm_group, 3)
     assert S.order == 27
-    assert S.to_group().exponent() == 3
+    assert S.exponent() == 3

@@ -406,6 +406,20 @@ def test_cli_aut_budget_exhaustion_exits_3(capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["aut", "cyclic(3,2)", "--sylow", "4"], "--sylow must be a prime, got 4"),
+    (["aut", "cyclic(3,2)", "--sylow", "1"], "--sylow must be a prime, got 1"),
+    (["aut", "elementary_abelian(2,2)", "--budget", "-1"],
+     "--budget must be a positive integer"),
+    (["aut", "elementary_abelian(2,2)", "--budget", "0"],
+     "--budget must be a positive integer"),
+])
+def test_cli_aut_bad_option_exits_4(argv, message, capsys):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+
+
 def test_cli_sigma(capsys):
     assert main(["sigma", "2"]) == 0
     verdict = json.loads(capsys.readouterr().out)

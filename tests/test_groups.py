@@ -5,6 +5,12 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcentral.actions import (
+    commutator_group_of_pair,
+    inner_action,
+    mixed_commutator_subgroup,
+    restrict_action,
+)
 from pcentral.autsearch import brute_force_aut
 from pcentral.catalog import build_group
 from pcentral.elements import Element, Permutation
@@ -27,6 +33,7 @@ from pcentral.groups import (
     quotient,
     subgroup_generated,
 )
+from pcentral.series import lower_central_series, omega_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +65,7 @@ def test_commutator_subgroup_matches_all_pairs_oracle(spec):
     G = build_group(spec)
     brute = subgroup_generated(
         G, (G.comm(x, y) for x in G.elements for y in G.elements))
-    fast = commutator_subgroup(G, G.top, G.top)
+    fast = commutator_subgroup(G, G, G)
     assert fast.keys == brute.keys
 
 
@@ -76,13 +83,13 @@ def test_subgroup_generated_thins_redundant_seeds(d4):
     # generator list far smaller than the seed list
     sub = subgroup_generated(d4, d4.elements)
     assert sub.order == 8
-    assert len(sub.gens) <= 3
+    assert len(sub.generators) <= 3
 
 
 def test_lagrange_on_standard_subgroups():
     for spec in ("dihedral(16)", "sym(4)", "wreath_cp_cp(3)"):
         G = build_group(spec)
-        for sub in (center(G), commutator_subgroup(G, G.top, G.top)):
+        for sub in (center(G), commutator_subgroup(G, G, G)):
             assert G.order % sub.order == 0
 
 
@@ -100,7 +107,7 @@ def test_quotient_is_a_homomorphic_image(q8):
 def test_quotient_preimage_roundtrip(q8):
     Z = center(q8)
     Q = quotient(q8, Z)
-    full = Q.preimage(Q.top)
+    full = Q.preimage(Q)
     assert full.keys == {x.key for x in q8.elements}
     back = Q.preimage(subgroup_generated(Q, [Q.identity]))
     assert back.keys == Z.keys
@@ -113,6 +120,24 @@ def test_quotient_requires_normal_subgroup():
         S4, [x for x in S4.elements if x(3) == 3])
     with pytest.raises(NotNormal):
         quotient(S4, H)
+
+
+def test_subgroups_are_tables_sharing_their_parents_elements():
+    G = build_group("dihedral(16)")
+    pair = inner_action(G)
+    H = commutator_group_of_pair(pair)
+    assert H is mixed_commutator_subgroup(pair)
+    om = omega_subgroup(H, 1)  # a subgroup of a subgroup of G
+    assert (H.order, om.order) == (4, 2)
+    for sub in (H, om, center(G), lower_central_series(G).term(2)):
+        assert sub.p == G.p
+        assert all(x is G.canon(x) for x in sub.elements)
+    assert om.parent is H and H.parent is G and om.lies_in(G)
+    assert lower_central_series(G).terms[0] is G
+    assert restrict_action(pair, H).G is H
+    assert quotient(G, om).order == 8
+    with pytest.raises(ValueError):
+        quotient(G, center(build_group("dihedral(16)")))
 
 
 def test_automorphism_validation_rejects_non_homomorphism(q8):

@@ -3,7 +3,9 @@
 Random generator subsets of permutation-backed catalog groups are closed by
 the engine and by sympy.combinatorics, and the two must agree on subgroup
 order, normal closure and normality, the lower central series, the center,
-centralizers and quotient order.  The Aut(G) search's automorphism group and
+centralizers and quotient order; a quotient's center, exponent and lower and
+upper central series are checked against values read off the cover through
+membership in the kernel.  The Aut(G) search's automorphism group and
 the acting group A of catalog action pairs are compared on their order, their
 Sylow subgroups and their derived series, read as permutations of the
 acted-on group's element indices.  sympy is an optional oracle: the module is skipped
@@ -11,6 +13,7 @@ when it is not installed.
 """
 
 import functools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +32,7 @@ from pcentral.groups import (  # noqa: E402
     quotient,
     subgroup_generated,
 )
-from pcentral.series import lower_central_series  # noqa: E402
+from pcentral.series import lower_central_series, upper_central_series  # noqa: E402
 
 SPECS = (
     "sym(4)",
@@ -50,6 +53,10 @@ def _sympy_group(elements):
     # generated by a set is the same either way
     return sympy_comb.PermutationGroup(
         [sympy_comb.Permutation([int(v) for v in x.images]) for x in elements])
+
+
+def _sympy_group_of(perms):
+    return sympy_comb.PermutationGroup(list(perms))
 
 
 @st.composite
@@ -132,6 +139,64 @@ def test_quotient_order(case):
     SG = _sympy_group(G.generators)
     SN = SG.normal_closure(_sympy_group(seeds))
     assert quotient(G, N).order == SG.order() // SN.order()
+
+
+def _commutes_mod(x, g, members):
+    """Does [x, g] lie in `members` (a predicate on sympy permutations)?"""
+    return members(~x * ~g * x * g)
+
+
+def _upper_central_orders(SG, start):
+    """Orders of Z_0 = start <= Z_1 <= ..., Z_{i+1} = {x : [x, g] in Z_i for
+    every generator g}, with the stable term repeated once."""
+    elements = list(SG.generate())
+    Z = set(start)
+    orders = [len(Z)]
+    while True:
+        nxt = {x for x in elements
+               if all(_commutes_mod(x, g, Z.__contains__) for g in SG.generators)}
+        orders.append(len(nxt))
+        if len(nxt) == len(Z):
+            return orders
+        Z = nxt
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_subgroups())
+def test_quotient_agrees(case):
+    # every value below is read off the cover in sympy, through N-membership
+    G, seeds = case
+    N = normal_closure(G, seeds)
+    Q = quotient(G, N)
+    SG = _sympy_group(G.generators)
+    SN = SG.normal_closure(_sympy_group(seeds))
+    n = SN.order()
+    elements = list(SG.generate())
+
+    central = [x for x in elements
+               if all(_commutes_mod(x, g, SN.contains) for g in SG.generators)]
+    assert center(Q).order == len(central) // n
+
+    def order_mod_N(x):
+        k, y = 1, x
+        while not SN.contains(y):
+            y, k = y * x, k + 1
+        return k
+
+    assert Q.exponent() == math.lcm(*map(order_mod_N, elements))
+
+    gammaN = []  # |γ_i(G)N| / |N| up to its first repeat
+    for t in SG.lower_central_series():
+        k = _sympy_group_of(t.generators + SN.generators).order() // n
+        if gammaN and gammaN[-1] == k:
+            break
+        gammaN.append(k)
+    assert lower_central_series(Q).orders()[:-1] == gammaN
+
+    assert upper_central_series(G).orders() == _upper_central_orders(
+        SG, [SG.identity])
+    assert upper_central_series(Q).orders() == [
+        k // n for k in _upper_central_orders(SG, SN.generate())]
 
 
 @pytest.mark.parametrize("spec", SPECS)

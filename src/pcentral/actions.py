@@ -118,19 +118,10 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
     """Mixed lower central series of the pair, computed to stabilization,
     seeding each term by [c, a] for generators c of the last (see above)."""
     if "mixed_series" not in pair._cache:
-        G = pair.G
-        terms: List[GroupTable] = [G]
-        while True:
-            prev = terms[-1]
-            seeds = {mixed_commutator(c, a)
-                     for c in prev.generators for a in pair.A_generators}
-            nxt = normal_closure(G, seeds, pair.A_generators)
-            if nxt.order == prev.order:
-                break
-            terms.append(nxt)
-        terms.append(terms[-1])
-        pair._cache["mixed_series"] = SeriesRecord(
-            "mixed_lower_central", tuple(terms), len(terms) - 2)
+        G, A = pair.G, pair.A_generators
+        pair._cache["mixed_series"] = SeriesRecord.until_stable(
+            G, lambda T: normal_closure(
+                G, {mixed_commutator(c, a) for c in T.generators for a in A}, A))
     return pair._cache["mixed_series"]
 
 
@@ -244,7 +235,7 @@ def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
     Q = quotient(pair.G, N)
     induced = []
     for a in pair.A_generators:
-        images = [Q.project(a(c.rep)) for c in Q.generators]
+        images = [Q.project(a(g)) for g in pair.G.generators]
         induced.append(automorphism_from_images(Q, Q.generators, images))
     return ActionPair.build(Q, induced)
 

@@ -431,5 +431,7 @@ def build_action(G: GroupTable, spec: Union[str, FamilySpec], *,
 def paper_sigma_pair(p: int, *, cap: int = DEFAULT_CLOSURE_CAP) -> ActionPair:
     """Rank-(p+1) elementary abelian group under its Jordan-block cyclic
     action: the explicit tightness example."""
+    if not _is_prime(p):
+        raise ConfigError(f"sigma needs a prime p, got {p!r}")
     E = _elementary_abelian(p, p + 1, cap)
     return build_action(E, FamilySpec("jordan"))

@@ -49,8 +49,6 @@ def _is_prime(p: int) -> bool:
 def _require_prime(p: int) -> None:
     if not isinstance(p, int) or not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p!r}")
-    if p >= 1 << 16:
-        raise CapExceeded(f"p={p} exceeds the 16-bit residue limit")
 
 
 def _p_split(n: int, p: int) -> Tuple[int, int]:
@@ -302,8 +300,6 @@ class Permutation(Element):
         return bool((self.images == np.arange(self.degree, dtype=np.int64)).all())
 
     order = _cycle_order
-
-    __hash__ = Element.__hash__
 
     def __repr__(self) -> str:
         return f"Permutation({list(map(int, self.images))})"

@@ -3,10 +3,10 @@
 Everything is desk scale: groups are closed by breadth-first multiplication
 from their generators and stored as sorted element tables (sorted by canonical
 byte key), so all downstream iteration is deterministic.  Subgroups are tables
-that share their parent's elements; quotients get their own element type
-(cosets keyed by their canonically minimal representative); an automorphism is
-an index array over its domain's element table, so automorphism groups are
-group tables too.
+that share their parent's elements; a quotient numbers its cosets by an id
+array over the cover's element indices, and its elements are cosets keyed by
+their canonically minimal representative; an automorphism is an index array
+over its domain's element table, so automorphism groups are group tables too.
 """
 
 from __future__ import annotations
@@ -420,100 +420,76 @@ def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:
 class Coset(Element):
     """An element of a quotient group: a coset keyed by its minimal representative."""
 
-    __slots__ = ("rep", "ctx")
+    __slots__ = ("rep", "quotient")
 
-    def __init__(self, rep: Element, ctx: "CosetContext"):
+    def __init__(self, rep: Element, quotient: "QuotientGroup"):
         self.rep = rep
-        self.ctx = ctx
+        self.quotient = quotient
         self.key = rep.key
         self._inv = None
         self._ord = None
 
     def __mul__(self, other: Element) -> "Coset":
-        if not isinstance(other, Coset) or other.ctx is not self.ctx:
+        if not isinstance(other, Coset) or other.quotient is not self.quotient:
             raise BackendMismatch("cosets belong to different quotients")
-        return self.ctx.canon(self.rep * other.rep)
+        return self.quotient.project(self.rep * other.rep)
 
     def _compute_inverse(self) -> "Coset":
-        return self.ctx.canon(self.rep.inverse())
+        return self.quotient.project(self.rep.inverse())
 
     def identity_like(self) -> "Coset":
-        return self.ctx.identity_coset
+        return self.quotient.identity
 
     def is_identity(self) -> bool:
-        return self.key == self.ctx.identity_coset.key
-
-    __hash__ = Element.__hash__
+        return self is self.quotient.identity
 
     def __repr__(self) -> str:
         return f"Coset({self.rep!r})"
 
 
-class CosetContext:
-    """Shared coset lookup for one quotient: cover element key -> Coset."""
-
-    def __init__(self, cover: GroupTable):
-        self.cover = cover
-        self.by_member_key: Dict[bytes, Coset] = {}
-        self.identity_coset: Optional[Coset] = None
-
-    def canon(self, x: Element) -> Coset:
-        return self.by_member_key[x.key]
-
-
 class QuotientGroup(GroupTable):
-    """G/N with canonically minimal coset representatives as element keys;
-    G is its `cover`."""
+    """G/N, with G its `cover`: coset_id[i] is the index in this table of the
+    coset of cover.elements[i].
 
-    def __init__(self, cover: GroupTable, N: GroupTable, ctx: CosetContext,
-                 cosets: Sequence[Coset]):
+    One scan of the cover in key order meets each coset first at its minimal
+    member, which becomes the coset's representative and key, so coset ids
+    follow the table's sorted order.
+    """
+
+    def __init__(self, cover: GroupTable, N: GroupTable):
         self.cover = cover
         self.normal_subgroup = N
-        self.ctx = ctx
-        gens = [ctx.canon(g) for g in cover.generators]
-        super().__init__(cosets, gens, p=cover.p)
+        self.coset_id = coset_id = [-1] * cover.order
+        cosets: List[Coset] = []
+        for i, x in enumerate(cover.elements):
+            if coset_id[i] < 0:
+                for n in N.elements:
+                    coset_id[cover.index_of(x * n)] = len(cosets)
+                cosets.append(Coset(x, self))
+        self.identity = cosets[coset_id[cover.index_of(cover.identity)]]
+        super().__init__(cosets, [cosets[coset_id[cover.index_of(g)]]
+                                  for g in cover.generators], p=cover.p)
 
     def project(self, x: Element) -> Coset:
         """The coset of an element of the cover."""
-        return self.canon(self.ctx.canon(self.cover.canon(x)))
+        return self.elements[self.coset_id[self.cover.index_of(x)]]
 
     def preimage(self, S: GroupTable) -> GroupTable:
         """The full preimage in the cover of a subgroup of this quotient."""
         if not S.lies_in(self):
             raise ValueError("subgroup does not live in this quotient")
+        ids = {self.index_of(c) for c in S.elements}
         return self.cover.subgroup(
-            x for x in self.cover.elements if self.ctx.canon(x).key in S.keys)
+            x for x, c in zip(self.cover.elements, self.coset_id) if c in ids)
 
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.order} = {self.cover.order}/{self.normal_subgroup.order})"
 
 
 def quotient(G: GroupTable, N: GroupTable) -> QuotientGroup:
-    """G/N; raises NotNormal unless N is normal in G.
-
-    Scanning G in canonical order makes the first unvisited member of each
-    coset its minimal one, which becomes the coset's representative and key.
-    """
+    """G/N; raises NotNormal unless N is normal in G."""
     if not N.lies_in(G):
         raise ValueError("subgroup does not live in the given group")
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal")
-    ctx = CosetContext(G)
-    cosets: List[Coset] = []
-    rep_of: Dict[bytes, Element] = {}
-    for x in G.elements:
-        if x.key in rep_of:
-            continue
-        members = [G.mul(x, n) for n in N.elements]
-        for m in members:
-            rep_of[m.key] = x
-    made: Dict[bytes, Coset] = {}
-    for member_key, rep in rep_of.items():
-        c = made.get(rep.key)
-        if c is None:
-            c = Coset(rep, ctx)
-            made[rep.key] = c
-            cosets.append(c)
-        ctx.by_member_key[member_key] = c
-    ctx.identity_coset = ctx.by_member_key[G.identity.key]
-    return QuotientGroup(G, N, ctx, cosets)
+    return QuotientGroup(G, N)

@@ -7,7 +7,7 @@ p-centrality notions lives in exactly one place here: central_order_bound().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .elements import _require_prime
 from .errors import NotPGroup, OddPrimeRequired
@@ -46,9 +46,19 @@ def central_order_bound(p: int) -> int:
 class SeriesRecord:
     """A descending or ascending subgroup series with its stabilization point."""
 
-    label: str
     terms: Tuple[GroupTable, ...]
     stabilized_at: int  # index of the first term equal to its successor
+
+    @classmethod
+    def until_stable(cls, first: GroupTable,
+                     step: Callable[[GroupTable], GroupTable]) -> "SeriesRecord":
+        """first, step(first), ... up to the first term whose successor has
+        the same order; that term is repeated so stabilization is visible."""
+        terms = [first]
+        while (nxt := step(terms[-1])).order != terms[-1].order:
+            terms.append(nxt)
+        terms.append(terms[-1])
+        return cls(tuple(terms), len(terms) - 2)
 
     def orders(self) -> List[int]:
         return [t.order for t in self.terms]
@@ -63,14 +73,8 @@ class SeriesRecord:
 def lower_central_series(G: GroupTable) -> SeriesRecord:
     """G = γ_1 ≥ γ_2 = [G,G] ≥ [γ_2,G] ≥ ..., recorded up to stabilization."""
     if "lcs" not in G._cache:
-        terms = [G]
-        while True:
-            nxt = commutator_subgroup(G, terms[-1], G)
-            if nxt.order == terms[-1].order:
-                break
-            terms.append(nxt)
-        terms.append(terms[-1])  # show the repeat so stabilization is visible
-        G._cache["lcs"] = SeriesRecord("lower_central", tuple(terms), len(terms) - 2)
+        G._cache["lcs"] = SeriesRecord.until_stable(
+            G, lambda T: commutator_subgroup(G, T, G))
     return G._cache["lcs"]
 
 
@@ -85,15 +89,8 @@ def nilpotency_class(G: GroupTable) -> Optional[int]:
 def upper_central_series(G: GroupTable) -> SeriesRecord:
     """1 = Z_0 ≤ Z_1 = Z(G) ≤ ..., via centers of successive quotients."""
     if "ucs" not in G._cache:
-        terms = [G.trivial_subgroup]
-        while True:
-            Q = quotient(G, terms[-1])
-            Znext = Q.preimage(center(Q))
-            if Znext.order == terms[-1].order:
-                break
-            terms.append(Znext)
-        terms.append(terms[-1])
-        G._cache["ucs"] = SeriesRecord("upper_central", tuple(terms), len(terms) - 2)
+        G._cache["ucs"] = SeriesRecord.until_stable(
+            G.trivial_subgroup, lambda Z: (Q := quotient(G, Z)).preimage(center(Q)))
     return G._cache["ucs"]
 
 

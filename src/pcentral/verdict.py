@@ -45,11 +45,11 @@ class Verdict:
 
 
 def conclude(check: str, hypothesis_ok: bool, conclusion_ok: bool | None,
-             witnesses: Dict[str, Any] | None = None, millis: float = 0.0) -> Verdict:
+             witnesses: Dict[str, Any] | None = None) -> Verdict:
     """Build a verdict; conclusion_ok is ignored when the hypothesis fails."""
     if hypothesis_ok:
         concl = PASS if conclusion_ok else FAIL
     else:
         concl = SKIPPED
     return Verdict(check=check, hypothesis=PASS if hypothesis_ok else FAIL,
-                   conclusion=concl, witnesses=witnesses or {}, millis=millis)
+                   conclusion=concl, witnesses=witnesses or {})

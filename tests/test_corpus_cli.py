@@ -420,6 +420,29 @@ def test_cli_aut_bad_option_exits_4(argv, message, capsys):
     assert "configuration error" in err and message in err
 
 
+def test_cli_aut_sylow_prime_beyond_matrix_encoding(capsys):
+    # a Sylow prime encodes nothing, so the matrix entry limit does not apply
+    assert main(["aut", "cyclic(2,1)", "--sylow", "65537"]) == 0
+    facts = json.loads(capsys.readouterr().out)
+    assert (facts["sylow_prime"], facts["sylow_order"]) == (65537, 1)
+
+
+def test_designated_prime_beyond_matrix_encoding_runs(tmp_path):
+    data = {"entries": [{"id": "s3--mod65537", "group": "sym(3)", "p": 65537,
+                         "checks": ["normal_p_complement", "height_p_complement"]}]}
+    result = run_corpus(ExperimentConfig.from_dict(data), tmp_path / "out")
+    assert result.exit_code == EXIT_OK
+    assert [(r["check"], r["conclusion"]) for r in result.records] == [
+        ("normal_p_complement", "pass"), ("height_p_complement", "pass")]
+
+
+def test_cli_sigma_non_prime_names_sigma(capsys):
+    assert main(["sigma", "4"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sigma needs a prime p, got 4" in err
+    assert "elementary_abelian" not in err
+
+
 def test_cli_sigma(capsys):
     assert main(["sigma", "2"]) == 0
     verdict = json.loads(capsys.readouterr().out)

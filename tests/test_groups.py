@@ -122,6 +122,29 @@ def test_quotient_requires_normal_subgroup():
         quotient(S4, H)
 
 
+@pytest.mark.parametrize("spec,kernel", [
+    ("dihedral(16)", center),
+    ("ut(4,2)", lambda G: lower_central_series(G).term(3)),
+], ids=["dihedral16-center", "ut42-gamma3"])
+def test_quotient_numbers_cosets_over_the_cover(spec, kernel):
+    G = build_group(spec)
+    N = kernel(G)
+    Q = quotient(G, N)
+    assert 1 < N.order < G.order
+    assert len(Q.coset_id) == G.order
+    for x in G.elements:
+        assert Q.project(x) is Q.elements[Q.coset_id[G.index_of(x)]]
+    for c in Q.elements:
+        members = sorted(G.mul(c.rep, n) for n in N.elements)
+        assert c.rep is members[0]
+        assert all(Q.project(m) is c for m in members)
+    assert Q.project(G.identity) is Q.identity
+    assert Q.identity.is_identity()
+    other = quotient(G, N)
+    with pytest.raises(BackendMismatch):
+        Q.elements[0] * other.elements[0]
+
+
 def test_subgroups_are_tables_sharing_their_parents_elements():
     G = build_group("dihedral(16)")
     pair = inner_action(G)

@@ -466,6 +466,7 @@ class QuotientGroup(GroupTable):
                 for n in N.elements:
                     coset_id[cover.index_of(x * n)] = len(cosets)
                 cosets.append(Coset(x, self))
+        # GroupTable.__init__ finds the identity through Coset.identity_like
         self.identity = cosets[coset_id[cover.index_of(cover.identity)]]
         super().__init__(cosets, [cosets[coset_id[cover.index_of(g)]]
                                   for g in cover.generators], p=cover.p)

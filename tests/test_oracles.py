@@ -55,10 +55,6 @@ def _sympy_group(elements):
         [sympy_comb.Permutation([int(v) for v in x.images]) for x in elements])
 
 
-def _sympy_group_of(perms):
-    return sympy_comb.PermutationGroup(list(perms))
-
-
 @st.composite
 def seeded_subgroups(draw):
     """(G, seeds): a catalog group and one to three of its elements."""
@@ -187,7 +183,7 @@ def test_quotient_agrees(case):
 
     gammaN = []  # |γ_i(G)N| / |N| up to its first repeat
     for t in SG.lower_central_series():
-        k = _sympy_group_of(t.generators + SN.generators).order() // n
+        k = sympy_comb.PermutationGroup(t.generators + SN.generators).order() // n
         if gammaN and gammaN[-1] == k:
             break
         gammaN.append(k)

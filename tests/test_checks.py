@@ -8,6 +8,8 @@ import pytest
 from pcentral import checks as C
 from pcentral.catalog import build_action, build_group
 from pcentral.checks import ALL_CHECK_NAMES, PAIR_CHECKS
+from pcentral.elements import _p_split
+from pcentral.series import is_omega_regular
 
 
 @lru_cache(maxsize=None)
@@ -231,3 +233,32 @@ def test_check_caps_are_configured_keyword_parameters():
         for keyword, cap in caps.items():
             assert cap in DEFAULT_CAPS, (name, cap)
             assert params[keyword].kind is inspect.Parameter.KEYWORD_ONLY, (name, keyword)
+
+
+# -- closure predicates against a product sweep ---------------------------
+
+
+def _closed_under_products(G, members):
+    """Is `members` closed under G's product (all of G always is)?"""
+    keys = {x.key for x in members}
+    return len(keys) == G.order or all(
+        G.mul(x, y).key in keys for x in members for y in members)
+
+
+@pytest.mark.parametrize("gspec,aspec", [
+    ("ut(4,3)", None), ("wreath_cp_cp(3)", None), ("dihedral(32)", None),
+    ("sym(4)", None), ("sl2_3()", None), ("dic3()", None),
+    ("ut(4,2)", "inner"), ("elementary_abelian(3,2)", "full_aut"),
+])
+def test_closure_predicates_match_product_sweep(gspec, aspec):
+    # with an action, the table under test is the acting group A
+    G = pair(gspec, aspec).A if aspec else group(gspec)
+    if G.is_p_group:
+        m = _p_split(G.exponent(), G.p)[0]
+        for i in range(1, m + 1):
+            small = [x for x in G.elements if G.p ** i % x.order() == 0]
+            assert is_omega_regular(G, i) == _closed_under_products(G, small), i
+    for p in (q for q in (2, 3) if G.order % q == 0):
+        p_prime = [x for x in G.elements if x.order() % p != 0]
+        facts = C._has_normal_p_complement(G, p)
+        assert facts["set_is_closed"] == _closed_under_products(G, p_prime), p

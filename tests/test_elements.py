@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcentral.elements import FpMatrix, Permutation, decode_element
+from pcentral.elements import FpMatrix, Permutation, _is_prime, decode_element
 from pcentral.errors import BackendMismatch, CapExceeded, SingularMatrix
 
 
@@ -67,6 +67,17 @@ def test_prime_above_the_key_encoding_rejected_at_construction():
     key = b"\x00" + (257).to_bytes(2, "little") + b"\x01\x01"
     with pytest.raises(CapExceeded):
         decode_element(key)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == [
+        n for n in range(10 ** 5) if _trial_division(n)]
+    # strong pseudoprimes to the bases 2 and 2, 3, 5, 7
+    assert not _is_prime(2047) and not _is_prime(3215031751)
 
 
 def test_key_roundtrip():

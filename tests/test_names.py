@@ -1,6 +1,7 @@
 """Every exported name resolves, and so does every name the layer tracer of
 ``perfbench/`` rebinds, so a deleted or renamed function cannot silently
 break a traced benchmark run.  The tracer is read as source, not imported.
+No module of the package imports a name it does not use.
 """
 
 import ast
@@ -12,7 +13,8 @@ import pytest
 
 import pcentral
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _modules():
@@ -85,3 +87,24 @@ def test_check_registries_resolve(tracer_tree):
     tabled = {id(kind.registry) for kind in checks.CHECK_KINDS}
     assert tabled == {id(getattr(checks, n)) for n in registries}
     assert len(checks.CHECK_KINDS) == 5
+
+
+# the package's __init__ re-exports what it imports
+MODULES = sorted(p for p in (ROOT / "src" / "pcentral").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = ast.literal_eval(_assigned(tree, "__all__")) if "__all__" in used else ()
+    unused = sorted(set(imported) - used - set(exported))
+    assert not unused, f"{path.name} imports unused names {unused}"

@@ -2,10 +2,10 @@
 
 Random generator subsets of permutation-backed catalog groups are closed by
 the engine and by sympy.combinatorics, and the two must agree on subgroup
-order, normal closure and normality, the lower central series, the center,
-centralizers and quotient order; a quotient's center, exponent and lower and
-upper central series are checked against values read off the cover through
-membership in the kernel.  The Aut(G) search's automorphism group and
+order, normal closure and normality, commutator subgroups [X, Y], the lower
+central series, the center, centralizers and quotient order; a quotient's
+center, exponent and lower and upper central series are checked against
+values read off the cover through membership in the kernel.  The Aut(G) search's automorphism group and
 the acting group A of catalog action pairs are compared on their order, their
 Sylow subgroups and their derived series, read as permutations of the
 acted-on group's element indices.  sympy is an optional oracle: the module is skipped
@@ -80,6 +80,22 @@ def test_normal_closure_and_normality(case):
     N = normal_closure(G, seeds)
     assert N.order == SG.normal_closure(SH).order()
     assert is_normal(G, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeded_subgroups(), st.data())
+def test_commutator_subgroup_agrees(case, data):
+    # X is often not normal; the oracle closes every engine commutator [x, y]
+    # in sympy, which seeds from no generator set of its own
+    G, seeds = case
+    idx = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    others = [G.elements[i] for i in idx]
+    SG = _sympy_group(G.generators)
+    X = subgroup_generated(G, seeds)
+    for Y in (G, normal_closure(G, others), subgroup_generated(G, others)):
+        commutators = {G.comm(x, y) for x in X.elements for y in Y.elements}
+        expected = SG.normal_closure(_sympy_group(commutators)).order()
+        assert commutator_subgroup(G, X, Y).order == expected
 
 
 @settings(max_examples=30, deadline=None)

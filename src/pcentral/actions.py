@@ -90,9 +90,8 @@ def trivial_action(G: GroupTable) -> ActionPair:
     return ActionPair.build(G, [identity_automorphism(G)])
 
 
-def inner_action(G: GroupTable) -> ActionPair:
-    return ActionPair.build(G, [conjugation_aut(G, g) for g in G.generators],
-                            cap=max(DEFAULT_ACTION_CAP, G.order))
+def inner_action(G: GroupTable, *, cap: int = DEFAULT_ACTION_CAP) -> ActionPair:
+    return ActionPair.build(G, [conjugation_aut(G, g) for g in G.generators], cap=cap)
 
 
 def mixed_commutator(g: Element, a: Automorphism) -> Element:
@@ -101,12 +100,9 @@ def mixed_commutator(g: Element, a: Automorphism) -> Element:
 
 
 def mixed_commutator_subgroup(pair: ActionPair) -> GroupTable:
-    """[G, A]: generated by generator commutators, closed under G and A."""
-    if "H" not in pair._cache:
-        seeds = {mixed_commutator(g, a)
-                 for g in pair.G.generators for a in pair.A_generators}
-        pair._cache["H"] = normal_closure(pair.G, seeds, pair.A_generators)
-    return pair._cache["H"]
+    """[G, A], the second mixed lower central term: [g, a] for the generators
+    g of G and a of A, closed under G and A."""
+    return mixed_lower_central_series(pair).term(2)
 
 
 def commutator_group_of_pair(pair: ActionPair) -> GroupTable:

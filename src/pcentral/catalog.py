@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .actions import ActionPair, inner_action, trivial_action
+from .actions import DEFAULT_ACTION_CAP, ActionPair, inner_action, trivial_action
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut
 from .elements import Element, FpMatrix, Permutation, _is_prime, _p_split
 from .errors import CapExceeded, ConfigError, UnknownFamily
@@ -351,22 +351,22 @@ def build_group(spec: Union[str, FamilySpec], *,
 # -- the Jordan-block action and the explicit sigma matrix ----------------
 
 
-def sigma_matrix(p: int, size: int = 0) -> FpMatrix:
-    """Unitriangular single Jordan block (1s on the superdiagonal); the
-    default size p+1 is the one the rank-(p+1) construction wants."""
-    n = size or p + 1
+def sigma_matrix(p: int) -> FpMatrix:
+    """The (p+1) x (p+1) unitriangular single Jordan block (1s on the
+    superdiagonal) that the rank-(p+1) construction wants."""
+    n = p + 1
     arr = np.eye(n, dtype=np.int64)
     for i in range(n - 1):
         arr[i, i + 1] = 1
     return FpMatrix(p, arr)
 
 
-def sigma_power_closed_form(p: int, n: int, size: int = 0) -> FpMatrix:
+def sigma_power_closed_form(p: int, n: int) -> FpMatrix:
     """The n-th power of the Jordan block, entry (i, i+j) = binom(n, j) mod p
     (binom(n, j) = 0 for j > n), computed without any matrix multiplication."""
     if n < 0:
         raise ValueError("the closed form covers non-negative powers")
-    dim = size or p + 1
+    dim = p + 1
     arr = np.zeros((dim, dim), dtype=np.int64)
     for i in range(dim):
         for j in range(dim - i):
@@ -401,7 +401,7 @@ ACTION_NAMES = ("trivial", "inner", "jordan", "jordan_power", "full_aut")
 
 
 def build_action(G: GroupTable, spec: Union[str, FamilySpec], *,
-                 action_cap: int = 10_000,
+                 action_cap: int = DEFAULT_ACTION_CAP,
                  aut_budget: int = DEFAULT_AUT_BUDGET) -> ActionPair:
     if isinstance(spec, str):
         spec = parse_family(spec)
@@ -411,7 +411,7 @@ def build_action(G: GroupTable, spec: Union[str, FamilySpec], *,
         return trivial_action(G)
     if name == "inner":
         _int_args(spec, 0)
-        return inner_action(G)
+        return inner_action(G, cap=action_cap)
     if name == "jordan":
         _int_args(spec, 0)
         m = 1
@@ -420,8 +420,7 @@ def build_action(G: GroupTable, spec: Union[str, FamilySpec], *,
     elif name == "full_aut":
         _int_args(spec, 0)
         result = brute_force_aut(G, budget=aut_budget)
-        return ActionPair.build(G, result.automorphisms,
-                                cap=max(len(result.automorphisms), 1))
+        return ActionPair.build(G, result.automorphisms, cap=action_cap)
     else:
         raise UnknownFamily(f"unknown action {name!r}")
     sigma = automorphism_from_images(G, G.generators, _jordan_images(G, m))

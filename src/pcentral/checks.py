@@ -31,7 +31,7 @@ from .actions import (
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import paper_sigma_pair, sigma_matrix, sigma_power_closed_form
 from .elements import _p_split
-from .groups import GroupTable, center, commutator_subgroup, quotient
+from .groups import GroupTable, center, commutator_subgroup, quotient, subgroup_generated
 from .series import (
     is_omega_regular,
     is_p_central_of_height,
@@ -93,9 +93,8 @@ def _p_central_on_term(pair: ActionPair, k: int) -> bool:
 def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
     """Do the p'-elements form a subgroup of full p'-order?"""
     members = [x for x in G.elements if math.gcd(x.order(), p) == 1]
-    keys = {x.key for x in members}
     target = _p_split(G.order, p)[1]
-    closed = all(G.mul(x, y).key in keys for x in members for y in members)
+    closed = subgroup_generated(G, members).order == len(members)
     return {
         "p_prime_element_count": len(members),
         "p_prime_part": target,

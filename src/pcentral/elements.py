@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BackendMismatch, CapExceeded, SingularMatrix
+from .errors import BackendMismatch, CapExceeded, ConfigError, SingularMatrix
 
 __all__ = [
     "Element",
@@ -34,15 +34,27 @@ _TAG_PERM = 1
 _TAG_AUT = 2
 
 
+# deterministic Miller-Rabin: these bases decide every p below the least
+# strong pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
+    """Exact for p below _MR_BOUND; a larger p raises ConfigError."""
+    if p >= _MR_BOUND:
+        raise ConfigError(f"primality is decided only below {_MR_BOUND}, got {p}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d with d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        if pow(a, d, p) != 1 and all(pow(a, d << r, p) != p - 1 for r in range(s)):
+            return False  # p is not a strong probable prime to base a
     return True
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "is_normal",
     "normal_closure",
     "quotient",
-    "commutator",
     "commutator_subgroup",
     "center",
     "centralizer",
@@ -247,32 +246,23 @@ def normal_closure(G: GroupTable, seeds: Iterable[Element],
         H = subgroup_generated(G, H.generators + tuple(grown))
 
 
-def commutator(x: Element, y: Element) -> Element:
-    """[x, y] = x^-1 y^-1 x y."""
-    return x.inverse() * y.inverse() * x * y
-
-
 def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTable:
-    """Normal closure in G of the subgroup generated by commutators [X, Y].
-
-    Seeds run over all of X against Y's generators; the identity
-    [x, t1*t2] = [x,t2] * ([x,t1] conjugated by t2) makes this agree with the
-    all-pairs sweep once the normal closure is taken (the all-pairs version is
-    the test oracle).  When X and Y are both normal the closure pass must be a
-    no-op, and that is asserted.
+    """[X, Y]: the normal closure in G of [x, y] for the generators x of X and
+    y of Y.  Modulo that closure the generators of X and Y commute, so it holds
+    every [x, y] with x in X and y in Y (Holt–Eick–O'Brien, *Handbook of
+    Computational Group Theory*, 2005).  When X and Y are both normal every
+    generator of [X, Y] lies in X ∩ Y, and that is asserted.
     """
-    seeds = {G.comm(x, t) for x in X.elements for t in Y.generators}
-    H0 = subgroup_generated(G, seeds)
-    H = normal_closure(G, H0.generators)
-    if H.order != H0.order and is_normal(G, X) and is_normal(G, Y):
-        raise AssertionError("normal-closure pass grew [X,Y] for normal X, Y")
+    H = normal_closure(G, {G.comm(x, y) for x in X.generators for y in Y.generators})
+    if (any(h.key not in X.keys or h.key not in Y.keys for h in H.generators)
+            and is_normal(G, X) and is_normal(G, Y)):
+        raise AssertionError("[X, Y] left X ∩ Y for normal X, Y")
     return H
 
 
 def center(G: GroupTable) -> GroupTable:
     if "center" not in G._cache:
-        G._cache["center"] = G.subgroup(
-            x for x in G.elements if all(G.mul(x, g) == G.mul(g, x) for g in G.generators))
+        G._cache["center"] = centralizer(G, G.generators)
     return G._cache["center"]
 
 

@@ -17,6 +17,7 @@ from pcentral.actions import (
     inner_action,
     is_p_central_action,
     mixed_commutator,
+    mixed_commutator_subgroup,
     mixed_lower_central_series,
     mixed_series_definitional,
     order_matches_quotient_triviality,
@@ -313,3 +314,13 @@ def test_quotient_triviality_commutes_only_generators(monkeypatch):
     monkeypatch.setattr(actions, "mixed_commutator", counting)
     order_matches_quotient_triviality(pair, pair.A_elements[-1], 1)
     assert len(calls) == len(pair.G.generators)  # one per generator, not |G| = 729
+
+
+@pytest.mark.parametrize("gspec,aspec", [
+    ("dihedral(16)", "inner"), ("elementary_abelian(2,2)", "full_aut")])
+def test_mixed_commutator_subgroup_is_the_second_mixed_term(gspec, aspec):
+    pair = build_action(build_group(gspec), aspec)
+    H = mixed_commutator_subgroup(pair)
+    assert H is gamma_term(pair, 2)
+    # under its full automorphism group E(2,2) has [G, A] = G
+    assert (H is pair.G) == (aspec == "full_aut")

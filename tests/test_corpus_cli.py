@@ -296,6 +296,24 @@ def test_closure_cap_aborts_a_run_with_exit_3(tmp_path):
                  str(tmp_path / "out"), "--quiet"]) == EXIT_BUDGET
 
 
+def test_action_cap_bounds_every_action(tmp_path):
+    data = {"caps": {"action_cap": 2}, "entries": [
+        {"id": "q8--inner", "group": "quaternion(8)", "action": "inner",
+         "checks": ["main_regularity"]},
+        {"id": "e22--full-aut", "group": "elementary_abelian(2,2)",
+         "action": "full_aut", "checks": ["main_regularity"]},
+        {"id": "e23--jordan", "group": "elementary_abelian(2,3)",
+         "action": "jordan", "checks": ["main_regularity"]}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_BUDGET
+    records = [json.loads(line) for line in (out / "report.ndjson").read_text().splitlines()]
+    assert [(r["entry"], r["error"]["type"]) for r in records] == [
+        ("q8--inner", "CapExceeded"), ("e22--full-aut", "CapExceeded"),
+        ("e23--jordan", "CapExceeded")]
+
+
 def test_aut_budget_bounds_sylow_aut_exponent(tmp_path):
     data = {"caps": {"aut_budget": 5}, "entries": [
         {"id": "aut--e32", "group": "elementary_abelian(3,2)",
@@ -418,6 +436,14 @@ def test_cli_aut_bad_option_exits_4(argv, message, capsys):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+
+
+def test_cli_aut_large_sylow_prime_is_decided_at_once(capsys):
+    assert main(["aut", "cyclic(2,1)", "--sylow", "1000000000000000003"]) == 0
+    assert json.loads(capsys.readouterr().out)["sylow_order"] == 1
+    assert main(["aut", "cyclic(2,1)", "--sylow",
+                 "3317044064679887385961981"]) == EXIT_CONFIG
+    assert "decided only below 3317044064679887385961981" in capsys.readouterr().err
 
 
 def test_cli_aut_sylow_prime_beyond_matrix_encoding(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcentral.elements import FpMatrix, Permutation, _is_prime, decode_element
-from pcentral.errors import BackendMismatch, CapExceeded, SingularMatrix
+from pcentral.errors import BackendMismatch, CapExceeded, ConfigError, SingularMatrix
 
 
 def schoolbook(a, b, p):
@@ -78,6 +78,14 @@ def test_is_prime_matches_trial_division():
         n for n in range(10 ** 5) if _trial_division(n)]
     # strong pseudoprimes to the bases 2 and 2, 3, 5, 7
     assert not _is_prime(2047) and not _is_prime(3215031751)
+
+
+def test_is_prime_decides_large_values_and_names_its_bound():
+    assert _is_prime(1000000000000000003) and _is_prime(2 ** 61 - 1)
+    assert not _is_prime(1000000007 * 998244353)
+    # the least strong pseudoprime to every base 2 ... 41
+    with pytest.raises(ConfigError, match="3317044064679887385961981"):
+        _is_prime(3317044064679887385961981)
 
 
 def test_key_roundtrip():

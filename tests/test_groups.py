@@ -23,6 +23,7 @@ from pcentral.errors import (
 )
 from pcentral.groups import (
     Automorphism,
+    GroupTable,
     automorphism_from_images,
     center,
     close,
@@ -67,6 +68,20 @@ def test_commutator_subgroup_matches_all_pairs_oracle(spec):
         G, (G.comm(x, y) for x in G.elements for y in G.elements))
     fast = commutator_subgroup(G, G, G)
     assert fast.keys == brute.keys
+
+
+def test_commutator_subgroup_commutes_only_generators(monkeypatch):
+    G = build_group("ut(4,3)")
+    calls = []
+    real = GroupTable.comm
+
+    def counting(self, x, y):
+        calls.append(x)
+        return real(self, x, y)
+
+    monkeypatch.setattr(GroupTable, "comm", counting)
+    assert commutator_subgroup(G, G, G).order == 27
+    assert len(calls) == len(G.generators) ** 2  # 9, not |G| * 3 = 2187
 
 
 @pytest.mark.parametrize("spec", ["dihedral(16)", "sym(3)", "heisenberg(3)",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -294,11 +294,22 @@ def _direct_product(g1: GroupTable, g2: GroupTable, cap: int) -> GroupTable:
 # -- dispatch ------------------------------------------------------------
 
 
-FAMILY_NAMES = (
-    "elementary_abelian", "cyclic", "heisenberg", "ut", "dihedral",
-    "quaternion", "direct_product", "wreath_cp_cp", "sym", "alt",
-    "sl2_3", "dic3",
-)
+# family -> (number of integer arguments, builder taking them and the cap)
+_FAMILIES: Dict[str, Tuple[int, Callable[..., GroupTable]]] = {
+    "elementary_abelian": (2, _elementary_abelian),
+    "cyclic": (2, _cyclic),
+    "heisenberg": (1, lambda p, cap: _unitriangular(3, p, cap)),
+    "ut": (2, _unitriangular),
+    "dihedral": (1, _dihedral),
+    "quaternion": (1, _quaternion),
+    "wreath_cp_cp": (1, _wreath_cp_cp),
+    "sym": (1, _sym),
+    "alt": (1, _alt),
+    "sl2_3": (0, _sl2_3),
+    "dic3": (0, _dic3),
+}
+
+FAMILY_NAMES = (*_FAMILIES, "direct_product")
 
 
 def build_group(spec: Union[str, FamilySpec], *,
@@ -306,39 +317,9 @@ def build_group(spec: Union[str, FamilySpec], *,
     if isinstance(spec, str):
         spec = parse_family(spec)
     name = spec.name
-    if name == "elementary_abelian":
-        p, n = _int_args(spec, 2)
-        return _elementary_abelian(p, n, cap)
-    if name == "cyclic":
-        p, n = _int_args(spec, 2)
-        return _cyclic(p, n, cap)
-    if name == "heisenberg":
-        (p,) = _int_args(spec, 1)
-        return _unitriangular(3, p, cap)
-    if name == "ut":
-        n, p = _int_args(spec, 2)
-        return _unitriangular(n, p, cap)
-    if name == "dihedral":
-        (order,) = _int_args(spec, 1)
-        return _dihedral(order, cap)
-    if name == "quaternion":
-        (order,) = _int_args(spec, 1)
-        return _quaternion(order, cap)
-    if name == "wreath_cp_cp":
-        (p,) = _int_args(spec, 1)
-        return _wreath_cp_cp(p, cap)
-    if name == "sym":
-        (n,) = _int_args(spec, 1)
-        return _sym(n, cap)
-    if name == "alt":
-        (n,) = _int_args(spec, 1)
-        return _alt(n, cap)
-    if name == "sl2_3":
-        _int_args(spec, 0)
-        return _sl2_3(cap)
-    if name == "dic3":
-        _int_args(spec, 0)
-        return _dic3(cap)
+    if name in _FAMILIES:
+        count, builder = _FAMILIES[name]
+        return builder(*_int_args(spec, count), cap)
     if name == "direct_product":
         if len(spec.args) != 2 or not all(isinstance(a, FamilySpec) for a in spec.args):
             raise ConfigError(f"direct_product takes two nested specs, got {spec}")

@@ -10,9 +10,7 @@ out", recording the per-index detail in the witnesses.
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .actions import (
@@ -38,6 +36,7 @@ from .series import (
     lower_central_series,
     nilpotency_class,
     omega_conv,
+    omega_series,
     omega_subgroup,
     small_elements_lie_in,
     upper_central_series,
@@ -76,18 +75,29 @@ __all__ = [
 ]
 
 
-def _timed(fn: Callable[..., Verdict]) -> Callable[..., Verdict]:
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs) -> Verdict:
-        t0 = time.perf_counter()
-        v = fn(*args, **kwargs)
-        v.millis = (time.perf_counter() - t0) * 1000.0
-        return v
-    return wrapper
-
-
 def _p_central_on_term(pair: ActionPair, k: int) -> bool:
     return is_p_central_action(pair, gamma_term(pair, k))
+
+
+def _gate(check: str, G: GroupTable,
+          hypothesis: Callable[[], bool]) -> Optional[Verdict]:
+    """None when G is a p-group and ``hypothesis()`` (asked only then)
+    holds, else the skipped verdict."""
+    if G.is_p_group and hypothesis():
+        return None
+    return conclude(check, False, None, {"group_is_p_group": G.is_p_group})
+
+
+def _p_central_gate(check: str, pair: ActionPair) -> Optional[Verdict]:
+    """_gate on A being small-element-trivial on the p-th mixed term."""
+    return _gate(check, pair.G, lambda: _p_central_on_term(pair, pair.G.p))
+
+
+def _inner_gate(check: str, G: GroupTable) -> Optional[Verdict]:
+    """_gate on conjugation fixing every small element of the p-th lower
+    central term."""
+    return _gate(check, G, lambda: small_elements_lie_in(
+        lower_central_series(G).term(G.p), center(G), G.p))
 
 
 def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
@@ -103,10 +113,21 @@ def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
     }
 
 
+def _complement_verdict(check: str, G: GroupTable, p: int, per: str,
+                        rows: List[Dict[str, object]]) -> Verdict:
+    """Skipped unless some row's hypothesis holds, else whether G has a
+    normal p-complement."""
+    witnesses = {"p": p, per: rows}
+    if not any(row["hypothesis"] for row in rows):
+        return conclude(check, False, None, witnesses)
+    facts = _has_normal_p_complement(G, p)
+    return conclude(check, True, bool(facts["complement_exists"]),
+                    {**witnesses, **facts})
+
+
 # -- catalog self-description --------------------------------------------
 
 
-@_timed
 def check_catalog_facts(G: GroupTable, expected: Dict[str, object]) -> Verdict:
     """Structural facts (order, exponent, class, order histogram) against the
     values frozen from an enumeration run."""
@@ -127,7 +148,6 @@ def check_catalog_facts(G: GroupTable, expected: Dict[str, object]) -> Verdict:
 # -- mixed series structure ----------------------------------------------
 
 
-@_timed
 def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     """Graded containment of mixed terms against the acting group's own lower
     central series, plus strict descent down to 1 for p-group pairs."""
@@ -158,7 +178,6 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
                      "strictly_descending": descending, "reaches_one": reaches_one})
 
 
-@_timed
 def check_mixed_series_oracle(pair: ActionPair, *, k_max: int = 5,
                               size_limit: int = 256) -> Verdict:
     """Recursive mixed series vs the raw left-normed-commutator enumeration.
@@ -180,7 +199,6 @@ def check_mixed_series_oracle(pair: ActionPair, *, k_max: int = 5,
                      "mismatches": diffs})
 
 
-@_timed
 def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
     """For k >= 2 with the action small-element-trivial on the k-th mixed term:
     omega of the (k-1)-th lower central term of H sits inside omega of the k-th
@@ -215,7 +233,6 @@ def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
 # -- regularity ----------------------------------------------------------
 
 
-@_timed
 def check_xu_regularity(G: GroupTable) -> Verdict:
     """If small elements of the (p-1)-th lower central term are central, the
     order-p^n element sets are subgroups, and (p odd) the agemo index is
@@ -249,18 +266,13 @@ def check_xu_regularity(G: GroupTable) -> Verdict:
     return conclude("xu_regularity", True, ok, witnesses)
 
 
-@_timed
 def check_omega_exponent_bound(pair: ActionPair) -> Verdict:
     """Under the p-central hypothesis on the p-th mixed term, omega_n of
     H = [G,A] has exponent at most p^n, and for odd p the agemo index of H is
     bounded by the omega order."""
-    G = pair.G
-    base = G.is_p_group
-    hyp = base and _p_central_on_term(pair, G.p)
-    if not hyp:
-        return conclude("omega_exponent_bound", False, None,
-                        {"group_is_p_group": base})
-    p = G.p
+    if skipped := _p_central_gate("omega_exponent_bound", pair):
+        return skipped
+    p = pair.G.p
     H = commutator_group_of_pair(pair)
     m, r = _p_split(H.exponent(), p)
     per_n = []
@@ -282,7 +294,6 @@ def check_omega_exponent_bound(pair: ActionPair) -> Verdict:
                      "per_n": per_n})
 
 
-@_timed
 def check_prime_order_action(pair: ActionPair) -> Verdict:
     """An acting group of order exactly p, small-element-trivial on the p-th
     mixed term, forces exponent at most p on [G,A]."""
@@ -301,7 +312,10 @@ def check_prime_order_action(pair: ActionPair) -> Verdict:
 
 
 def _qualifying_ks(pair: ActionPair) -> List[int]:
-    """k in [1, p] with the action small-element-trivial on the k-th term."""
+    """k in [1, p] with the action small-element-trivial on the k-th term;
+    none unless G and A are p-groups."""
+    if not (pair.G.is_p_group and aut_as_perm_group(pair).is_p_group):
+        return []
     p = pair.G.p
     s = mixed_lower_central_series(pair)
     hi = min(p, s.stabilized_at + 1)
@@ -315,65 +329,49 @@ def _qualifying_ks(pair: ActionPair) -> List[int]:
     return ks
 
 
-@_timed
+def _no_qualifying_k(check: str, pair: ActionPair) -> Verdict:
+    """The skipped verdict of a check quantified over qualifying k."""
+    return conclude(check, False, None,
+                    {"group_is_p_group": pair.G.is_p_group,
+                     "acting_group_is_p_group": aut_as_perm_group(pair).is_p_group,
+                     "qualifying_ks": []})
+
+
 def check_quotient_inheritance(pair: ActionPair) -> Verdict:
     """A p-group action small-element-trivial on the k-th mixed term (k <= p)
     stays so after factoring out each omega term of H = [G,A]."""
-    G = pair.G
-    P = aut_as_perm_group(pair)
-    base = G.is_p_group and P.is_p_group
-    ks = _qualifying_ks(pair) if base else []
-    if not (base and ks):
-        return conclude("quotient_inheritance", False, None,
-                        {"group_is_p_group": G.is_p_group,
-                         "acting_group_is_p_group": P.is_p_group,
-                         "qualifying_ks": ks})
-    H = commutator_group_of_pair(pair)
+    ks = _qualifying_ks(pair)
+    if not ks:
+        return _no_qualifying_k("quotient_inheritance", pair)
+    omegas = omega_series(commutator_group_of_pair(pair))
     detail = []
     ok = True
     for k in ks:
-        i = 1
-        while True:
-            om = omega_subgroup(H, i)
+        for i, om in enumerate(omegas, 1):
             qpair = induced_quotient_action(pair, om)
             good = _p_central_on_term(qpair, k)
             detail.append({"k": k, "i": i, "omega_order": om.order,
                            "quotient_order": qpair.G.order, "ok": good})
             ok &= good
-            if om.order == H.order:
-                break
-            i += 1
     return conclude("quotient_inheritance", True, ok,
                     {"qualifying_ks": ks, "per_quotient": detail})
 
 
-@_timed
 def check_omega_ladder(pair: ActionPair) -> Verdict:
     """With L the k-th mixed term (k <= p qualifying): the action is
     small-element-trivial on L mod each omega term of L, and commutators of
     omega_i(L) with the action land in omega_{i-1}(L)."""
-    G = pair.G
-    P = aut_as_perm_group(pair)
-    base = G.is_p_group and P.is_p_group
-    ks = _qualifying_ks(pair) if base else []
-    if not (base and ks):
-        return conclude("omega_ladder", False, None,
-                        {"group_is_p_group": G.is_p_group,
-                         "acting_group_is_p_group": P.is_p_group,
-                         "qualifying_ks": ks})
+    ks = _qualifying_ks(pair)
+    if not ks:
+        return _no_qualifying_k("omega_ladder", pair)
     detail = []
     ok = True
     for k in ks:
-        L = gamma_term(pair, k)
-        rpair = restrict_action(pair, L)
-        Lgrp = rpair.G
-        i = 1
-        while True:
-            omL = omega_subgroup(Lgrp, i)
+        rpair = restrict_action(pair, gamma_term(pair, k))
+        prev = rpair.G.trivial_subgroup
+        for i, omL in enumerate(omega_series(rpair.G), 1):
             qpair = induced_quotient_action(rpair, omL)
             central_above = is_p_central_action(qpair)
-            prev = (omega_subgroup(Lgrp, i - 1) if i > 1
-                    else Lgrp.trivial_subgroup)
             steps_down = all(
                 mixed_commutator(x, a).key in prev.keys
                 for x in omL.generators for a in rpair.A_generators)
@@ -381,9 +379,7 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
                            "quotient_action_small_trivial": central_above,
                            "commutators_drop_a_level": steps_down})
             ok &= central_above and steps_down
-            if omL.order == Lgrp.order:
-                break
-            i += 1
+            prev = omL
     return conclude("omega_ladder", True, ok,
                     {"qualifying_ks": ks, "per_level": detail})
 
@@ -391,7 +387,6 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
 # -- the acting group itself ---------------------------------------------
 
 
-@_timed
 def check_faithful_p_group(pair: ActionPair) -> Verdict:
     """If the action is small-element-trivial on some mixed term, the (always
     faithful, automorphism-realized) acting group must be a p-group."""
@@ -413,18 +408,13 @@ def check_faithful_p_group(pair: ActionPair) -> Verdict:
                     {"per_i": per_i, "A_order": pair.A_order})
 
 
-@_timed
 def check_power_order_criterion(pair: ActionPair) -> Verdict:
     """Under the p-central hypothesis on the p-th mixed term: each acting
     element has order dividing p^n exactly when its mixed commutators with G's
     generators (which suffice) land in omega_n of H = [G,A], for every n."""
-    G = pair.G
-    base = G.is_p_group
-    hyp = base and _p_central_on_term(pair, G.p)
-    if not hyp:
-        return conclude("power_order_criterion", False, None,
-                        {"group_is_p_group": base})
-    p = G.p
+    if skipped := _p_central_gate("power_order_criterion", pair):
+        return skipped
+    p = pair.G.p
     exp_a = aut_as_perm_group(pair).exponent()
     m, r = _p_split(exp_a, p)
     if r != 1:
@@ -445,18 +435,13 @@ def check_power_order_criterion(pair: ActionPair) -> Verdict:
                      "failures": failures})
 
 
-@_timed
 def check_main_regularity(pair: ActionPair) -> Verdict:
     """The main regularity bundle, under small-element-triviality on the p-th
     mixed term: omega sets of H = [G,A] and of the acting group are subgroups,
     the two exponents agree, and both nilpotency classes obey n + p - 2."""
-    G = pair.G
-    base = G.is_p_group
-    hyp = base and _p_central_on_term(pair, G.p)
-    if not hyp:
-        return conclude("main_regularity", False, None,
-                        {"group_is_p_group": base})
-    p = G.p
+    if skipped := _p_central_gate("main_regularity", pair):
+        return skipped
+    p = pair.G.p
     H = commutator_group_of_pair(pair)
     P = aut_as_perm_group(pair)
     parts: Dict[str, object] = {}
@@ -486,20 +471,11 @@ def check_main_regularity(pair: ActionPair) -> Verdict:
 # -- conjugation corollaries ---------------------------------------------
 
 
-def _inner_small_central(G: GroupTable) -> bool:
-    """Does conjugation fix every small element of the p-th lower central term?"""
-    return small_elements_lie_in(lower_central_series(G).term(G.p), center(G), G.p)
-
-
-@_timed
 def check_derived_exponent(G: GroupTable) -> Verdict:
     """Conjugation small-element-trivial on the p-th lower central term forces
     equal exponents for the derived subgroup and the central quotient."""
-    base = G.is_p_group
-    hyp = base and _inner_small_central(G)
-    if not hyp:
-        return conclude("derived_exponent", False, None,
-                        {"group_is_p_group": base})
+    if skipped := _inner_gate("derived_exponent", G):
+        return skipped
     derived = lower_central_series(G).term(2)
     Q = quotient(G, center(G))
     return conclude("derived_exponent", True,
@@ -508,15 +484,11 @@ def check_derived_exponent(G: GroupTable) -> Verdict:
                      "central_quotient_exponent": Q.exponent()})
 
 
-@_timed
 def check_derived_omega_identity(G: GroupTable) -> Verdict:
     """Sharper form: commutating the preimage of omega_k(G/Z) with G yields
     exactly omega_k of the derived subgroup, for every k."""
-    base = G.is_p_group
-    hyp = base and _inner_small_central(G)
-    if not hyp:
-        return conclude("derived_omega_identity", False, None,
-                        {"group_is_p_group": base})
+    if skipped := _inner_gate("derived_omega_identity", G):
+        return skipped
     p = G.p
     Q = quotient(G, center(G))
     derived = lower_central_series(G).term(2)
@@ -537,7 +509,6 @@ def check_derived_omega_identity(G: GroupTable) -> Verdict:
 # -- full automorphism group rows ----------------------------------------
 
 
-@_timed
 def check_sylow_aut_exponent(G: GroupTable, *,
                              budget: int = DEFAULT_AUT_BUDGET) -> Verdict:
     """Non-cyclic exponent-p groups of order at most p^p have Sylow p-subgroups
@@ -562,52 +533,28 @@ def check_sylow_aut_exponent(G: GroupTable, *,
 # -- general finite groups: complements ----------------------------------
 
 
-@_timed
 def check_normal_p_complement(G: GroupTable, p: int) -> Verdict:
     """Conjugation small-element-trivial on some lower central term forces a
     normal p-complement (the p'-elements form a full-order subgroup)."""
     Z = center(G)
     s = lower_central_series(G)
-    per_i = []
-    any_hyp = False
-    for i in range(1, s.stabilized_at + 2):
-        term = s.term(i)
-        h = small_elements_lie_in(term, Z, p)
-        per_i.append({"i": i, "term_order": term.order, "hypothesis": h})
-        any_hyp |= h
-    if not any_hyp:
-        return conclude("normal_p_complement", False, None,
-                        {"p": p, "per_i": per_i})
-    facts = _has_normal_p_complement(G, p)
-    return conclude("normal_p_complement", True,
-                    bool(facts["complement_exists"]),
-                    {"p": p, "per_i": per_i, **facts})
+    per_i = [{"i": i, "term_order": s.term(i).order,
+              "hypothesis": small_elements_lie_in(s.term(i), Z, p)}
+             for i in range(1, s.stabilized_at + 2)]
+    return _complement_verdict("normal_p_complement", G, p, "per_i", per_i)
 
 
-@_timed
 def check_height_p_complement(G: GroupTable, p: int) -> Verdict:
     """Small elements inside the k-th upper central term (some k) force a
     normal p-complement."""
-    s = upper_central_series(G)
-    per_k = []
-    any_hyp = False
-    for k in range(1, s.stabilized_at + 2):
-        h = is_p_central_of_height(G, k, p)
-        per_k.append({"k": k, "hypothesis": h})
-        any_hyp |= h
-    if not any_hyp:
-        return conclude("height_p_complement", False, None,
-                        {"p": p, "per_k": per_k})
-    facts = _has_normal_p_complement(G, p)
-    return conclude("height_p_complement", True,
-                    bool(facts["complement_exists"]),
-                    {"p": p, "per_k": per_k, **facts})
+    per_k = [{"k": k, "hypothesis": is_p_central_of_height(G, k, p)}
+             for k in range(1, upper_central_series(G).stabilized_at + 2)]
+    return _complement_verdict("height_p_complement", G, p, "per_k", per_k)
 
 
 # -- the explicit example ------------------------------------------------
 
 
-@_timed
 def check_sigma_example_tightness(p: int) -> Verdict:
     """Report on the explicit rank-(p+1) example: both readings of its p-th
     mixed term, the p-squared acting order against the exponent-p commutator

@@ -18,16 +18,18 @@ from typing import List, Optional
 
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import build_group
-from .checks import check_sigma_example_tightness
 from .corpus import (
+    DEFAULT_CAPS,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_COUNTEREXAMPLE,
     EXIT_INTERNAL,
+    Entry,
     ExperimentConfig,
     default_config,
     replay_bundle,
     run_corpus,
+    run_entry,
 )
 from .elements import _is_prime
 from .errors import BudgetExceeded, CapExceeded, ConfigError, PcentralError
@@ -169,7 +171,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    v = check_sigma_example_tightness(args.p)
+    (v,) = run_entry(Entry(f"sigma--{args.p}", ("sigma_example_tightness",),
+                           sigma=args.p), DEFAULT_CAPS)
     print(json.dumps(v.to_dict(), indent=2, sort_keys=True))
     return EXIT_COUNTEREXAMPLE if v.conclusion == FAIL else 0
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .autsearch import DEFAULT_AUT_BUDGET
 from .catalog import ACTION_NAMES, FAMILY_NAMES, build_action, build_group, parse_family
-from .checks import ALL_CHECK_NAMES, CHECK_CAPS, CHECK_KIND
+from .checks import ALL_CHECK_NAMES, CHECK_CAPS, CHECK_KIND, GROUP_PRIME_CHECKS, PAIR_CHECKS
 from .elements import _is_prime
 from .errors import BudgetExceeded, CapExceeded, ConfigError, PcentralError
 from .groups import DEFAULT_CLOSURE_CAP, GroupTable
@@ -124,6 +125,17 @@ def _fail(msg: str, raw: Optional[str], needle: Optional[str] = None) -> ConfigE
     return ConfigError(msg + (_loc(raw, needle) if needle else ""))
 
 
+def _check_prime(here: str, key: str, value: object, raw: Optional[str],
+                 needle: str) -> None:
+    """Raise a located error unless the entry field ``key`` holds a prime."""
+    try:
+        prime = isinstance(value, int) and _is_prime(value)
+    except ConfigError as e:  # too large for the primality test to decide
+        raise _fail(here + f"{key!r}: {e}", raw, needle)
+    if not prime:
+        raise _fail(here + f"{key!r} must be a prime, got {value!r}", raw, needle)
+
+
 def _parse_entry(data: object, raw: Optional[str]) -> Entry:
     if not isinstance(data, dict):
         raise _fail("each entry must be a JSON object", raw)
@@ -154,9 +166,7 @@ def _parse_entry(data: object, raw: Optional[str]) -> Entry:
                     raw, json.dumps(entry_id))
 
     if sigma is not None:
-        if not isinstance(sigma, int) or not _is_prime(sigma):
-            raise _fail(here + f"'sigma' must be a prime, got {sigma!r}",
-                        raw, json.dumps(entry_id))
+        _check_prime(here, "sigma", sigma, raw, json.dumps(entry_id))
         bad = [c for c in checks if CHECK_KIND[c].needs != "sigma"]
         if bad:
             raise _fail(here + f"check {bad[0]!r} does not apply to a "
@@ -188,9 +198,8 @@ def _parse_entry(data: object, raw: Optional[str]) -> Entry:
                         json.dumps(action_spec))
 
     p = data.get("p")
-    if p is not None and (not isinstance(p, int) or not _is_prime(p)):
-        raise _fail(here + f"'p' must be a prime, got {p!r}",
-                    raw, json.dumps(entry_id))
+    if p is not None:
+        _check_prime(here, "p", p, raw, json.dumps(entry_id))
 
     expect = data.get("expect")
     if expect is not None and not isinstance(expect, dict):
@@ -225,12 +234,12 @@ class ExperimentConfig:
         for k, v in (data.get("caps") or {}).items():
             if k not in DEFAULT_CAPS:
                 raise _fail(f"unknown cap {k!r}", raw, json.dumps(k))
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise _fail(f"cap {k!r} must be a positive integer", raw,
                             json.dumps(k))
             caps[k] = v
         par = data.get("parallelism", 1)
-        if not isinstance(par, int) or par < 1:
+        if isinstance(par, bool) or not isinstance(par, int) or par < 1:
             raise _fail("'parallelism' must be a positive integer", raw,
                         json.dumps("parallelism"))
         raw_entries = data.get("entries")
@@ -267,20 +276,7 @@ class ExperimentConfig:
 # -- default corpus -------------------------------------------------------
 
 
-_PAIR_BATTERY = (
-    "mixed_series_ladder",
-    "mixed_series_oracle",
-    "omega_center_sandwich",
-    "omega_exponent_bound",
-    "prime_order_action",
-    "quotient_inheritance",
-    "omega_ladder",
-    "faithful_p_group",
-    "power_order_criterion",
-    "main_regularity",
-)
 _GROUP_BATTERY = ("xu_regularity", "derived_exponent", "derived_omega_identity")
-_COMPLEMENT_BATTERY = ("normal_p_complement", "height_p_complement")
 
 _DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("cyclic(2,1)", "trivial"),
@@ -415,13 +411,13 @@ def _default_entry_dicts() -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for gspec, aspec in _DEFAULT_PAIRS:
         rows.append({"id": f"{_slug(gspec)}--{_slug(aspec)}", "group": gspec,
-                     "action": aspec, "checks": list(_PAIR_BATTERY)})
+                     "action": aspec, "checks": list(PAIR_CHECKS)})
     for gspec in _DEFAULT_GROUPS:
         rows.append({"id": f"{_slug(gspec)}--structure", "group": gspec,
                      "checks": list(_GROUP_BATTERY)})
     for gspec, p in _DEFAULT_COMPLEMENTS:
         rows.append({"id": f"{_slug(gspec)}--mod{p}", "group": gspec, "p": p,
-                     "checks": list(_COMPLEMENT_BATTERY)})
+                     "checks": list(GROUP_PRIME_CHECKS)})
     for gspec in _DEFAULT_AUT_ROWS:
         rows.append({"id": f"aut--{_slug(gspec)}", "group": gspec,
                      "checks": ["sylow_aut_exponent"]})
@@ -444,7 +440,8 @@ def default_config() -> ExperimentConfig:
 
 def run_entry(entry: Entry, caps: Dict[str, int],
               G: Optional[GroupTable] = None) -> List[Verdict]:
-    """Run one entry's checks, each through its registry with its caps.
+    """Run one entry's checks, each through its registry with its caps,
+    and set each verdict's ``millis`` to the call's wall time.
 
     ``G`` overrides the catalog build (used when replaying a bundle, which
     restores the serialized table instead of rebuilding from the family).
@@ -461,8 +458,10 @@ def run_entry(entry: Entry, caps: Dict[str, int],
     for c in entry.checks:
         kind = CHECK_KIND[c]
         kwargs = {kw: caps[cap] for kw, cap in CHECK_CAPS.get(c, {}).items()}
-        verdicts.append(kind.registry[c](*(inputs[i] for i in kind.takes),
-                                         **kwargs))
+        t0 = time.perf_counter()
+        v = kind.registry[c](*(inputs[i] for i in kind.takes), **kwargs)
+        v.millis = (time.perf_counter() - t0) * 1000.0
+        verdicts.append(v)
     return verdicts
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "omega_set",
     "omega_subgroup",
     "omega_conv",
+    "omega_series",
     "agemo",
     "is_omega_regular",
     "xu_inequality",
@@ -114,6 +115,14 @@ def omega_conv(G: GroupTable) -> GroupTable:
     """Ω(G): Ω_1 for odd p, Ω_2 for p = 2 (matching central_order_bound)."""
     p = G.require_p_group()
     return omega_subgroup(G, 2 if p == 2 else 1)
+
+
+def omega_series(G: GroupTable) -> List[GroupTable]:
+    """Ω_1(G) ≤ Ω_2(G) ≤ ..., ending at the first term equal to G."""
+    terms = [omega_subgroup(G, 1)]
+    while terms[-1].order != G.order:
+        terms.append(omega_subgroup(G, len(terms) + 1))
+    return terms
 
 
 def agemo(G: GroupTable, n: int) -> GroupTable:

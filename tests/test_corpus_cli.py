@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pcentral import checks, cli
+from pcentral import checks
 from pcentral.catalog import build_group
 from pcentral.cli import main
 from pcentral.corpus import (
@@ -85,6 +85,10 @@ def test_invalid_json_reports_position():
     (lambda d: d.update(extra=1), r"unknown configuration key 'extra'", True),
     (lambda d: d["caps"].update(warp_factor=9), r"unknown cap 'warp_factor'", True),
     (lambda d: d["caps"].update(closure_cap=0), r"must be a positive integer", True),
+    (lambda d: d["caps"].update(action_cap=True),
+     r"cap 'action_cap' must be a positive integer", True),
+    (lambda d: d.update(parallelism=True),
+     r"'parallelism' must be a positive integer", True),
     (lambda d: d.update(entries=[]), r"'entries' must be a non-empty list", True),
     (lambda d: d["entries"][0].pop("id"),
      r"missing a non-empty string 'id'", False),
@@ -462,6 +466,20 @@ def test_designated_prime_beyond_matrix_encoding_runs(tmp_path):
         ("normal_p_complement", "pass"), ("height_p_complement", "pass")]
 
 
+@pytest.mark.parametrize("field,index", [("p", 2), ("sigma", 3)])
+def test_cli_prime_beyond_the_test_bound_is_located(tmp_path, capsys,
+                                                    field, index):
+    data = mini_config_dict()
+    data["entries"][index][field] = 3317044064679887385961981
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps(data, indent=2))
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "decided only below 3317044064679887385961981" in err
+    assert f"'{field}'" in err and "(line " in err
+
+
 def test_cli_sigma_non_prime_names_sigma(capsys):
     assert main(["sigma", "4"]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -474,6 +492,7 @@ def test_cli_sigma(capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["check"] == "sigma_example_tightness"
     assert verdict["conclusion"] == "pass"
+    assert verdict["millis"] > 0  # measured by the runner
 
 
 def _raise_assertion(*args, **kwargs):
@@ -481,7 +500,8 @@ def _raise_assertion(*args, **kwargs):
 
 
 def test_cli_sigma_internal_error_exits_5(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "check_sigma_example_tightness", _raise_assertion)
+    monkeypatch.setitem(checks.SIGMA_CHECKS, "sigma_example_tightness",
+                        _raise_assertion)
     assert main(["sigma", "2"]) == EXIT_INTERNAL
     assert ("internal error: AssertionError: seeded internal fault"
             in capsys.readouterr().err)

@@ -1,7 +1,8 @@
 """Every exported name resolves, and so does every name the layer tracer of
 ``perfbench/`` rebinds, so a deleted or renamed function cannot silently
 break a traced benchmark run.  The tracer is read as source, not imported.
-No module of the package imports a name it does not use.
+No module of the package imports a name it does not use, and every private
+module-level function or class is used somewhere outside its definition.
 """
 
 import ast
@@ -108,3 +109,40 @@ def test_no_unused_imports(path):
     exported = ast.literal_eval(_assigned(tree, "__all__")) if "__all__" in used else ()
     unused = sorted(set(imported) - used - set(exported))
     assert not unused, f"{path.name} imports unused names {unused}"
+
+
+def _uses(tree):
+    """(name, line) of each name, attribute, imported name or string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+@pytest.fixture(scope="module")
+def name_uses():
+    uses = {}
+    for path in [*(ROOT / "src" / "pcentral").glob("*.py"),
+                 *(ROOT / "tests").glob("*.py")]:
+        for name, line in _uses(ast.parse(path.read_text())):
+            uses.setdefault(name, set()).add((path, line))
+    return uses
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "pcentral").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_private_definitions_are_used(path, name_uses):
+    unused = []
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")):
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or line not in inside
+                       for p, line in name_uses.get(node.name, ())):
+                unused.append(node.name)
+    assert not unused, f"{path.name} defines unused private names {unused}"

@@ -12,6 +12,7 @@ from pcentral.series import (
     lower_central_series,
     nilpotency_class,
     omega_conv,
+    omega_series,
     omega_set,
     omega_subgroup,
     upper_central_series,
@@ -78,6 +79,15 @@ def test_omega_regularity_good_cases():
     assert is_omega_regular(build_group("heisenberg(3)"), 1)
     G = build_group("wreath_cp_cp(3)")
     assert is_omega_regular(G, 2)  # p^2 >= exponent, trivially the whole group
+
+
+@pytest.mark.parametrize("spec,orders", [
+    ("dihedral(8)", [8]),  # exponent 4, yet its involutions generate it
+    ("cyclic(3,2)", [3, 9]),
+    ("cyclic(2,3)", [2, 4, 8]),
+])
+def test_omega_series_ends_at_the_group(spec, orders):
+    assert [t.order for t in omega_series(build_group(spec))] == orders
 
 
 def test_omega_convention_doubles_for_p_two():

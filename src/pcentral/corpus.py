@@ -230,8 +230,12 @@ class ExperimentConfig:
         if unknown:
             k = sorted(unknown)[0]
             raise _fail(f"unknown configuration key {k!r}", raw, json.dumps(k))
+        given = data.get("caps", {})
+        if not isinstance(given, dict):
+            raise _fail(f"'caps' must be a JSON object, got {json.dumps(given)}", raw,
+                        json.dumps("caps"))
         caps = dict(DEFAULT_CAPS)
-        for k, v in (data.get("caps") or {}).items():
+        for k, v in given.items():
             if k not in DEFAULT_CAPS:
                 raise _fail(f"unknown cap {k!r}", raw, json.dumps(k))
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:

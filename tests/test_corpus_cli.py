@@ -87,6 +87,10 @@ def test_invalid_json_reports_position():
     (lambda d: d["caps"].update(closure_cap=0), r"must be a positive integer", True),
     (lambda d: d["caps"].update(action_cap=True),
      r"cap 'action_cap' must be a positive integer", True),
+    (lambda d: d.update(caps=[1]), r"'caps' must be a JSON object, got \[1\]", True),
+    (lambda d: d.update(caps="x"), r"'caps' must be a JSON object, got \"x\"", True),
+    (lambda d: d.update(caps=0), r"'caps' must be a JSON object, got 0", True),
+    (lambda d: d.update(caps=None), r"'caps' must be a JSON object, got null", True),
     (lambda d: d.update(parallelism=True),
      r"'parallelism' must be a positive integer", True),
     (lambda d: d.update(entries=[]), r"'entries' must be a non-empty list", True),
@@ -478,6 +482,17 @@ def test_cli_prime_beyond_the_test_bound_is_located(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "decided only below 3317044064679887385961981" in err
     assert f"'{field}'" in err and "(line " in err
+
+
+def test_cli_caps_not_an_object_is_located(tmp_path, capsys):
+    data = mini_config_dict()
+    data["caps"] = [1]
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps(data, indent=2))
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'caps' must be a JSON object, got [1] (line 2, column 3)" in err
 
 
 def test_cli_sigma_non_prime_names_sigma(capsys):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -134,25 +134,18 @@ def _prime_power_base(n: int):
 # -- matrix-backed families ----------------------------------------------
 
 
-def _affine_row(p: int, vector: Sequence[int]) -> FpMatrix:
-    """(n+1)x(n+1) matrix [[1, v], [0, I]]; these multiply by adding rows."""
-    n = len(vector)
-    arr = np.eye(n + 1, dtype=np.int64)
-    arr[0, 1:] = np.asarray(vector, dtype=np.int64) % p
-    return FpMatrix(p, arr)
-
-
 def _elementary_abelian(p: int, n: int, cap: int) -> GroupTable:
+    """The affine row matrices [[1, v], [0, I]], which multiply by adding
+    their rows v, built from one stacked array with v in key order."""
     if not _is_prime(p) or n < 1:
         raise ConfigError(f"elementary_abelian needs a prime and a rank >= 1, got ({p},{n})")
     if p ** n > cap:
         raise CapExceeded(f"|G| = {p}^{n} exceeds cap {cap}")
-    vectors = [[]]
-    for _ in range(n):
-        vectors = [v + [c] for v in vectors for c in range(p)]
-    elements = [_affine_row(p, v) for v in vectors]
-    gens = [_affine_row(p, [1 if j == i else 0 for j in range(n)]) for i in range(n)]
-    return GroupTable(elements, gens, p=p)
+    stack = np.tile(np.eye(n + 1, dtype=np.int64), (p ** n, 1, 1))
+    stack[:, 0, 1:] = np.indices((p,) * n).reshape(n, -1).T
+    elements = FpMatrix._stack(p, stack)
+    # the unit vectors e_1, ..., e_n
+    return GroupTable(elements, [elements[p ** (n - 1 - i)] for i in range(n)], p=p)
 
 
 def _unitriangular(n: int, p: int, cap: int) -> GroupTable:

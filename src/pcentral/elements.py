@@ -10,13 +10,18 @@ in the package deterministic.  Key layout:
 
 Arithmetic is exact: matrix entries are residues mod p (numpy int64 under the
 hood), permutations are image tuples with composition (a*b)(i) = a(b(i)).
+
+Group tables also multiply in batches over key bodies, the bytes after the
+header: `_key_bodies` stacks them one row per element, and each backend's
+`_right_products` multiplies a block of rows on the right at once.  Keys that
+share a header sort like their bodies, so a table's rows are in its order.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +82,10 @@ class Element:
 
     __slots__ = ("key", "_inv", "_ord")
 
+    # (key header length, body dtype) for the batched kernels; elements
+    # without one take the per-element path
+    _BODY: Optional[Tuple[int, np.dtype]] = None
+
     def __mul__(self, other: "Element") -> "Element":
         raise NotImplementedError
 
@@ -136,6 +145,23 @@ class Element:
         return hash(self.key)
 
 
+def _key_bodies(elements: Sequence[Element]) -> Optional[np.ndarray]:
+    """The key bodies of key-sorted elements as one read-only array, a row
+    each, in their backend's body dtype.  None unless the backend has batched
+    kernels and all the keys share a header (one matrix size and prime, or one
+    degree), which for sorted keys the first and last decide."""
+    first, last = elements[0], elements[-1]
+    if first._BODY is None or type(last) is not type(first):
+        return None
+    head, dtype = first._BODY
+    if first.key[:head] != last.key[:head] or len(first.key) == head:
+        return None
+    keys = np.frombuffer(b"".join([x.key for x in elements]), dtype=np.uint8)
+    bodies = np.ascontiguousarray(keys.reshape(len(elements), -1)[:, head:]).view(dtype)
+    bodies.setflags(write=False)
+    return bodies
+
+
 def _cycle_order(self) -> int:
     """Order of an element stored as an index permutation `images`: the lcm
     of its cycle lengths.  Permutation and groups.Automorphism share it."""
@@ -161,6 +187,8 @@ class FpMatrix(Element):
 
     __slots__ = ("p", "n", "arr")
 
+    _BODY = (4, np.dtype(np.uint8))
+
     def __init__(self, p: int, rows: Sequence[Sequence[int]] | np.ndarray):
         _require_prime(p)
         arr = np.asarray(rows, dtype=np.int64)
@@ -168,9 +196,9 @@ class FpMatrix(Element):
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
         arr = np.mod(arr, p)
         arr.setflags(write=False)
-        self._init(p, arr)
+        self._init(p, arr, arr.astype(np.uint8).tobytes())
 
-    def _init(self, p: int, arr: np.ndarray) -> None:
+    def _init(self, p: int, arr: np.ndarray, body: bytes) -> None:
         self.p = p
         self.n = arr.shape[0]
         self.arr = arr
@@ -182,7 +210,7 @@ class FpMatrix(Element):
             bytes((_TAG_MATRIX,))
             + p.to_bytes(2, "little")
             + bytes((self.n,))
-            + arr.astype(np.uint8).tobytes()
+            + body
         )
         self._inv = None
         self._ord = None
@@ -191,8 +219,21 @@ class FpMatrix(Element):
     def _wrap(cls, p: int, arr: np.ndarray) -> "FpMatrix":
         m = cls.__new__(cls)
         arr.setflags(write=False)
-        m._init(p, arr)
+        m._init(p, arr, arr.astype(np.uint8).tobytes())
         return m
+
+    @classmethod
+    def _stack(cls, p: int, arrays: np.ndarray) -> List["FpMatrix"]:
+        """Matrices from an (N, n, n) int64 array, which this reduces mod p
+        in place and makes read-only; each matrix holds a view of it."""
+        _require_prime(p)
+        np.mod(arrays, p, out=arrays)
+        arrays.setflags(write=False)
+        bodies = arrays.astype(np.uint8).reshape(len(arrays), -1)
+        matrices = [cls.__new__(cls) for _ in range(len(arrays))]
+        for m, arr, body in zip(matrices, arrays, bodies):
+            m._init(p, arr, body.tobytes())
+        return matrices
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
@@ -210,6 +251,34 @@ class FpMatrix(Element):
                 f"matrix universes differ: GF({self.p})^{self.n} vs GF({other.p})^{other.n}"
             )
         return FpMatrix._wrap(self.p, (self.arr @ other.arr) % self.p)
+
+    def _right_products(self, bodies: np.ndarray) -> np.ndarray:
+        """The key bodies of x * self for the matrices x whose bodies are the
+        rows: each row's n row vectors times self, in one product.  It runs in
+        float32, which is exact here: entries are at most 250 and n at most
+        255, so every partial sum is an integer below 2^24."""
+        n = self.n
+        prod = (bodies.reshape(-1, n).astype(np.float32)
+                @ self.arr.astype(np.float32)).astype(np.int32)
+        prod %= self.p
+        return prod.astype(np.uint8).reshape(len(bodies), n * n)
+
+    def _body_orders(self, bodies: np.ndarray) -> np.ndarray:
+        """Orders of the matrices of this one's size and prime whose bodies
+        are the rows, by batched powers: each row leaves the batch when its
+        power reaches the identity."""
+        n, p = self.n, self.p
+        x = bodies.reshape(-1, n, n).astype(np.int64)
+        orders = np.zeros(len(x), dtype=np.int64)
+        live, power, k = np.arange(len(x)), x, 1
+        eye = np.eye(n, dtype=np.int64)
+        while len(live):
+            done = (power == eye).all(axis=(1, 2))
+            orders[live[done]] = k
+            live, power = live[~done], power[~done]
+            power = (power @ x[live]) % p
+            k += 1
+        return orders
 
     def _compute_inverse(self) -> "FpMatrix":
         """Gauss-Jordan elimination mod p."""
@@ -243,6 +312,8 @@ class Permutation(Element):
     """Permutation of {0, ..., degree-1}; (a*b)(i) = a(b(i))."""
 
     __slots__ = ("images",)
+
+    _BODY = (3, np.dtype("<u2"))
 
     def __init__(self, images: Iterable[int]):
         arr = np.asarray(list(images), dtype=np.int64)
@@ -299,6 +370,11 @@ class Permutation(Element):
         if other.degree != self.degree:
             raise BackendMismatch(f"degrees differ: {self.degree} vs {other.degree}")
         return Permutation._wrap(self.images[other.images])
+
+    def _right_products(self, bodies: np.ndarray) -> np.ndarray:
+        """The key bodies of x * self for the permutations x whose image rows
+        are the rows: (x * self)(i) = x(self(i)), one gather."""
+        return bodies[:, self.images]
 
     def _compute_inverse(self) -> "Permutation":
         inv = np.empty(self.degree, dtype=np.int64)

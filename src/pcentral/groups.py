@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elements import _TAG_AUT, Element, _cycle_order, _p_split, _require_prime
+from .elements import _TAG_AUT, Element, _cycle_order, _key_bodies, _p_split, _require_prime
 from .errors import (
     BackendMismatch,
     CapExceeded,
@@ -51,6 +51,13 @@ __all__ = [
 
 DEFAULT_CLOSURE_CAP = 200_000
 
+# rows the batched kernels take at once, so that their temporary arrays keep
+# one small size whatever the table's order (larger blocks measurably raised
+# peak memory on the rank-6 sigma example and gained no time)
+_BLOCK_ROWS = 256
+
+_key = operator.attrgetter("key")
+
 
 class GroupTable:
     """A finite group, fully enumerated, with a canonical element order.
@@ -66,7 +73,7 @@ class GroupTable:
         if parent is not None:
             elements = map(parent.canon, elements)
             p = parent.p
-        els = sorted(set(elements))
+        els = sorted(set(elements), key=_key)
         if not els:
             raise ValueError("a group needs at least the identity element")
         self.elements: Tuple[Element, ...] = tuple(els)
@@ -111,14 +118,57 @@ class GroupTable:
     def mul(self, x: Element, y: Element) -> Element:
         return self.canon(x * y)
 
+    def _key_bodies(self) -> Optional[np.ndarray]:
+        """The elements' key bodies, a row each (elements._key_bodies), kept
+        after the first call; None for cosets and automorphisms."""
+        if "key_bodies" not in self._cache:
+            self._cache["key_bodies"] = _key_bodies(self.elements)
+        return self._cache["key_bodies"]
+
     def _right_column(self, j: int) -> array:
-        """[index(x * e_j) for x in elements], built on first use and kept."""
+        """[index(x * e_j) for x in elements], built on first use and kept;
+        KeyError if a product lies outside the table.  Matrix and permutation
+        tables multiply their key bodies a block at a time."""
         columns = self._cache.setdefault("right_columns", {})
         col = columns.get(j)
         if col is None:
-            g, index = self.elements[j], self._index
-            col = columns[j] = array("i", [index[(x * g).key] for x in self.elements])
+            g, bodies = self.elements[j], self._key_bodies()
+            if bodies is None:
+                index = self._index
+                col = array("i", [index[(x * g).key] for x in self.elements])
+            else:
+                col = array("i")
+                for start in range(0, len(bodies), _BLOCK_ROWS):
+                    block = g._right_products(bodies[start:start + _BLOCK_ROWS])
+                    col.frombytes(self._rows_of(block).tobytes())
+            columns[j] = col
         return col
+
+    def _rows_of(self, bodies: np.ndarray) -> np.ndarray:
+        """The table indices of the elements with these key bodies, as C ints;
+        KeyError if one is not in the table."""
+        table, query = _opaque_rows(self._key_bodies()), _opaque_rows(bodies)
+        pos = np.searchsorted(table, query)
+        found = pos < len(table)
+        found[found] = table[pos[found]] == query[found]
+        if not found.all():
+            raise KeyError("a product lies outside the table")
+        return pos.astype(np.intc)
+
+    def _fill_orders(self) -> None:
+        """Cache the order of every element that has none, by batched powers
+        where the backend has them (matrices)."""
+        els = self.elements
+        orders_of = getattr(els[0], "_body_orders", None)
+        todo = [i for i, x in enumerate(els) if x._ord is None] if orders_of else []
+        bodies = self._key_bodies() if todo else None
+        if bodies is None:
+            return
+        todo = np.array(todo, dtype=np.intp)
+        for start in range(0, len(todo), _BLOCK_ROWS):
+            rows = todo[start:start + _BLOCK_ROWS]
+            for i, k in zip(rows.tolist(), orders_of(bodies[rows]).tolist()):
+                els[i]._ord = k
 
     def conj(self, x: Element, g: Element) -> Element:
         """g^-1 x g, canonicalized."""
@@ -141,10 +191,12 @@ class GroupTable:
 
     def exponent(self) -> int:
         if "exponent" not in self._cache:
+            self._fill_orders()
             self._cache["exponent"] = math.lcm(*(x.order() for x in self.elements))
         return self._cache["exponent"]
 
     def order_stats(self) -> Dict[int, int]:
+        self._fill_orders()
         stats: Dict[int, int] = {}
         for x in self.elements:
             k = x.order()
@@ -171,6 +223,12 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, p={self.p})"
+
+
+def _opaque_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row as one void value; void values compare like their bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def _closure(start: Element, gens: Sequence[Element], mul: Callable,

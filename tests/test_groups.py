@@ -60,6 +60,22 @@ def test_closure_cap_enforced():
         build_group("ut(4,3)", cap=100)
 
 
+@pytest.mark.parametrize("spec,order", [("ut(4,3)", 729), ("dihedral(32)", 32),
+                                        ("sym(4)", 24)])
+def test_closure_cap_boundary(spec, order):
+    # the cap counts elements: a group of exactly `cap` elements closes
+    with pytest.raises(CapExceeded, match=f"closure exceeded cap of {order - 1} "):
+        build_group(spec, cap=order - 1)
+    assert build_group(spec, cap=order).order == order
+
+
+def test_action_cap_boundary():
+    G = build_group("ut(4,3)")
+    with pytest.raises(CapExceeded, match="action closure exceeded cap of 242$"):
+        inner_action(G, cap=242)
+    assert inner_action(G, cap=243).A_order == 243
+
+
 @pytest.mark.parametrize("spec", ["dihedral(8)", "quaternion(8)", "sym(4)",
                                   "heisenberg(3)", "dic3()"])
 def test_commutator_subgroup_matches_all_pairs_oracle(spec):

@@ -63,7 +63,6 @@ class ActionPair:
         self.G = G
         self.A_generators = tuple(A_generators)
         self.A = A
-        self.A_elements = A.elements
         self._cache: dict = {}
 
     @classmethod
@@ -150,7 +149,7 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     cap = k_max - 1
     if entries == "all":
         g_alphabet: List[Element] = [g for g in G.elements if not g.is_identity()]
-        a_alphabet: List[Automorphism] = [a for a in pair.A_elements if not a.is_identity()]
+        a_alphabet: List[Automorphism] = [a for a in pair.A.elements if not a.is_identity()]
     elif entries == "generators":
         g_letters: Dict[bytes, Element] = {}
         for g in G.generators:

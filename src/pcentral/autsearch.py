@@ -10,7 +10,7 @@ oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .elements import _p_split, _require_prime
 from .errors import BudgetExceeded
@@ -32,13 +32,12 @@ DEFAULT_AUT_BUDGET = 10_000_000
 @dataclass
 class AutGroupResult:
     domain: GroupTable
-    automorphisms: Tuple[Automorphism, ...]
     perm_group: GroupTable  # the automorphisms as a group table
     tuples_tried: int  # candidate image tuples the search extended; aut_budget bounds it
 
     @property
     def order(self) -> int:
-        return len(self.automorphisms)
+        return self.perm_group.order
 
 
 def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGroupResult:
@@ -50,7 +49,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     gens = minimal_generating_sequence(G)
     if not gens:  # trivial group
         ident = identity_automorphism(G)
-        return AutGroupResult(G, (ident,), GroupTable([ident], [ident]), 0)
+        return AutGroupResult(G, GroupTable([ident], [ident]), 0)
     chain = [subgroup_generated(G, gens[:i + 1]).order for i in range(len(gens))]
     gen_idx = [G.index_of(g) for g in gens]
     by_order: Dict[int, List[int]] = {}
@@ -82,9 +81,10 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     descend(0, [])
     if len({a.key for a in found}) != len(found):
         raise AssertionError("automorphism search produced duplicate maps")
-    staging = GroupTable(found, found)
-    aut_gens = minimal_generating_sequence(staging)
-    return AutGroupResult(G, staging.elements, GroupTable(found, aut_gens), tuples_tried)
+    A = GroupTable(found, found)
+    # a minimal generating sequence needs the table it generates
+    A.generators = minimal_generating_sequence(A)
+    return AutGroupResult(G, A, tuples_tried)
 
 
 def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
@@ -97,17 +97,13 @@ def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     """A Sylow p-subgroup, grown inside successive normalizers."""
     _require_prime(p)
     target = p ** _p_split(G.order, p)[0]
-    if target == 1:
-        return G.trivial_subgroup
-    seed = next(x for x in G.elements
-                if x.order() > 1 and _p_split(x.order(), p)[1] == 1)
-    P = subgroup_generated(G, [seed])
+    P = subgroup_generated(G, ())
     while P.order < target:
         N = normalizer(G, P)
         for y in N.elements:
             if y.key in P.keys or not (y.order() > 1 and _p_split(y.order(), p)[1] == 1):
                 continue
-            cand = subgroup_generated(G, P.generators + (y,))
+            cand = subgroup_generated(G, [y], P)
             if _p_split(cand.order, p)[1] == 1:
                 P = cand
                 break

@@ -394,7 +394,7 @@ def build_action(G: GroupTable, spec: Union[str, FamilySpec], *,
     elif name == "full_aut":
         _int_args(spec, 0)
         result = brute_force_aut(G, budget=aut_budget)
-        return ActionPair.build(G, result.automorphisms, cap=action_cap)
+        return ActionPair.build(G, result.perm_group.generators, cap=action_cap)
     else:
         raise UnknownFamily(f"unknown action {name!r}")
     sigma = automorphism_from_images(G, G.generators, _jordan_images(G, m))

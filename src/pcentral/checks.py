@@ -423,7 +423,7 @@ def check_power_order_criterion(pair: ActionPair) -> Verdict:
                          "reason": "acting exponent is not a p-power"})
     failures = []
     count = 0
-    for sigma in pair.A_elements:
+    for sigma in pair.A.elements:
         for n in range(1, m + 2):
             count += 1
             v = order_matches_quotient_triviality(pair, sigma, n)

@@ -1,7 +1,7 @@
 """Fully enumerated finite groups and their basic machinery.
 
-Everything is desk scale: groups are closed by breadth-first multiplication
-from their generators and stored as sorted element tables (sorted by canonical
+Everything is desk scale: groups are grown coset by coset from their
+generators and stored as sorted element tables (sorted by canonical
 byte key), so all downstream iteration is deterministic.  Subgroups are tables
 that share their parent's elements; a quotient numbers its cosets by an id
 array over the cover's element indices, and its elements are cosets keyed by
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -231,56 +232,62 @@ def _opaque_rows(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _closure(start: Element, gens: Sequence[Element], mul: Callable,
-             cap: Optional[int] = None) -> Dict[bytes, Element]:
-    """Breadth-first closure of {start} under right multiplication by gens.
+def _closure(found: Dict[bytes, Element], gens: Sequence[Element], mul: Callable,
+             cap: Optional[int] = None) -> List[Element]:
+    """Grow `found` (key -> element) in place into <gens>; the members of
+    `gens` that `found` already holds must generate it.
 
-    The one orbit search behind group, subgroup and action closure.  Returns
-    key -> element; raises CapExceeded once more than `cap` elements are found.
+    The one closure behind group, subgroup and action closure, by Dimino's
+    algorithm (G. Butler, *Fundamental Algorithms for Permutation Groups*,
+    1991): a generator g missing when reached adds the right coset Hg of the
+    group H held so far, then Hrs for each coset representative r and
+    generator s with rs new, so each element is made once.  Returns the
+    generators the result is closed under, those held at the start first.
+    Raises CapExceeded as soon as more than `cap` elements are found.
     """
-    found = {start.key: start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                k = y.key
-                if k not in found:
-                    found[k] = y
-                    new.append(y)
-                    if cap is not None and len(found) > cap:
-                        raise CapExceeded(f"closure exceeded cap of {cap} elements")
-        frontier = new
-    return found
+    held = [g for g in gens if g.key in found]
+    for g in gens:
+        if g.key in found:
+            continue
+        ident = g.identity_like().key
+        base = [h for h in found.values() if h.key != ident]
+        held.append(g)
+        reps: List[Element] = []
+        # reps grows while the products rs are walked
+        for r in chain((g,), (mul(r, s) for r in reps for s in held)):
+            if r.key in found:
+                continue
+            reps.append(r)
+            for y in chain((r,), (mul(h, r) for h in base)):
+                found[y.key] = y
+                if cap is not None and len(found) > cap:
+                    raise CapExceeded(f"closure exceeded cap of {cap} elements")
+    return held
 
 
 def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
           p: Optional[int] = None) -> GroupTable:
-    """Enumerate the group generated by `generators` (BFS over right products)."""
+    """Enumerate the group generated by `generators`, grown from the identity."""
     if not generators:
         raise ValueError("need at least one generator")
-    els = _closure(generators[0].identity_like(), generators, operator.mul, cap=cap)
-    return GroupTable(els.values(), generators, p=p)
+    identity = generators[0].identity_like()
+    found = {identity.key: identity}
+    _closure(found, generators, operator.mul, cap=cap)
+    return GroupTable(found.values(), generators, p=p)
 
 
-def subgroup_generated(G: GroupTable, seeds: Iterable[Element]) -> GroupTable:
-    """⟨seeds⟩ inside G (all seeds must already lie in G).
-
-    Seeds already inside the running closure are dropped instead of kept as
-    generators, so a seed set as large as the subgroup itself still closes in
-    O(|H| * rank) products rather than O(|H| * |seeds|).  Seeds are processed
-    in key order, making the retained generator list deterministic.
+def subgroup_generated(G: GroupTable, seeds: Iterable[Element],
+                       H: Optional[GroupTable] = None) -> GroupTable:
+    """<H, seeds> inside G, grown from its subgroup H (from the identity when
+    H is None).  Seeds are taken in key order and dropped when already in the
+    group grown so far, so the generators are H's, then the seeds kept.
     """
-    pool = sorted({s.key: s for s in (G.canon(x) for x in seeds)}.values(),
-                  key=lambda e: e.key)
-    gens: List[Element] = []
-    els: Dict[bytes, Element] = {G.identity.key: G.identity}
-    for s in pool:
-        if s.key not in els:
-            gens.append(s)
-            els = _closure(G.identity, gens, G.mul)
-    return G.subgroup(els.values(), gens)
+    found = ({h.key: h for h in H.elements} if H is not None
+             else {G.identity.key: G.identity})
+    pool = sorted({s.key: s for s in map(G.canon, seeds) if s.key not in found}.values(),
+                  key=_key)
+    gens = _closure(found, (*(H.generators if H is not None else ()), *pool), G.mul)
+    return G.subgroup(found.values(), gens)
 
 
 def is_normal(G: GroupTable, H: GroupTable) -> bool:
@@ -301,7 +308,7 @@ def normal_closure(G: GroupTable, seeds: Iterable[Element],
         grown += [c for h in H.generators for a in maps if (c := a(h)).key not in H.keys]
         if not grown:
             return H
-        H = subgroup_generated(G, H.generators + tuple(grown))
+        H = subgroup_generated(G, grown, H)
 
 
 def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTable:
@@ -450,16 +457,11 @@ def restrict_automorphism(a: Automorphism, H: GroupTable) -> Automorphism:
 
 def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:
     """Greedy generating sequence: highest order first, ties by canonical key."""
-    if G.order == 1:
-        return ()
     candidates = sorted(G.elements, key=lambda x: (-x.order(), x.key))
-    seq: List[Element] = []
-    H = G.trivial_subgroup
+    H = subgroup_generated(G, ())
     while H.order < G.order:
-        nxt = next(x for x in candidates if x.key not in H.keys)
-        seq.append(nxt)
-        H = subgroup_generated(G, seq)
-    return tuple(seq)
+        H = subgroup_generated(G, [next(x for x in candidates if x.key not in H.keys)], H)
+    return H.generators
 
 
 # -- quotients -----------------------------------------------------------

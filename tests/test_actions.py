@@ -143,7 +143,6 @@ def test_perm_realization_is_faithful_and_isomorphic():
     assert P.order == 4  # inner automorphisms of the quaternion group
     assert P.exponent() == 2
     assert aut_perm_realization(pair) is P is pair.A
-    assert P.elements == pair.A_elements
     # faithful: distinct elements of A move G's elements differently
     assert len({tuple(a(x).key for x in G.elements) for a in P.elements}) == 4
 
@@ -185,7 +184,7 @@ MODEL_SPECS = (
 def _pair_with_model(gspec, aspec):
     """A catalog pair and its acting group as dicts: element key -> image key."""
     pair = build_action(build_group(gspec), aspec)
-    model = [{x.key: a(x).key for x in pair.G.elements} for a in pair.A_elements]
+    model = [{x.key: a(x).key for x in pair.G.elements} for a in pair.A.elements]
     return pair, model
 
 
@@ -193,7 +192,7 @@ def _pair_with_model(gspec, aspec):
 @given(st.data())
 def test_automorphisms_agree_with_dict_model(data):
     pair, model = _pair_with_model(*data.draw(st.sampled_from(MODEL_SPECS)))
-    G, A = pair.G, pair.A_elements
+    G, A = pair.G, pair.A.elements
     i = data.draw(st.integers(0, len(A) - 1))
     j = data.draw(st.integers(0, len(A) - 1))
     x = G.elements[data.draw(st.integers(0, G.order - 1))]
@@ -259,7 +258,7 @@ def test_normal_closure_matches_all_elements_fixpoint(data):
     idx = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
     seeds = [G.elements[i] for i in idx]
     N = normal_closure(G, seeds, pair.A_generators)
-    assert N.keys == _all_elements_fixpoint(G, seeds, pair.A_elements)
+    assert N.keys == _all_elements_fixpoint(G, seeds, pair.A.elements)
     assert is_normal(G, N)
     H = subgroup_generated(G, seeds)
     assert is_normal(G, H) == _normal_by_all_elements(G, H)
@@ -286,15 +285,15 @@ def test_quotient_triviality_matches_all_elements_image(gspec, aspec):
     pair = _guard_pair(gspec, aspec)
     G, p = pair.G, pair.G.p
     H = _all_elements_fixpoint(
-        G, [mixed_commutator(g, a) for g in G.elements for a in pair.A_elements],
-        pair.A_elements)
+        G, [mixed_commutator(g, a) for g in G.elements for a in pair.A.elements],
+        pair.A.elements)
     m = 0
-    while any(a.order() % p ** (m + 1) == 0 for a in pair.A_elements):
+    while any(a.order() % p ** (m + 1) == 0 for a in pair.A.elements):
         m += 1
     for n in range(1, m + 2):
         small = [x for x in G.elements if x.key in H and p ** n % x.order() == 0]
         omega = subgroup_generated(G, small).keys
-        for sigma in pair.A_elements:
+        for sigma in pair.A.elements:
             want = {mixed_commutator(g, sigma).key for g in G.elements} <= omega
             v = order_matches_quotient_triviality(pair, sigma, n)
             assert v.witnesses["trivial_mod_omega"] is want, (n, sigma.order())
@@ -312,7 +311,7 @@ def test_quotient_triviality_commutes_only_generators(monkeypatch):
         return real(g, a)
 
     monkeypatch.setattr(actions, "mixed_commutator", counting)
-    order_matches_quotient_triviality(pair, pair.A_elements[-1], 1)
+    order_matches_quotient_triviality(pair, pair.A.elements[-1], 1)
     assert len(calls) == len(pair.G.generators)  # one per generator, not |G| = 729
 
 

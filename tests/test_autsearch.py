@@ -7,7 +7,7 @@ import pytest
 from pcentral.autsearch import brute_force_aut, normalizer, sylow_p_subgroup
 from pcentral.catalog import build_group
 from pcentral.errors import BudgetExceeded
-from pcentral.groups import subgroup_generated
+from pcentral.groups import close, subgroup_generated
 
 # Classical automorphism group orders, used as enumeration oracles.
 AUT_ORDERS = {
@@ -27,8 +27,9 @@ AUT_ORDERS = {
 def test_aut_group_orders(spec, order):
     result = brute_force_aut(build_group(spec))
     assert result.order == order
-    assert len(result.automorphisms) == order
     assert result.perm_group.order == order
+    # full_aut acts through these generators
+    assert close(result.perm_group.generators).keys == result.perm_group.keys
 
 
 def test_aut_search_respects_budget():

@@ -12,8 +12,8 @@ from pcentral.actions import (
     restrict_action,
 )
 from pcentral.autsearch import brute_force_aut
-from pcentral.catalog import build_group
-from pcentral.elements import Element, Permutation
+from pcentral.catalog import build_action, build_group
+from pcentral.elements import Element, FpMatrix, Permutation
 from pcentral.errors import (
     BackendMismatch,
     CapExceeded,
@@ -74,6 +74,28 @@ def test_action_cap_boundary():
     with pytest.raises(CapExceeded, match="action closure exceeded cap of 242$"):
         inner_action(G, cap=242)
     assert inner_action(G, cap=243).A_order == 243
+
+
+def test_closure_product_counts(monkeypatch):
+    # one product per element that is not a coset representative, and one
+    # per representative and generator (ut(4,3): 692 + 96); a breadth-first
+    # closure makes |G| * |gens| products, and A was closed over all of Aut(G)
+    E, H = build_group("elementary_abelian(3,6)"), build_group("heisenberg(3)")
+    products = [0]
+    for cls in (FpMatrix, Permutation, Automorphism):
+        def counting(x, y, real=cls.__mul__):
+            products[0] += 1
+            return real(x, y)
+        monkeypatch.setattr(cls, "__mul__", counting)
+
+    def count(build):
+        products[0] = 0
+        build()
+        return products[0]
+
+    assert count(lambda: build_group("ut(4,3)")) == 788
+    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == 640
+    assert count(lambda: build_action(H, "full_aut")) == 1032
 
 
 @pytest.mark.parametrize("spec", ["dihedral(8)", "quaternion(8)", "sym(4)",
@@ -232,7 +254,7 @@ def test_close_rejects_empty_generators():
 
 @functools.lru_cache(maxsize=None)
 def _automorphisms(spec):
-    return brute_force_aut(build_group(spec)).automorphisms
+    return brute_force_aut(build_group(spec)).perm_group.elements
 
 
 @st.composite

@@ -56,9 +56,9 @@ def _sympy_group(elements):
 
 
 @st.composite
-def seeded_subgroups(draw):
+def seeded_subgroups(draw, specs=SPECS, build=_group):
     """(G, seeds): a catalog group and one to three of its elements."""
-    G = _group(draw(st.sampled_from(SPECS)))
+    G = build(draw(st.sampled_from(specs)))
     idx = draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
     return G, [G.elements[i] for i in idx]
 
@@ -270,6 +270,33 @@ ACTION_SPECS = (
 @functools.lru_cache(maxsize=None)
 def _acting_group(gspec, aspec):
     return aut_as_perm_group(build_action(_group(gspec), aspec))
+
+
+def _sympy_order(G, seeds):
+    """sympy's |<seeds>|; matrices act on G's element indices by right
+    multiplication, which is faithful."""
+    if hasattr(seeds[0], "images"):
+        return _sympy_group(seeds).order()
+    return sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation(list(G._right_column(G.index_of(x)))) for x in seeds]).order()
+
+
+MATRIX_SPECS = ("heisenberg(3)", "ut(4,2)", "elementary_abelian(2,4)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(seeded_subgroups(), seeded_subgroups(MATRIX_SPECS),
+                 seeded_subgroups(ACTION_SPECS, lambda specs: _acting_group(*specs))),
+       st.data())
+def test_subgroup_grows_from_the_one_it_extends(case, data):
+    G, first = case
+    idx = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    more = [G.elements[i] for i in idx]
+    H = subgroup_generated(G, first)
+    grown = subgroup_generated(G, more, H)
+    assert grown.keys == subgroup_generated(G, first + more).keys
+    assert grown.order == _sympy_order(G, first + more)
+    assert grown.generators[:len(H.generators)] == H.generators
 
 
 @pytest.mark.parametrize("gspec,aspec", ACTION_SPECS)

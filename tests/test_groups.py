@@ -78,8 +78,7 @@ def test_action_cap_boundary():
 
 def test_closure_product_counts(monkeypatch):
     # one product per element that is not a coset representative, and one
-    # per representative and generator (ut(4,3): 692 + 96); a breadth-first
-    # closure makes |G| * |gens| products, and A was closed over all of Aut(G)
+    # per representative and generator (ut(4,3): 692 + 96)
     E, H = build_group("elementary_abelian(3,6)"), build_group("heisenberg(3)")
     products = [0]
     for cls in (FpMatrix, Permutation, Automorphism):

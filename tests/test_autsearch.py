@@ -116,3 +116,45 @@ def test_gl33_sylow_3_subgroup():
     S = sylow_p_subgroup(_aut("elementary_abelian(3,3)").perm_group, 3)
     assert S.order == 27
     assert S.exponent() == 3
+
+
+def _p_part(n, p):
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    return q
+
+
+def _sylow_in_normalizers(G, p):
+    """The reference growth: extend P inside N_G(P), taking the first
+    p-element of N_G(P) outside P, in key order, whose <P, y> is a p-group."""
+    target = _p_part(G.order, p)
+    P = subgroup_generated(G, ())
+    while P.order < target:
+        N = normalizer(G, P)
+        for y in N.elements:
+            if y.key in P.keys or _p_part(y.order(), p) != y.order():
+                continue
+            cand = subgroup_generated(G, [y], P)
+            if _p_part(cand.order, p) == cand.order:
+                P = cand
+                break
+        else:
+            raise AssertionError("reference growth stalled")
+    return P
+
+
+# (spec, take Aut(spec) instead of the group itself)
+SYLOW_TABLES = [(spec, False) for spec in (
+    "sym(4)", "alt(4)", "sl2_3()", "dic3()",
+    "direct_product(quaternion(8), cyclic(3,1))")] + [(spec, True) for spec in (
+    "heisenberg(3)", "elementary_abelian(2,3)", "elementary_abelian(3,2)")]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("spec,aut", SYLOW_TABLES)
+def test_sylow_matches_growth_inside_normalizers(spec, aut, p):
+    G = _aut(spec).perm_group if aut else build_group(spec)
+    P, ref = sylow_p_subgroup(G, p), _sylow_in_normalizers(G, p)
+    assert P.keys == ref.keys
+    assert [g.key for g in P.generators] == [g.key for g in ref.generators]

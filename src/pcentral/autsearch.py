@@ -2,9 +2,8 @@
 
 No classification shortcuts: Aut(G) is found by trying generator images (order
 matching plus partial-homomorphism pruning, on element indices with G's cached
-product columns), and Sylow subgroups by repeatedly extending a p-subgroup
-inside its normalizer.  Classical order formulas appear only in tests, as
-oracles.
+product columns), and a Sylow subgroup P grows by the first p-element outside
+P, in key order, that normalizes P.  Classical orders are test oracles only.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .elements import _p_split, _require_prime
+from .elements import Element, _p_split, _require_prime
 from .errors import BudgetExceeded
 from .groups import (
     Automorphism,
@@ -50,7 +49,8 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     if not gens:  # trivial group
         ident = identity_automorphism(G)
         return AutGroupResult(G, GroupTable([ident], [ident]), 0)
-    chain = [subgroup_generated(G, gens[:i + 1]).order for i in range(len(gens))]
+    H = None  # each prefix's subgroup grows from the one before
+    chain = [(H := subgroup_generated(G, [g], H)).order for g in gens]
     gen_idx = [G.index_of(g) for g in gens]
     by_order: Dict[int, List[int]] = {}
     for i, x in enumerate(G.elements):
@@ -87,26 +87,25 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     return AutGroupResult(G, A, tuples_tried)
 
 
+def _normalizes(G: GroupTable, y: Element, P: GroupTable) -> bool:
+    return all(G.conj(h, y).key in P.keys for h in P.generators)
+
+
 def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
     """N_G(P); conjugating P's generators into P suffices by finiteness."""
-    return G.subgroup(g for g in G.elements
-                      if all(G.conj(h, g).key in P.keys for h in P.generators))
+    return G.subgroup(g for g in G.elements if _normalizes(G, g, P))
 
 
 def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
-    """A Sylow p-subgroup, grown inside successive normalizers."""
+    """A Sylow p-subgroup: P gains the first y of G, in key order, outside P
+    that is a p-element and normalizes P, so P<y> is a p-group.  While p
+    divides |G:P| one exists, as P < N_S(P) for a Sylow S containing P."""
     _require_prime(p)
-    target = p ** _p_split(G.order, p)[0]
     P = subgroup_generated(G, ())
-    while P.order < target:
-        N = normalizer(G, P)
-        for y in N.elements:
-            if y.key in P.keys or not (y.order() > 1 and _p_split(y.order(), p)[1] == 1):
-                continue
-            cand = subgroup_generated(G, [y], P)
-            if _p_split(cand.order, p)[1] == 1:
-                P = cand
-                break
-        else:
+    while (G.order // P.order) % p == 0:
+        y = next((y for y in G.elements if y.key not in P.keys
+                  and _p_split(y.order(), p)[1] == 1 and _normalizes(G, y, P)), None)
+        if y is None:
             raise AssertionError("Sylow extension stalled below the p-part")
+        P = subgroup_generated(G, [y], P)
     return P

@@ -524,10 +524,9 @@ def check_sylow_aut_exponent(G: GroupTable, *,
                          "exponent": G.exponent() if base else None})
     result = brute_force_aut(G, budget=budget)
     S = sylow_p_subgroup(result.perm_group, p)
-    exp_s = max(x.order() for x in S.elements)
-    return conclude("sylow_aut_exponent", True, exp_s <= p,
+    return conclude("sylow_aut_exponent", True, S.exponent() <= p,
                     {"aut_order": result.order, "sylow_order": S.order,
-                     "sylow_exponent": exp_s})
+                     "sylow_exponent": S.exponent()})
 
 
 # -- general finite groups: complements ----------------------------------

@@ -165,7 +165,7 @@ def _cmd_aut(args) -> int:
         S = sylow_p_subgroup(result.perm_group, args.sylow)
         facts["sylow_prime"] = args.sylow
         facts["sylow_order"] = S.order
-        facts["sylow_exponent"] = (max(x.order() for x in S.elements))
+        facts["sylow_exponent"] = S.exponent()
     print(json.dumps(facts, indent=2, sort_keys=True))
     return 0
 

@@ -6,8 +6,9 @@ import pytest
 
 from pcentral.autsearch import brute_force_aut, normalizer, sylow_p_subgroup
 from pcentral.catalog import build_group
+from pcentral.elements import FpMatrix, Permutation
 from pcentral.errors import BudgetExceeded
-from pcentral.groups import close, subgroup_generated
+from pcentral.groups import Automorphism, close, subgroup_generated
 
 # Classical automorphism group orders, used as enumeration oracles.
 AUT_ORDERS = {
@@ -158,3 +159,24 @@ def test_sylow_matches_growth_inside_normalizers(spec, aut, p):
     P, ref = sylow_p_subgroup(G, p), _sylow_in_normalizers(G, p)
     assert P.keys == ref.keys
     assert [g.key for g in P.generators] == [g.key for g in ref.generators]
+
+
+def test_sylow_product_counts(monkeypatch):
+    # conjugation tests of the scanned p-elements plus P's growth; building
+    # N_G(P) at each step instead makes 1868 and 46688 products
+    tables = {spec: _aut(spec).perm_group
+              for spec in ("heisenberg(3)", "elementary_abelian(3,3)")}
+    products = [0]
+    for cls in (FpMatrix, Permutation, Automorphism):
+        def counting(x, y, real=cls.__mul__):
+            products[0] += 1
+            return real(x, y)
+        monkeypatch.setattr(cls, "__mul__", counting)
+
+    def count(A):
+        products[0] = 0
+        sylow_p_subgroup(A, 3)
+        return products[0]
+
+    assert count(tables["heisenberg(3)"]) == 50
+    assert count(tables["elementary_abelian(3,3)"]) == 68

@@ -1,6 +1,8 @@
 """Corpus runner, report artifacts, reproducer bundles, and the CLI."""
 
+import contextlib
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from pcentral import checks
 from pcentral.catalog import build_group
 from pcentral.cli import main
+from pcentral.elements import FpMatrix
 from pcentral.corpus import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -22,6 +25,7 @@ from pcentral.corpus import (
     run_corpus,
 )
 from pcentral.errors import ConfigError
+from pcentral.groups import GroupTable
 from pcentral.store import save_group
 
 
@@ -401,6 +405,58 @@ def test_replay_applies_the_bundle_closure_cap(tmp_path, capsys):
         "caps": {"closure_cap": 100}, "failing_checks": ["xu_regularity"]}))
     assert main(["replay", str(bundle)]) == EXIT_BUDGET
     assert "budget exhausted" in capsys.readouterr().err
+
+
+def _bundle_with(tmp_path, write_group_file):
+    bundle = tmp_path / "repro--c2"
+    bundle.mkdir()
+    write_group_file(bundle / "group.bin")
+    (bundle / "meta.json").write_text(json.dumps({
+        "entry": {"id": "c2", "group": "cyclic(2,1)", "checks": ["catalog_facts"],
+                  "expect": {"order": 2}},
+        "caps": {}, "failing_checks": ["catalog_facts"]}))
+    return bundle
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run `seconds` seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_cli_replay_singular_generator_exits_4(tmp_path, capsys):
+    # {1, M} is closed under products, but M has no inverse, so the powers of
+    # M never reach the identity and M has no order
+    M = FpMatrix(3, [[1, 1], [0, 0]])
+    bundle = _bundle_with(tmp_path, lambda path: save_group(
+        GroupTable([M.identity_like(), M], [M]), path))
+    with _deadline(5):
+        assert main(["replay", str(bundle)]) == EXIT_CONFIG
+    assert "matrix is singular mod 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda blob: b"XXXX", "not a serialized group file"),
+    (lambda blob: blob[:-1], "truncated generator key"),
+    (lambda blob: blob + b"\0", "trailing bytes after generators"),
+], ids=["junk", "truncated", "trailing"])
+def test_cli_replay_malformed_group_file_exits_4(tmp_path, capsys, mangle, message):
+    def write(path):
+        save_group(build_group("cyclic(2,1)"), path)
+        path.write_bytes(mangle(path.read_bytes()))
+
+    bundle = _bundle_with(tmp_path, write)
+    assert main(["replay", str(bundle)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
 
 
 # -- command line --------------------------------------------------------

@@ -162,8 +162,8 @@ def test_sylow_matches_growth_inside_normalizers(spec, aut, p):
 
 
 def test_sylow_product_counts(monkeypatch):
-    # conjugation tests of the scanned p-elements plus P's growth; building
-    # N_G(P) at each step instead makes 1868 and 46688 products
+    # two per conjugation of P's generators by a scanned p-element, plus P's
+    # growth coset by coset; the Aut tables are built outside the count
     tables = {spec: _aut(spec).perm_group
               for spec in ("heisenberg(3)", "elementary_abelian(3,3)")}
     products = [0]

@@ -8,7 +8,13 @@ from pcentral.autsearch import brute_force_aut, normalizer, sylow_p_subgroup
 from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation
 from pcentral.errors import BudgetExceeded
-from pcentral.groups import Automorphism, close, subgroup_generated
+from pcentral.groups import (
+    Automorphism,
+    GroupTable,
+    close,
+    minimal_generating_sequence,
+    subgroup_generated,
+)
 
 # Classical automorphism group orders, used as enumeration oracles.
 AUT_ORDERS = {
@@ -47,8 +53,13 @@ TUPLES_TRIED = {
 
 
 @functools.lru_cache(maxsize=None)
+def _group(spec):
+    return build_group(spec)
+
+
+@functools.lru_cache(maxsize=None)
 def _aut(spec):
-    return brute_force_aut(build_group(spec))
+    return brute_force_aut(_group(spec))
 
 
 @pytest.mark.parametrize("spec,tried", sorted(TUPLES_TRIED.items()))
@@ -180,3 +191,83 @@ def test_sylow_product_counts(monkeypatch):
 
     assert count(tables["heisenberg(3)"]) == 50
     assert count(tables["elementary_abelian(3,3)"]) == 68
+
+
+def _reference_extend(G, gens, images):
+    """gens -> images extended over <gens> by breadth-first search of the
+    Cayley graph, one dict entry per element; None at the first edge whose
+    two readings disagree."""
+    edges = [(G._right_column(g), G._right_column(m)) for g, m in zip(gens, images)]
+    e = G.index_of(G.identity)
+    full = {e: e}
+    frontier = [e]
+    while frontier:
+        new = []
+        for x in frontier:
+            fx = full[x]
+            for col_g, col_m in edges:
+                y, fy = col_g[x], col_m[fx]
+                known = full.get(y)
+                if known is None:
+                    full[y] = fy
+                    new.append(y)
+                elif known != fy:
+                    return None
+        frontier = new
+    return full
+
+
+def _reference_aut(G):
+    """The automorphisms of G and the candidate tuples tried, by a recursive
+    search that extends one image tuple at a time with _reference_extend."""
+    gens = minimal_generating_sequence(G)
+    gen_idx = [G.index_of(g) for g in gens]
+    by_order = {}
+    for i, x in enumerate(G.elements):
+        by_order.setdefault(x.order(), []).append(i)
+    found, tried = [], 0
+
+    def descend(depth, images):
+        nonlocal tried
+        for cand in by_order.get(gens[depth].order(), ()):
+            tried += 1
+            full = _reference_extend(G, gen_idx[:depth + 1], images + [cand])
+            if full is None or len(set(full.values())) != len(full):
+                continue
+            if depth + 1 == len(gens):
+                found.append(Automorphism(G, [full[i] for i in range(G.order)]))
+            else:
+                descend(depth + 1, images + [cand])
+
+    descend(0, [])
+    return found, tried
+
+
+DIFFERENTIAL_SPECS = [
+    "elementary_abelian(2,2)", "elementary_abelian(3,2)", "elementary_abelian(3,3)",
+    "elementary_abelian(2,3)", "cyclic(2,1)", "cyclic(2,3)", "cyclic(3,2)",
+    "quaternion(8)", "dihedral(8)", "heisenberg(3)", "ut(3,3)", "sym(3)", "sym(4)",
+    "alt(4)", "sl2_3()", "dic3()", "wreath_cp_cp(2)",
+    "direct_product(quaternion(8), cyclic(2,1))",
+    # 486 candidates of order 729 for its one generator: more than one block
+    "cyclic(3,6)",
+]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_aut_search_matches_reference_search(spec):
+    found, tried = _reference_aut(_group(spec))
+    ref = GroupTable(found, found)
+    result = _aut(spec)
+    assert result.perm_group.keys == ref.keys
+    assert ([a.key for a in result.perm_group.generators]
+            == [a.key for a in minimal_generating_sequence(ref)])
+    assert result.tuples_tried == tried
+
+
+def test_budget_boundary_across_blocks():
+    # |Aut(C_729)| = phi(729) = 486, and every candidate tuple is one automorphism
+    G = _group("cyclic(3,6)")
+    assert brute_force_aut(G, budget=486).tuples_tried == 486 == _aut("cyclic(3,6)").order
+    with pytest.raises(BudgetExceeded, match="exceeded 485 candidate tuples"):
+        brute_force_aut(G, budget=485)

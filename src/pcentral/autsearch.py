@@ -1,9 +1,11 @@
 """Brute-force automorphism groups and Sylow subgroups.
 
 No classification shortcuts: Aut(G) is found by trying generator images (order
-matching plus partial-homomorphism pruning, on element indices with G's cached
-product columns), and a Sylow subgroup P grows by the first p-element outside
-P, in key order, that normalizes P.  Classical orders are test oracles only.
+matching plus partial-homomorphism pruning over a Schreier tree, a block of
+candidate tuples at a time as int32 rows of element indices, through G's
+cached product columns), and a Sylow subgroup P grows by the first p-element
+outside P, in key order, that normalizes P.  Classical orders are test
+oracles only.
 """
 
 from __future__ import annotations
@@ -11,13 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from .elements import Element, _p_split, _require_prime
 from .errors import BudgetExceeded
 from .groups import (
+    _BLOCK_ROWS,
     Automorphism,
     GroupTable,
-    _automorphism_from_indices,
-    _extend_hom,
+    _extend_block,
+    _schreier_levels,
     identity_automorphism,
     minimal_generating_sequence,
     subgroup_generated,
@@ -41,44 +46,58 @@ class AutGroupResult:
 
 def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGroupResult:
     """All automorphisms of G by depth-first image search over a minimal
-    generating sequence, with order matching and partial-map pruning.
+    generating sequence g_1..g_k, with order matching and partial-map pruning.
 
-    The search runs on element indices; only the automorphisms it finds are
-    built as Automorphism objects."""
+    A candidate tuple is a prefix of images that survived depth d-1 plus one
+    element of the order of g_d.  The search takes the tuples of a depth in
+    prefix-major order, `_BLOCK_ROWS` at a time, and extends a block's maps
+    over that depth's level of a Schreier tree of <g_1..g_d> as int32 rows
+    (groups._extend_block); the rows that stay injective homomorphisms
+    descend before the next block is tried.  Every tuple is tried that the
+    one-tuple-at-a-time search tries, in the same order, so `tuples_tried`,
+    the budget outcome and the automorphisms found do not depend on the
+    blocks; the budget is tested before a block is extended.  Only the
+    automorphisms found are built as Automorphism objects.
+    """
     gens = minimal_generating_sequence(G)
     if not gens:  # trivial group
         ident = identity_automorphism(G)
         return AutGroupResult(G, GroupTable([ident], [ident]), 0)
     H = None  # each prefix's subgroup grows from the one before
     chain = [(H := subgroup_generated(G, [g], H)).order for g in gens]
-    gen_idx = [G.index_of(g) for g in gens]
+    levels = _schreier_levels(G, [[G.index_of(g)] for g in gens])
+    if [level[-1] for level in levels] != chain:
+        raise AssertionError("partial closure disagrees with the subgroup chain")
     by_order: Dict[int, List[int]] = {}
     for i, x in enumerate(G.elements):
         by_order.setdefault(x.order(), []).append(i)
+    candidates = [np.array(by_order[g.order()], dtype=np.int32) for g in gens]
     found: List[Automorphism] = []
     tuples_tried = 0
 
-    def descend(depth: int, images: List[int]) -> None:
+    def descend(depth: int, maps: np.ndarray, images: np.ndarray) -> None:
         nonlocal tuples_tried
-        for cand in by_order.get(gens[depth].order(), ()):
-            tuples_tried += 1
+        cands = candidates[depth]
+        total = len(maps) * len(cands)
+        for start in range(0, total, _BLOCK_ROWS):
+            rows = np.arange(start, min(start + _BLOCK_ROWS, total))
+            tuples_tried += len(rows)
             if tuples_tried > budget:
                 raise BudgetExceeded(
                     f"automorphism search exceeded {budget} candidate tuples")
-            trial = images + [cand]
-            full = _extend_hom(G, gen_idx[:depth + 1], trial)
-            if full is None:
-                continue
-            if len(full) != chain[depth]:
-                raise AssertionError("partial closure disagrees with the subgroup chain")
-            if len(set(full.values())) != chain[depth]:
-                continue
+            prefix, pick = np.divmod(rows, len(cands))
+            block, block_images = maps[prefix], np.column_stack((images[prefix], cands[pick]))
+            hom, injective = _extend_block(G, block, block_images, levels[depth])
+            keep = hom & injective
+            block, block_images = block[keep], block_images[keep]
             if depth + 1 == len(gens):
-                found.append(_automorphism_from_indices(G, full))
-            else:
-                descend(depth + 1, trial)
+                found.extend(Automorphism(G, row) for row in block)
+            elif len(block):
+                descend(depth + 1, block, block_images)
 
-    descend(0, [])
+    e = G.index_of(G.identity)
+    root = np.full((1, G.order), e, dtype=np.int32)
+    descend(0, root, np.empty((1, 0), dtype=np.int32))
     if len({a.key for a in found}) != len(found):
         raise AssertionError("automorphism search produced duplicate maps")
     A = GroupTable(found, found)

@@ -164,7 +164,7 @@ def _key_bodies(elements: Sequence[Element]) -> Optional[np.ndarray]:
 
 def _cycle_order(self) -> int:
     """Order of an element stored as an index permutation `images`: the lcm
-    of its cycle lengths.  Permutation and groups.Automorphism share it."""
+    of its cycle lengths."""
     k = self._ord
     if k is None:
         images = self.images.tolist()

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .elements import _TAG_AUT, Element, _cycle_order, _key_bodies, _p_split, _require_prime
+from .elements import _TAG_AUT, Element, _key_bodies, _p_split, _require_prime
 from .errors import (
     BackendMismatch,
     CapExceeded,
@@ -148,10 +148,11 @@ class GroupTable:
     def _rows_of(self, bodies: np.ndarray) -> np.ndarray:
         """The table indices of the elements with these key bodies, as C ints;
         KeyError if one is not in the table."""
-        table, query = _opaque_rows(self._key_bodies()), _opaque_rows(bodies)
-        pos = np.searchsorted(table, query)
-        found = pos < len(table)
-        found[found] = table[pos[found]] == query[found]
+        rows = self._key_bodies()
+        pos = np.searchsorted(_opaque_rows(rows), _opaque_rows(bodies))
+        found = pos < len(rows)
+        # compared as numbers: an equality test of void values is far slower
+        found[found] = (rows[pos[found]] == bodies[found]).all(axis=1)
         if not found.all():
             raise KeyError("a product lies outside the table")
         return pos.astype(np.intc)
@@ -382,60 +383,126 @@ class Automorphism(Element):
     def is_identity(self) -> bool:
         return bool((self.images == np.arange(len(self.images))).all())
 
-    order = _cycle_order
+    def order(self) -> int:
+        """The lcm of the cycle lengths through the domain's generators: a^k
+        is the identity exactly when it fixes every generator."""
+        k = self._ord
+        if k is None:
+            images, index = self.images.tolist(), self.domain._index
+            k = 1
+            for g in self.domain.generators:
+                start = index[g.key]
+                i, length = images[start], 1
+                while i != start:
+                    i, length = images[i], length + 1
+                k = math.lcm(k, length)
+            self._ord = k
+        return k
 
     def __repr__(self) -> str:
         return f"Automorphism(on order-{self.domain.order} group)"
 
 
-def _extend_hom(G: GroupTable, gens: Sequence[int],
-                images: Sequence[int]) -> Optional[Dict[int, int]]:
-    """Extend gens -> images over <gens> along the Cayley graph (BFS).
+def _schreier_levels(G: GroupTable, steps: Sequence[Sequence[int]]) -> List[tuple]:
+    """A Schreier tree of <gens>, grown a step at a time: step d adds the
+    generators steps[d] (indices into G), and gens lists all steps in order.
 
-    Works on element indices: each edge is two lookups in G's cached
-    right-multiplication columns.  Returns the map index -> index of f, or
-    None at the first edge whose two readings of f disagree.  Size and
-    injectivity are left to the caller.
+    Level d adds H_d = <steps[0..d]> minus H_{d-1} and is a tuple of
+    - `grow`: the tree edges x -> x*g_j = y that first reach each new y, as
+      (xs, js, ys) arrays with j indexing gens, one triple per breadth-first
+      layer, so every x lies in H_{d-1} or an earlier layer;
+    - `check`: every other edge x -> x*g_j with x new or g_j new, as one
+      triple (an edge of an old generator inside H_{d-1} was checked at a
+      lower level);
+    - `new`: the elements added, and `size`: |H_d|.
+    A map of H_d that agrees with f(x*g_j) = f(x)*f(g_j) on the edges of
+    every level up to d is a homomorphism (Holt–Eick–O'Brien, *Handbook of
+    Computational Group Theory*, 2005, on Schreier trees).
     """
-    edges = [(G._right_column(g), G._right_column(m)) for g, m in zip(gens, images)]
-    e = G.index_of(G.identity)
-    full = {e: e}
-    frontier = [e]
-    while frontier:
-        new: List[int] = []
-        for x in frontier:
-            fx = full[x]
-            for col_g, col_m in edges:
-                y, fy = col_g[x], col_m[fx]
-                known = full.get(y)
-                if known is None:
-                    full[y] = fy
-                    new.append(y)
-                elif known != fy:
-                    return None
-        frontier = new
-    return full
+    gens = [g for step in steps for g in step]
+    cols = np.array([np.frombuffer(G._right_column(g), dtype=np.intc) for g in gens],
+                    dtype=np.intc).reshape(len(gens), G.order)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[G.index_of(G.identity)] = True
+    first = np.empty(G.order, dtype=np.intp)  # an edge reaching each new element
+    levels, known = [], 0
+    for step in steps:
+        old = inside.nonzero()[0].astype(np.intc)
+        xs = old.repeat(len(step))
+        js = known + np.arange(len(xs), dtype=np.intc) % len(step)
+        known += len(step)
+        grow, check, new = [], [], []
+        while len(xs):
+            ys = cols[js, xs]
+            reach = (~inside[ys]).nonzero()[0]
+            first[ys[reach]] = reach
+            tree = np.zeros(len(ys), dtype=bool)
+            tree[first[ys[reach]]] = True
+            added = ys[tree]
+            inside[added] = True
+            new.append(added)
+            if len(added):
+                grow.append((xs[tree], js[tree], added))
+            tree = ~tree
+            check.append((xs[tree], js[tree], ys[tree]))
+            xs = added.repeat(known)
+            js = np.arange(len(xs), dtype=np.intc) % known
+        levels.append((grow, tuple(map(np.concatenate, zip(*check))), np.concatenate(new),
+                       int(inside.sum())))
+    return levels
 
 
-def _automorphism_from_indices(G: GroupTable, full: Dict[int, int]) -> Automorphism:
-    return Automorphism(G, [full[i] for i in range(G.order)])
+def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
+                  level: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """Extend each row of F over one level of _schreier_levels, in place.
+
+    Row r of the int32 array F maps H_{d-1} by index; images[r, j] is the
+    index of its image of g_j, for each generator g_j of H_d.  Each layer of
+    tree edges sets
+    f(x*g_j) = f(x)*images[r, j] for every row by one gather through the
+    right columns of the images that occur in the block.  Returns two row
+    masks: every check edge agrees (f is a homomorphism on H_d), and
+    no new element maps to the identity (so a homomorphism injective on the
+    old subgroup is injective).
+    """
+    grow, (xs, js, ys), new, _ = level
+    occurs = np.bincount(images.ravel(), minlength=G.order).astype(bool)
+    offsets = (occurs.cumsum() - 1)[images] * G.order
+    table = np.concatenate([np.frombuffer(G._right_column(m), dtype=np.intc)
+                            for m in occurs.nonzero()[0].tolist()])
+    for gx, gj, gy in grow:
+        F[:, gy] = table[offsets[:, gj] + F[:, gx]]
+    hom = np.ones(len(F), dtype=bool)
+    # at most |G| edges and _BLOCK_ROWS^2 cells per comparison, so that its
+    # temporaries stay near the size of the maps
+    step = max(1, min(G.order, _BLOCK_ROWS * _BLOCK_ROWS // len(F)))
+    for start in range(0, len(xs), step):
+        part = slice(start, start + step)
+        hom &= (table[offsets[:, js[part]] + F[:, xs[part]]] == F[:, ys[part]]).all(axis=1)
+    return hom, (F[:, new] != G.index_of(G.identity)).all(axis=1)
 
 
 def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
                              images: Sequence[Element]) -> Automorphism:
-    """Extend generator images over the Cayley graph, verifying both
+    """Extend generator images over a Schreier tree of <gens>, verifying both
     well-definedness (every edge consistent) and bijectivity."""
     if len(gens) != len(images):
         raise ValueError(f"{len(gens)} generators but {len(images)} images")
-    full = _extend_hom(G, [G.index_of(G.canon(g)) for g in gens],
-                       [G.index_of(G.canon(m)) for m in images])
-    if full is None:
+    gen_idx = [G.index_of(G.canon(g)) for g in gens]
+    row = np.array([[G.index_of(G.canon(m)) for m in images]], dtype=np.int32)
+    F = np.full((1, G.order), G.index_of(G.identity), dtype=np.int32)
+    hom = injective = np.ones(1, dtype=bool)
+    size = 1  # <> is the trivial group
+    if gens:  # one level, with every generator
+        (level,) = _schreier_levels(G, [gen_idx])
+        (hom, injective), size = _extend_block(G, F, row, level), level[-1]
+    if not hom[0]:
         raise NotAHomomorphism("generator images are inconsistent on the Cayley graph")
-    if len(full) != G.order:
+    if size != G.order:
         raise ValueError("the given elements do not generate the group")
-    if len(set(full.values())) != G.order:
+    if not injective[0]:
         raise NotBijective("generator images define a non-bijective endomorphism")
-    return _automorphism_from_indices(G, full)
+    return Automorphism(G, F[0])
 
 
 def identity_automorphism(G: GroupTable) -> Automorphism:

@@ -6,7 +6,7 @@ import pytest
 
 from pcentral.autsearch import brute_force_aut, normalizer, sylow_p_subgroup
 from pcentral.catalog import build_group
-from pcentral.elements import FpMatrix, Permutation
+from pcentral.elements import FpMatrix, Permutation, _cycle_order
 from pcentral.errors import BudgetExceeded
 from pcentral.groups import (
     Automorphism,
@@ -42,6 +42,21 @@ def test_aut_group_orders(spec, order):
 def test_aut_search_respects_budget():
     with pytest.raises(BudgetExceeded):
         brute_force_aut(build_group("elementary_abelian(3,3)"), budget=50)
+
+
+def test_budget_stops_a_large_search_early():
+    # |GL(4,5)| is about 1.2e11: the search stops after its first blocks
+    with pytest.raises(BudgetExceeded) as exc:
+        brute_force_aut(build_group("elementary_abelian(5,4)"), budget=1000)
+    assert str(exc.value) == "automorphism search exceeded 1000 candidate tuples"
+
+
+@pytest.mark.parametrize("spec", sorted(AUT_ORDERS))
+def test_automorphism_order_matches_all_cycle_lengths(spec):
+    # fresh copies: both orders are cached on the element
+    for a in _aut(spec).perm_group.elements:
+        assert (Automorphism(a.domain, a.images).order()
+                == _cycle_order(Automorphism(a.domain, a.images)))
 
 
 # candidate image tuples the search extends: the quantity aut_budget bounds

@@ -483,6 +483,26 @@ def test_cli_aut_with_sylow(capsys):
     assert facts["sylow_exponent"] == 2
 
 
+# prints the exit code and the peak resident set size (KiB) before and after
+_PEAK_RSS = """
+import resource, sys
+from pcentral.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(sys.argv[1:])
+print(code, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_cli_aut_budget_on_a_large_group_exits_3_in_small_memory():
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "aut", "elementary_abelian(5,4)", "--budget", "1000"],
+        capture_output=True, text=True)
+    code, before, after = map(int, proc.stdout.split())
+    assert code == EXIT_BUDGET == 3
+    assert "exceeded 1000 candidate tuples" in proc.stderr
+    assert after - before < 16 * 1024
+
+
 def test_cli_aut_budget_exhaustion_exits_3(capsys):
     assert main(["aut", "elementary_abelian(3,3)", "--budget", "10"]) == 3
     assert "budget exhausted" in capsys.readouterr().err

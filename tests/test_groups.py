@@ -217,8 +217,46 @@ def test_subgroups_are_tables_sharing_their_parents_elements():
 
 def test_automorphism_validation_rejects_non_homomorphism(q8):
     i, j = q8.generators[0], q8.generators[1]
-    with pytest.raises((NotAHomomorphism, NotBijective)):
+    # i^2 = j^2 in Q8, but the images square to -1 and 1
+    with pytest.raises(NotAHomomorphism, match="inconsistent on the Cayley graph"):
         automorphism_from_images(q8, (i, j), (i, q8.identity))
+
+
+def _basis(spec):
+    G = build_group(spec)
+    return G, minimal_generating_sequence(G)
+
+
+def test_automorphism_validation_rejects_non_generating_elements():
+    G, (a, b) = _basis("elementary_abelian(2,2)")
+    with pytest.raises(ValueError, match="do not generate the group"):
+        automorphism_from_images(G, [a], [b])
+
+
+def test_automorphism_validation_rejects_non_bijective_endomorphism():
+    G, (a, b) = _basis("elementary_abelian(2,2)")
+    with pytest.raises(NotBijective, match="non-bijective endomorphism"):
+        automorphism_from_images(G, [a, b], [a, a])
+
+
+def test_automorphism_validation_error_precedence(q8):
+    G, (a, b, c) = _basis("elementary_abelian(2,3)")
+    # not generating and not injective: the generation error comes first
+    with pytest.raises(ValueError, match="do not generate the group") as exc:
+        automorphism_from_images(G, [a, b], [a, a])
+    assert not isinstance(exc.value, NotBijective)
+    # not generating and not a homomorphism: the homomorphism error comes first
+    i = q8.generators[0]
+    with pytest.raises(NotAHomomorphism):
+        automorphism_from_images(q8, [i, i], [i, q8.identity])
+
+
+def test_automorphism_from_images_accepts_redundant_generators():
+    G, (a, b) = _basis("elementary_abelian(3,2)")
+    ab = G.mul(a, b)
+    swap = automorphism_from_images(G, [a, b, ab], [b, a, ab])
+    assert (swap(a), swap(b), swap(ab)) == (b, a, ab)
+    assert swap * swap == swap.identity_like()
 
 
 def test_conjugation_is_an_automorphism(d4):

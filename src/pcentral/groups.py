@@ -385,7 +385,8 @@ class Automorphism(Element):
 
     def order(self) -> int:
         """The lcm of the cycle lengths through the domain's generators: a^k
-        is the identity exactly when it fixes every generator."""
+        is the identity exactly when it fixes every generator, as the
+        generators generate the domain (the key relies on that too)."""
         k = self._ord
         if k is None:
             images, index = self.images.tolist(), self.domain._index

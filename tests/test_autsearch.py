@@ -286,3 +286,27 @@ def test_budget_boundary_across_blocks():
     assert brute_force_aut(G, budget=486).tuples_tried == 486 == _aut("cyclic(3,6)").order
     with pytest.raises(BudgetExceeded, match="exceeded 485 candidate tuples"):
         brute_force_aut(G, budget=485)
+
+
+# candidate tuples tried on the groups whose Aut tables are checked against a
+# regrown generating sequence
+REGROW_TUPLES_TRIED = {
+    "elementary_abelian(3,3)": 16926, "heisenberg(3)": 5694,
+    "elementary_abelian(2,3)": 350, "quaternion(8)": 42,
+    "elementary_abelian(3,2)": 72, "elementary_abelian(2,2)": 12,
+    "cyclic(3,2)": 6, "ut(4,2)": 57492, "dihedral(8)": 12, "sym(4)": 42,
+    "cyclic(3,6)": 486, "elementary_abelian(2,4)": 41190,
+}
+
+
+@pytest.mark.parametrize("spec,tried", sorted(REGROW_TUPLES_TRIED.items()))
+def test_aut_generators_match_regrown_sequence(spec, tried):
+    # fresh copies, so that no order cached by the search is reused
+    result = _aut(spec)
+    A = result.perm_group
+    fresh = [Automorphism(a.domain, a.images) for a in A.elements]
+    regrown = GroupTable(fresh, fresh)
+    assert A.keys == regrown.keys
+    assert ([a.key for a in A.generators]
+            == [a.key for a in minimal_generating_sequence(regrown)])
+    assert result.tuples_tried == tried

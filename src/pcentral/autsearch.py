@@ -22,6 +22,7 @@ from .groups import (
     Automorphism,
     GroupTable,
     _extend_block,
+    _opaque_rows,
     _schreier_levels,
     identity_automorphism,
     minimal_generating_sequence,
@@ -72,7 +73,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     for i, x in enumerate(G.elements):
         by_order.setdefault(x.order(), []).append(i)
     candidates = [np.array(by_order[g.order()], dtype=np.int32) for g in gens]
-    found: List[Automorphism] = []
+    found: List[np.ndarray] = []  # blocks of automorphisms, a row each
     tuples_tried = 0
 
     def descend(depth: int, maps: np.ndarray, images: np.ndarray) -> None:
@@ -91,19 +92,70 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
             keep = hom & injective
             block, block_images = block[keep], block_images[keep]
             if depth + 1 == len(gens):
-                found.extend(Automorphism(G, row) for row in block)
+                found.append(block)
             elif len(block):
                 descend(depth + 1, block, block_images)
 
     e = G.index_of(G.identity)
     root = np.full((1, G.order), e, dtype=np.int32)
     descend(0, root, np.empty((1, 0), dtype=np.int32))
-    if len({a.key for a in found}) != len(found):
+    return AutGroupResult(G, _aut_table(G, np.concatenate(found)), tuples_tried)
+
+
+def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
+    """The automorphisms whose index arrays are the rows of `maps`, as a
+    table generated by minimal_generating_sequence's greedy rule: highest
+    order first, ties by key.
+
+    The rows are sorted once by the image indices of G's generators, which
+    is key order.  Each order is the lcm of the cycle lengths through G's
+    generators, followed for every row at once by gathers.  The subgroup of
+    the generators chosen so far grows breadth first: the products h*g of
+    its new rows h and the generators g are found among the rows by
+    searchsorted on their images of G's generators.
+    """
+    gen_idx = [G.index_of(g) for g in G.generators]
+
+    def keys(images: np.ndarray) -> np.ndarray:
+        # big-endian, so that the rows' bytes sort like their numbers
+        return _opaque_rows(images.astype(">i4"))
+
+    sorted_keys = keys(maps[:, gen_idx])
+    by_key = np.argsort(sorted_keys)
+    maps, sorted_keys = maps[by_key], sorted_keys[by_key]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
         raise AssertionError("automorphism search produced duplicate maps")
-    A = GroupTable(found, found)
-    # a minimal generating sequence needs the table it generates
-    A.generators = minimal_generating_sequence(A)
-    return AutGroupResult(G, A, tuples_tried)
+
+    rows = np.arange(len(maps))
+    orders = np.ones(len(maps), dtype=np.int64)
+    for s in gen_idx:
+        at, length = maps[:, s], np.ones(len(maps), dtype=np.int64)
+        moving = at != s
+        while moving.any():
+            at = maps[rows, at]
+            length += moving
+            moving &= at != s
+        orders = np.lcm(orders, length)
+
+    inside = np.zeros(len(maps), dtype=bool)
+    inside[np.searchsorted(sorted_keys, keys(np.array([gen_idx])))] = True
+    by_rank = np.argsort(-orders, kind="stable")  # ties stay in key order
+    chosen: List[int] = []
+    while not inside.all():
+        chosen.append(int(by_rank[~inside[by_rank]][0]))
+        new, steps = inside.nonzero()[0], chosen[-1:]
+        while len(new):
+            products = np.concatenate([maps[np.ix_(new, maps[g, gen_idx])] for g in steps])
+            reached = np.zeros(len(maps), dtype=bool)
+            reached[np.searchsorted(sorted_keys, keys(products))] = True
+            new = (reached & ~inside).nonzero()[0]
+            inside[new] = True
+            steps = chosen
+
+    auts = [Automorphism(G, row) for row in maps]
+    for a, k in zip(auts, orders.tolist()):
+        a._ord = k
+    return GroupTable(auts, [auts[c] for c in chosen])
 
 
 def _normalizes(G: GroupTable, y: Element, P: GroupTable) -> bool:

@@ -94,7 +94,9 @@ def test_closure_product_counts(monkeypatch):
 
     assert count(lambda: build_group("ut(4,3)")) == 788
     assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == 640
-    assert count(lambda: build_action(H, "full_aut")) == 1020
+    # the Aut table picks its generators by batched gathers: 452 products
+    # close the action and the rest find element orders
+    assert count(lambda: build_action(H, "full_aut")) == 568
 
 
 @pytest.mark.parametrize("spec", ["dihedral(8)", "quaternion(8)", "sym(4)",

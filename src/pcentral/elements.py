@@ -373,8 +373,9 @@ class Permutation(Element):
 
     def _right_products(self, bodies: np.ndarray) -> np.ndarray:
         """The key bodies of x * self for the permutations x whose image rows
-        are the rows: (x * self)(i) = x(self(i)), one gather."""
-        return bodies[:, self.images]
+        are the rows: (x * self)(i) = x(self(i)), one gather into a
+        C-contiguous block."""
+        return bodies.take(self.images, axis=1)
 
     def _compute_inverse(self) -> "Permutation":
         inv = np.empty(self.degree, dtype=np.int64)

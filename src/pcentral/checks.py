@@ -344,11 +344,14 @@ def check_quotient_inheritance(pair: ActionPair) -> Verdict:
     if not ks:
         return _no_qualifying_k("quotient_inheritance", pair)
     omegas = omega_series(commutator_group_of_pair(pair))
+    qpairs: List[ActionPair] = []  # the quotient by omegas[i], built on first use
     detail = []
     ok = True
     for k in ks:
         for i, om in enumerate(omegas, 1):
-            qpair = induced_quotient_action(pair, om)
+            if len(qpairs) < i:
+                qpairs.append(induced_quotient_action(pair, om))
+            qpair = qpairs[i - 1]
             good = _p_central_on_term(qpair, k)
             detail.append({"k": k, "i": i, "omega_order": om.order,
                            "quotient_order": qpair.G.order, "ok": good})

@@ -32,9 +32,10 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from .autsearch import DEFAULT_AUT_BUDGET
 from .catalog import ACTION_NAMES, FAMILY_NAMES, build_action, build_group, parse_family
@@ -442,6 +443,23 @@ def default_config() -> ExperimentConfig:
 # -- execution ------------------------------------------------------------
 
 
+# the groups and actions built so far by the running task; None outside one
+_task_builds: ContextVar[Optional[Dict[Hashable, object]]] = ContextVar(
+    "task_builds", default=None)
+
+
+def _shared(key: Optional[Hashable], build: Callable[[], object]) -> object:
+    """build(), or inside a task the result of its first successful call
+    with this key; a build that raises is not kept, and a None key is not
+    shared."""
+    builds = _task_builds.get()
+    if builds is None or key is None:
+        return build()
+    if key not in builds:
+        builds[key] = build()
+    return builds[key]
+
+
 def run_entry(entry: Entry, caps: Dict[str, int],
               G: Optional[GroupTable] = None) -> List[Verdict]:
     """Run one entry's checks, each through its registry with its caps,
@@ -449,15 +467,21 @@ def run_entry(entry: Entry, caps: Dict[str, int],
 
     ``G`` overrides the catalog build (used when replaying a bundle, which
     restores the serialized table instead of rebuilding from the family).
+    Inside a task of ``run_corpus``, a group and an action built from the
+    catalog are shared with the task's later entries.
     """
+    group_key = None
     if G is None and entry.group_spec is not None:
-        G = build_group(entry.group_spec, cap=caps["closure_cap"])
+        group_key = parse_family(entry.group_spec)
+        G = _shared(group_key, lambda: build_group(
+            entry.group_spec, cap=caps["closure_cap"]))
     inputs = {"group": G, "p": entry.p, "sigma": entry.sigma,
               "expect": entry.expect}
     if any("pair" in CHECK_KIND[c].takes for c in entry.checks):
-        inputs["pair"] = build_action(G, entry.action_spec,
-                                      action_cap=caps["action_cap"],
-                                      aut_budget=caps["aut_budget"])
+        inputs["pair"] = _shared(
+            None if group_key is None else (group_key, parse_family(entry.action_spec)),
+            lambda: build_action(G, entry.action_spec, action_cap=caps["action_cap"],
+                                 aut_budget=caps["aut_budget"]))
     verdicts: List[Verdict] = []
     for c in entry.checks:
         kind = CHECK_KIND[c]
@@ -481,6 +505,44 @@ def _entry_worker(entry_dict: Dict[str, object], caps: Dict[str, int]
     dicts = [v.to_dict() for v in verdicts]
     failing = any(d["conclusion"] == FAIL for d in dicts)
     return dicts, None, EXIT_COUNTEREXAMPLE if failing else EXIT_OK
+
+
+def _task_worker(entry_dicts: List[Dict[str, object]], caps: Dict[str, int]
+                 ) -> List[Tuple[List[Dict[str, object]], Optional[Dict[str, str]], int]]:
+    """The outcomes of a task's entries, in order, run with the group and
+    actions they build shared among them and dropped when the task ends."""
+    token = _task_builds.set({})
+    try:
+        return [_entry_worker(d, caps) for d in entry_dicts]
+    finally:
+        _task_builds.reset(token)
+
+
+def _tasks(entries: List[Entry], workers: int) -> List[List[int]]:
+    """The entry indices of each task: one task per group spec, in order of
+    the spec's first entry, and one per sigma entry.  A task of more than
+    ceil(len(entries) / workers) entries is cut into chunks of that size, so
+    that one large group still keeps every worker busy."""
+    by_spec: Dict[Hashable, List[int]] = {}
+    for i, e in enumerate(entries):
+        by_spec.setdefault(i if e.group_spec is None else parse_family(e.group_spec),
+                           []).append(i)
+    size = -(-len(entries) // workers)
+    return [task[k:k + size] for task in by_spec.values()
+            for k in range(0, len(task), size)]
+
+
+def _in_entry_order(tasks: List[List[int]], task_outcomes: Iterable[list]) -> Iterator[tuple]:
+    """The entries' outcomes in entry order, from the tasks' outcomes in task
+    order (as they arrive, serial or not); each is yielded as soon as every
+    earlier entry's has arrived."""
+    finished: Dict[int, tuple] = {}
+    reported = 0
+    for task, outcomes in zip(tasks, task_outcomes):
+        finished.update(zip(task, outcomes))
+        while reported in finished:
+            yield finished.pop(reported)
+            reported += 1
 
 
 @dataclass
@@ -528,13 +590,14 @@ def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
 
     exit_code = EXIT_OK
     serial = config.parallelism <= 1
+    entries = config.entries
+    tasks = _tasks(entries, config.parallelism)
     with (nullcontext() if serial else
           ProcessPoolExecutor(max_workers=config.parallelism)) as pool:
         outcomes = (map if serial else pool.map)(
-            _entry_worker, [e.to_dict() for e in config.entries],
-            [caps] * len(config.entries))
-        # results arrive in entry order, serial or not
-        for e, (dicts, err, code) in zip(config.entries, outcomes):
+            _task_worker, [[entries[i].to_dict() for i in task] for task in tasks],
+            [caps] * len(tasks))
+        for e, (dicts, err, code) in zip(entries, _in_entry_order(tasks, outcomes)):
             say(f"[{e.entry_id}] {'ABORT ' + err['type'] if err else f'{len(dicts)} verdicts'}")
             exit_code = max(exit_code, code)
             if err is not None:

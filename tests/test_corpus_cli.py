@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import random
 import signal
 import subprocess
 import sys
@@ -9,20 +10,23 @@ from pathlib import Path
 
 import pytest
 
-from pcentral import checks
+from pcentral import checks, corpus
 from pcentral.catalog import build_group
 from pcentral.cli import main
 from pcentral.elements import FpMatrix
 from pcentral.corpus import (
+    DEFAULT_CAPS,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_COUNTEREXAMPLE,
     EXIT_INTERNAL,
     EXIT_OK,
+    Entry,
     ExperimentConfig,
     default_config,
     replay_bundle,
     run_corpus,
+    run_entry,
 )
 from pcentral.errors import ConfigError
 from pcentral.groups import GroupTable
@@ -189,6 +193,92 @@ def test_builtin_corpus_report_matches_golden(corpus_run):
     assert len(got) == len(want)
     for line, (a, b) in enumerate(zip(got, want), 1):
         assert a == b, f"report line {line} differs from the golden report"
+
+
+def _golden_rows():
+    """The golden report's rows, by entry id, in report order."""
+    rows = {}
+    for line in GOLDEN_REPORT.read_text().splitlines():
+        rows.setdefault(json.loads(line)["entry"], []).append(line)
+    return rows
+
+
+def _rows_by_entry(records):
+    rows = {}
+    for line in stripped(records):
+        rows.setdefault(json.loads(line)["entry"], []).append(line)
+    return rows
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_serial_run_builds_each_group_and_action_once(tmp_path, monkeypatch):
+    # 89 group entries on 30 specs, and 29 pair entries on distinct pairs
+    groups = _counting(monkeypatch, corpus, "build_group")
+    actions = _counting(monkeypatch, corpus, "build_action")
+    result = run_corpus(default_config(), tmp_path / "out")
+    assert len(groups) == 30 == len(set(groups))
+    assert len(actions) == 29
+    assert _rows_by_entry(result.records) == _golden_rows()
+
+
+def test_run_entry_after_a_run_builds_its_own_group(tmp_path):
+    data = {"entries": [{"id": "h3--inner", "group": "heisenberg(3)",
+                         "action": "inner", "checks": ["main_regularity"]},
+                        {"id": "h3--structure", "group": "heisenberg(3)",
+                         "checks": ["xu_regularity"]}]}
+    run_corpus(ExperimentConfig.from_dict(data), tmp_path / "out")
+    by_id = {e.entry_id: e for e in default_config().entries}
+    for entry_id in ("quaternion-8--inner", "dihedral-8--structure"):
+        verdicts = run_entry(by_id[entry_id], dict(DEFAULT_CAPS))
+        got = stripped({"entry": entry_id, **v.to_dict()} for v in verdicts)
+        assert got == _golden_rows()[entry_id]
+
+
+def test_shuffled_parallel_run_gives_every_entry_its_golden_rows(tmp_path):
+    data = default_config().to_dict()
+    random.Random(5).shuffle(data["entries"])
+    data["parallelism"] = 2
+    result = run_corpus(ExperimentConfig.from_dict(data), tmp_path / "out")
+    assert result.exit_code == EXIT_OK
+    assert [r["entry"] for r in result.records] == [
+        e["id"] for e in data["entries"] for _ in _golden_rows()[e["id"]]]
+    assert _rows_by_entry(result.records) == _golden_rows()
+
+
+def test_a_failed_build_is_not_shared(tmp_path, monkeypatch):
+    groups = _counting(monkeypatch, corpus, "build_group")
+    data = {"caps": {"closure_cap": 100},
+            "entries": [{"id": f"ut43-{k}", "group": "ut(4,3)",
+                         "checks": ["xu_regularity"]} for k in (1, 2)]}
+    result = run_corpus(ExperimentConfig.from_dict(data), tmp_path / "out")
+    assert result.exit_code == EXIT_BUDGET
+    assert [(r["entry"], r["error"]["type"]) for r in result.records] == [
+        ("ut43-1", "CapExceeded"), ("ut43-2", "CapExceeded")]
+    assert len(groups) == 2
+
+
+def test_tasks_follow_group_specs_and_split_for_the_workers():
+    def entry(k, group=None):
+        return Entry(f"e{k}", ("xu_regularity",), group_spec=group,
+                     sigma=None if group else 2)
+
+    q8 = [entry(k, "quaternion(8)") for k in range(4)]
+    assert corpus._tasks(q8, 2) == [[0, 1], [2, 3]]
+    assert corpus._tasks(q8, 1) == [[0, 1, 2, 3]]
+    mixed = [entry(0, "cyclic(2,3)"), entry(1, "sym(3)"), entry(2),
+             entry(3, "cyclic( 2, 3 )"), entry(4), entry(5, "sym(3)")]
+    assert corpus._tasks(mixed, 1) == [[0, 3], [1, 5], [2], [4]]
 
 
 def test_seeded_fault_produces_bundle_and_replays(tmp_path):

@@ -25,9 +25,16 @@ from pcentral.actions import (
     trivial_action,
 )
 from pcentral.catalog import build_action, build_group, paper_sigma_pair
+from pcentral.corpus import _DEFAULT_PAIRS
 from pcentral.errors import BudgetExceeded, NotInvariant
-from pcentral.groups import conjugation_aut, is_normal, normal_closure, subgroup_generated
-from pcentral.series import lower_central_series, omega_subgroup
+from pcentral.groups import (
+    automorphism_from_images,
+    conjugation_aut,
+    is_normal,
+    normal_closure,
+    subgroup_generated,
+)
+from pcentral.series import lower_central_series, omega_series, omega_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,28 @@ def test_induced_quotient_requires_invariant_subgroup():
     N = subgroup_generated(E, [e3])
     with pytest.raises(NotInvariant):
         induced_quotient_action(pair, N)
+
+
+def _omega_quotients(pair):
+    """(pair, N) for N = each Omega_i([G,A]) of the pair, and each Omega_i of
+    each distinct mixed term gamma_k with the action restricted to it."""
+    yield from ((pair, om) for om in omega_series(commutator_group_of_pair(pair)))
+    series = mixed_lower_central_series(pair)
+    for term in series.terms[:series.stabilized_at + 1]:
+        rpair = restrict_action(pair, term)
+        yield from ((rpair, om) for om in omega_series(rpair.G))
+
+
+@pytest.mark.parametrize("gspec,aspec", _DEFAULT_PAIRS)
+def test_induced_quotient_maps_match_generator_images(gspec, aspec):
+    for pair, N in _omega_quotients(build_action(build_group(gspec), aspec)):
+        qpair = induced_quotient_action(pair, N)
+        Q = qpair.G
+        for a, induced in zip(pair.A_generators, qpair.A_generators):
+            ref = automorphism_from_images(
+                Q, Q.generators, [Q.project(a(g)) for g in pair.G.generators])
+            assert induced.domain is Q
+            assert (induced.images == ref.images).all()
 
 
 def test_restrict_action_to_commutator_subgroup(sigma3):

@@ -16,14 +16,15 @@ breadth-first search over left-normed commutator values
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .elements import Element
 from .errors import BudgetExceeded, CapExceeded, NotInvariant, NotPGroup
 from .groups import (
     Automorphism,
     GroupTable,
-    automorphism_from_images,
     close,
     conjugation_aut,
     identity_automorphism,
@@ -151,15 +152,9 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
         g_alphabet: List[Element] = [g for g in G.elements if not g.is_identity()]
         a_alphabet: List[Automorphism] = [a for a in pair.A.elements if not a.is_identity()]
     elif entries == "generators":
-        g_letters: Dict[bytes, Element] = {}
-        for g in G.generators:
-            g_letters[g.key] = g
-            g_letters[g.inverse().key] = G.canon(g.inverse())
+        g_letters = {x.key: x for g in G.generators for x in (g, G.canon(g.inverse()))}
         g_alphabet = [g for g in g_letters.values() if not g.is_identity()]
-        a_letters: Dict[bytes, Automorphism] = {}
-        for a in pair.A_generators:
-            a_letters[a.key] = a
-            a_letters[a.inverse().key] = a.inverse()
+        a_letters = {x.key: x for a in pair.A_generators for x in (a, a.inverse())}
         a_alphabet = [a for a in a_letters.values() if not a.is_identity()]
     else:
         raise ValueError(f"unknown entry mode {entries!r}")
@@ -224,14 +219,20 @@ def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> boo
 
 
 def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
-    """The action induced on G/N; N must be normal and A-invariant."""
+    """The action induced on G/N; N must be normal and A-invariant.  Each
+    map ids[x] -> ids[a(x)], with ids = Q.coset_id, is one scatter, and one
+    gather asserts that it is well defined."""
     if any(a(n).key not in N.keys for a in pair.A_generators for n in N.generators):
         raise NotInvariant("kernel subgroup is not invariant under the action")
     Q = quotient(pair.G, N)
+    ids = np.asarray(Q.coset_id, dtype=np.int32)
     induced = []
     for a in pair.A_generators:
-        images = [Q.project(a(g)) for g in pair.G.generators]
-        induced.append(automorphism_from_images(Q, Q.generators, images))
+        moved, images = ids[a.images], np.empty(Q.order, dtype=np.int32)
+        images[ids] = moved
+        if (images[ids] != moved).any():
+            raise AssertionError("induced map is not well defined on the cosets")
+        induced.append(Automorphism(Q, images))
     return ActionPair.build(Q, induced)
 
 
@@ -240,15 +241,13 @@ def restrict_action(pair: ActionPair, H: GroupTable) -> ActionPair:
     return ActionPair.build(H, [restrict_automorphism(a, H) for a in pair.A_generators])
 
 
-def aut_perm_realization(pair: ActionPair) -> GroupTable:
-    """A as a group table: each automorphism is a permutation of the indices
-    of G's element list."""
-    return pair.A
-
-
 def aut_as_perm_group(pair: ActionPair) -> GroupTable:
-    """A itself, realized faithfully on the index set of G's element list."""
+    """A itself, realized faithfully as permutations of the indices of G's
+    element list."""
     return pair.A
+
+
+aut_perm_realization = aut_as_perm_group
 
 
 def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,

@@ -11,7 +11,7 @@ oracles only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .groups import (
     _opaque_rows,
     _schreier_levels,
     identity_automorphism,
-    minimal_generating_sequence,
     subgroup_generated,
 )
 
@@ -45,34 +44,44 @@ class AutGroupResult:
         return self.perm_group.order
 
 
+def _greedy_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
+                   orders: Sequence[int]) -> Tuple[List[int], List[tuple]]:
+    """_schreier_levels over steps of one generator each, the first index
+    outside the mask by highest order, then lowest index (key order), until
+    the mask holds every index: minimal_generating_sequence's greedy rule."""
+    ranked = np.argsort(-np.asarray(orders), kind="stable")
+
+    def steps() -> Iterator[List[int]]:
+        while not inside.all():
+            yield [int(ranked[~inside[ranked]][0])]
+    return _schreier_levels(column, inside, steps())
+
+
 def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGroupResult:
     """All automorphisms of G by depth-first image search over a minimal
     generating sequence g_1..g_k, with order matching and partial-map pruning.
 
-    A candidate tuple is a prefix of images that survived depth d-1 plus one
-    element of the order of g_d.  The search takes the tuples of a depth in
-    prefix-major order, `_BLOCK_ROWS` at a time, and extends a block's maps
-    over that depth's level of a Schreier tree of <g_1..g_d> as int32 rows
-    (groups._extend_block); the rows that stay injective homomorphisms
-    descend before the next block is tried.  Every tuple is tried that the
-    one-tuple-at-a-time search tries, in the same order, so `tuples_tried`,
-    the budget outcome and the automorphisms found do not depend on the
-    blocks; the budget is tested before a block is extended.  Only the
-    automorphisms found are built as Automorphism objects.
+    The sequence and a Schreier tree of each prefix <g_1..g_d> come from one
+    breadth-first closure (_greedy_levels).  A candidate tuple is a prefix
+    of images that survived depth d-1 plus one element of the order of g_d.
+    The search takes the tuples of a depth in prefix-major order,
+    `_BLOCK_ROWS` at a time, and extends a block's maps over that depth's
+    level of the tree as int32 rows (groups._extend_block); the rows that
+    stay injective homomorphisms descend before the next block is tried.
+    Every tuple is tried that the one-tuple-at-a-time search tries, in the
+    same order, so `tuples_tried`, the budget outcome and the automorphisms
+    found do not depend on the blocks; the budget is tested before a block
+    is extended.  Only the automorphisms found are built as Automorphism
+    objects.
     """
-    gens = minimal_generating_sequence(G)
+    G._fill_orders()
+    orders = np.array([x.order() for x in G.elements])
+    e = G.index_of(G.identity)
+    gens, levels = _greedy_levels(G._right_column, np.arange(G.order) == e, orders)
     if not gens:  # trivial group
         ident = identity_automorphism(G)
         return AutGroupResult(G, GroupTable([ident], [ident]), 0)
-    H = None  # each prefix's subgroup grows from the one before
-    chain = [(H := subgroup_generated(G, [g], H)).order for g in gens]
-    levels = _schreier_levels(G, [[G.index_of(g)] for g in gens])
-    if [level[-1] for level in levels] != chain:
-        raise AssertionError("partial closure disagrees with the subgroup chain")
-    by_order: Dict[int, List[int]] = {}
-    for i, x in enumerate(G.elements):
-        by_order.setdefault(x.order(), []).append(i)
-    candidates = [np.array(by_order[g.order()], dtype=np.int32) for g in gens]
+    candidates = [(orders == orders[g]).nonzero()[0].astype(np.int32) for g in gens]
     found: List[np.ndarray] = []  # blocks of automorphisms, a row each
     tuples_tried = 0
 
@@ -96,7 +105,6 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
             elif len(block):
                 descend(depth + 1, block, block_images)
 
-    e = G.index_of(G.identity)
     root = np.full((1, G.order), e, dtype=np.int32)
     descend(0, root, np.empty((1, 0), dtype=np.int32))
     return AutGroupResult(G, _aut_table(G, np.concatenate(found)), tuples_tried)
@@ -109,10 +117,10 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
 
     The rows are sorted once by the image indices of G's generators, which
     is key order.  Each order is the lcm of the cycle lengths through G's
-    generators, followed for every row at once by gathers.  The subgroup of
-    the generators chosen so far grows breadth first: the products h*g of
-    its new rows h and the generators g are found among the rows by
-    searchsorted on their images of G's generators.
+    generators, followed for every row at once by gathers.  The generators
+    are picked by _greedy_levels, whose right column of row j holds the
+    rows of the products x*a_j: their images of G's generators are gathers
+    of the rows, found among the sorted rows by searchsorted.
     """
     gen_idx = [G.index_of(g) for g in G.generators]
 
@@ -137,20 +145,10 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
             moving &= at != s
         orders = np.lcm(orders, length)
 
-    inside = np.zeros(len(maps), dtype=bool)
-    inside[np.searchsorted(sorted_keys, keys(np.array([gen_idx])))] = True
-    by_rank = np.argsort(-orders, kind="stable")  # ties stay in key order
-    chosen: List[int] = []
-    while not inside.all():
-        chosen.append(int(by_rank[~inside[by_rank]][0]))
-        new, steps = inside.nonzero()[0], chosen[-1:]
-        while len(new):
-            products = np.concatenate([maps[np.ix_(new, maps[g, gen_idx])] for g in steps])
-            reached = np.zeros(len(maps), dtype=bool)
-            reached[np.searchsorted(sorted_keys, keys(products))] = True
-            new = (reached & ~inside).nonzero()[0]
-            inside[new] = True
-            steps = chosen
+    identity = np.searchsorted(sorted_keys, keys(np.array([gen_idx])))
+    chosen, _ = _greedy_levels(
+        lambda j: np.searchsorted(sorted_keys, keys(maps[:, maps[j, gen_idx]])),
+        np.arange(len(maps)) == identity, orders)
 
     auts = [Automorphism(G, row) for row in maps]
     for a, k in zip(auts, orders.tolist()):

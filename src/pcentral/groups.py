@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
+from collections import Counter
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -126,22 +126,21 @@ class GroupTable:
             self._cache["key_bodies"] = _key_bodies(self.elements)
         return self._cache["key_bodies"]
 
-    def _right_column(self, j: int) -> array:
-        """[index(x * e_j) for x in elements], built on first use and kept;
-        KeyError if a product lies outside the table.  Matrix and permutation
-        tables multiply their key bodies a block at a time."""
+    def _right_column(self, j: int) -> np.ndarray:
+        """[index(x * e_j) for x in elements] as C ints, built on first use
+        and kept; KeyError if a product lies outside the table.  Matrix and
+        permutation tables multiply their key bodies a block at a time."""
         columns = self._cache.setdefault("right_columns", {})
         col = columns.get(j)
         if col is None:
             g, bodies = self.elements[j], self._key_bodies()
             if bodies is None:
                 index = self._index
-                col = array("i", [index[(x * g).key] for x in self.elements])
+                col = np.array([index[(x * g).key] for x in self.elements], dtype=np.intc)
             else:
-                col = array("i")
-                for start in range(0, len(bodies), _BLOCK_ROWS):
-                    block = g._right_products(bodies[start:start + _BLOCK_ROWS])
-                    col.frombytes(self._rows_of(block).tobytes())
+                col = np.concatenate([
+                    self._rows_of(g._right_products(bodies[start:start + _BLOCK_ROWS]))
+                    for start in range(0, len(bodies), _BLOCK_ROWS)])
             columns[j] = col
         return col
 
@@ -199,11 +198,7 @@ class GroupTable:
 
     def order_stats(self) -> Dict[int, int]:
         self._fill_orders()
-        stats: Dict[int, int] = {}
-        for x in self.elements:
-            k = x.order()
-            stats[k] = stats.get(k, 0) + 1
-        return stats
+        return dict(Counter(x.order() for x in self.elements))
 
     # -- subgroups -------------------------------------------------------
 
@@ -404,11 +399,16 @@ class Automorphism(Element):
         return f"Automorphism(on order-{self.domain.order} group)"
 
 
-def _schreier_levels(G: GroupTable, steps: Sequence[Sequence[int]]) -> List[tuple]:
-    """A Schreier tree of <gens>, grown a step at a time: step d adds the
-    generators steps[d] (indices into G), and gens lists all steps in order.
+def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
+                     steps: Iterable[Sequence[int]]) -> Tuple[List[int], List[tuple]]:
+    """The one breadth-first closure over element indices: a Schreier tree
+    of <gens>, grown from the subgroup H_0 in the mask `inside` a step at a
+    time.  column(j) is [index(x * e_j) for every x]; step d adds the
+    generators steps[d], and `inside` grows in place to H_d = <H_0,
+    steps[0..d]>.  Steps are read lazily, so a step source may pick its
+    generators from the mask as it stands.
 
-    Level d adds H_d = <steps[0..d]> minus H_{d-1} and is a tuple of
+    Returns gens, all steps in order, and a level per step, a tuple of
     - `grow`: the tree edges x -> x*g_j = y that first reach each new y, as
       (xs, js, ys) arrays with j indexing gens, one triple per breadth-first
       layer, so every x lies in H_{d-1} or an earlier layer;
@@ -420,21 +420,18 @@ def _schreier_levels(G: GroupTable, steps: Sequence[Sequence[int]]) -> List[tupl
     every level up to d is a homomorphism (Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, 2005, on Schreier trees).
     """
-    gens = [g for step in steps for g in step]
-    cols = np.array([np.frombuffer(G._right_column(g), dtype=np.intc) for g in gens],
-                    dtype=np.intc).reshape(len(gens), G.order)
-    inside = np.zeros(G.order, dtype=bool)
-    inside[G.index_of(G.identity)] = True
-    first = np.empty(G.order, dtype=np.intp)  # an edge reaching each new element
-    levels, known = [], 0
+    gens, cols, levels = [], [], []
+    first = np.empty(len(inside), dtype=np.intp)  # an edge reaching each new element
     for step in steps:
         old = inside.nonzero()[0].astype(np.intc)
         xs = old.repeat(len(step))
-        js = known + np.arange(len(xs), dtype=np.intc) % len(step)
-        known += len(step)
+        js = len(gens) + np.arange(len(xs), dtype=np.intc) % len(step)
+        gens += step
+        cols += map(column, step)
+        table = np.stack(cols)
         grow, check, new = [], [], []
         while len(xs):
-            ys = cols[js, xs]
+            ys = table[js, xs]
             reach = (~inside[ys]).nonzero()[0]
             first[ys[reach]] = reach
             tree = np.zeros(len(ys), dtype=bool)
@@ -446,11 +443,11 @@ def _schreier_levels(G: GroupTable, steps: Sequence[Sequence[int]]) -> List[tupl
                 grow.append((xs[tree], js[tree], added))
             tree = ~tree
             check.append((xs[tree], js[tree], ys[tree]))
-            xs = added.repeat(known)
-            js = np.arange(len(xs), dtype=np.intc) % known
+            xs = added.repeat(len(gens))
+            js = np.arange(len(xs), dtype=np.intc) % len(gens)
         levels.append((grow, tuple(map(np.concatenate, zip(*check))), np.concatenate(new),
                        int(inside.sum())))
-    return levels
+    return gens, levels
 
 
 def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
@@ -469,8 +466,7 @@ def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
     grow, (xs, js, ys), new, _ = level
     occurs = np.bincount(images.ravel(), minlength=G.order).astype(bool)
     offsets = (occurs.cumsum() - 1)[images] * G.order
-    table = np.concatenate([np.frombuffer(G._right_column(m), dtype=np.intc)
-                            for m in occurs.nonzero()[0].tolist()])
+    table = np.concatenate(list(map(G._right_column, occurs.nonzero()[0].tolist())))
     for gx, gj, gy in grow:
         F[:, gy] = table[offsets[:, gj] + F[:, gx]]
     hom = np.ones(len(F), dtype=bool)
@@ -494,8 +490,9 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
     F = np.full((1, G.order), G.index_of(G.identity), dtype=np.int32)
     hom = injective = np.ones(1, dtype=bool)
     size = 1  # <> is the trivial group
-    if gens:  # one level, with every generator
-        (level,) = _schreier_levels(G, [gen_idx])
+    if gens:  # one level, with every generator, grown from the identity
+        inside = np.arange(G.order) == G.index_of(G.identity)
+        _, (level,) = _schreier_levels(G._right_column, inside, [gen_idx])
         (hom, injective), size = _extend_block(G, F, row, level), level[-1]
     if not hom[0]:
         raise NotAHomomorphism("generator images are inconsistent on the Cayley graph")

@@ -2,9 +2,10 @@
 
 import functools
 
+import numpy as np
 import pytest
 
-from pcentral.autsearch import brute_force_aut, normalizer, sylow_p_subgroup
+from pcentral.autsearch import _greedy_levels, brute_force_aut, normalizer, sylow_p_subgroup
 from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation, _cycle_order
 from pcentral.errors import BudgetExceeded
@@ -37,6 +38,13 @@ def test_aut_group_orders(spec, order):
     assert result.perm_group.order == order
     # full_aut acts through these generators
     assert close(result.perm_group.generators).keys == result.perm_group.keys
+
+
+def test_aut_of_the_trivial_group_is_trivial():
+    e = Permutation.identity(3)
+    result = brute_force_aut(GroupTable([e], [e], p=2))
+    assert (result.order, result.tuples_tried) == (1, 0)
+    assert result.perm_group.generators[0].is_identity()
 
 
 def test_aut_search_respects_budget():
@@ -310,3 +318,24 @@ def test_aut_generators_match_regrown_sequence(spec, tried):
     assert ([a.key for a in A.generators]
             == [a.key for a in minimal_generating_sequence(regrown)])
     assert result.tuples_tried == tried
+
+
+@pytest.mark.parametrize("spec", sorted(set(DIFFERENTIAL_SPECS) | set(REGROW_TUPLES_TRIED)))
+def test_generator_levels_match_the_subgroup_chain(spec):
+    # the search's one closure picks the object path's greedy sequence, and
+    # each level closes the subgroup that Dimino's chain grows
+    G = _group(spec)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[G.index_of(G.identity)] = True
+    gens, levels = _greedy_levels(G._right_column, inside, [x.order() for x in G.elements])
+    seq = minimal_generating_sequence(G)
+    assert [G.elements[g].key for g in gens] == [g.key for g in seq]
+    H, chain = None, []
+    for g in seq:
+        H = subgroup_generated(G, [g], H)
+        chain.append(H.order)
+    assert [level[-1] for level in levels] == chain
+    assert chain[-1] == G.order
+    # each level adds exactly the elements it counts
+    assert sorted(np.concatenate([level[2] for level in levels]).tolist()) == sorted(
+        set(range(G.order)) - {G.index_of(G.identity)})

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
+from .actions import DEFAULT_ACTION_CAP
 from .autsearch import DEFAULT_AUT_BUDGET
 from .catalog import ACTION_NAMES, FAMILY_NAMES, build_action, build_group, parse_family
 from .checks import ALL_CHECK_NAMES, CHECK_CAPS, CHECK_KIND, GROUP_PRIME_CHECKS, PAIR_CHECKS
@@ -69,7 +70,7 @@ EXIT_INTERNAL = 5
 
 DEFAULT_CAPS: Dict[str, int] = {
     "closure_cap": DEFAULT_CLOSURE_CAP,
-    "action_cap": 10_000,
+    "action_cap": DEFAULT_ACTION_CAP,
     "aut_budget": DEFAULT_AUT_BUDGET,
     "oracle_size_limit": 256,
     "oracle_k_max": 5,
@@ -96,18 +97,10 @@ class Entry:
     expect: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
-        d: Dict[str, object] = {"id": self.entry_id, "checks": list(self.checks)}
-        if self.group_spec is not None:
-            d["group"] = self.group_spec
-        if self.action_spec is not None:
-            d["action"] = self.action_spec
-        if self.p is not None:
-            d["p"] = self.p
-        if self.sigma is not None:
-            d["sigma"] = self.sigma
-        if self.expect is not None:
-            d["expect"] = self.expect
-        return d
+        d = {"id": self.entry_id, "checks": list(self.checks), "group": self.group_spec,
+             "action": self.action_spec, "p": self.p, "sigma": self.sigma,
+             "expect": self.expect}
+        return {k: v for k, v in d.items() if v is not None}
 
 
 def _loc(raw: Optional[str], needle: str) -> str:
@@ -216,6 +209,25 @@ def _parse_entry(data: object, raw: Optional[str]) -> Entry:
                  action_spec=action_spec, p=p, expect=expect)
 
 
+def _read_text(path: os.PathLike) -> str:
+    """A config or meta file's text; ConfigError if it exists but is not UTF-8
+    text (a missing file stays FileNotFoundError, also bad input)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {os.fspath(path)}: {e}") from None
+
+
+def _parse_json(text: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from None
+
+
 @dataclass
 class ExperimentConfig:
     caps: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_CAPS))
@@ -262,16 +274,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})")
-        return cls.from_dict(data, raw=text)
+        return cls.from_dict(_parse_json(text), raw=text)
 
     @classmethod
     def from_file(cls, path: os.PathLike) -> "ExperimentConfig":
-        return cls.from_text(Path(path).read_text())
+        return cls.from_text(_read_text(path))
 
     def to_dict(self) -> Dict[str, object]:
         return {"caps": dict(self.caps), "parallelism": self.parallelism,
@@ -633,14 +640,18 @@ def replay_bundle(bundle_dir: os.PathLike,
     """Re-run a reproducer bundle from its own artifacts alone.
 
     The group is restored from the serialized table (group.bin), not rebuilt
-    from the family catalog, so the bundle pins the exact inputs.
+    from the family catalog, so the bundle pins the exact inputs.  The
+    entry and caps of meta.json are validated as a configuration is.
     """
     say = progress or (lambda s: None)
     bundle = Path(bundle_dir)
-    meta = json.loads((bundle / "meta.json").read_text())
-    entry = _parse_entry(meta["entry"], None)
-    caps = dict(DEFAULT_CAPS)
-    caps.update(meta.get("caps", {}))
+    text = _read_text(bundle / "meta.json")
+    meta = _parse_json(text)
+    if not isinstance(meta, dict):
+        raise ConfigError("meta.json must be a JSON object")
+    config = ExperimentConfig.from_dict(
+        {"caps": meta.get("caps", {}), "entries": [meta.get("entry")]}, raw=text)
+    (entry,), caps = config.entries, config.caps
     G = (load_group(bundle / "group.bin", cap=caps["closure_cap"])
          if entry.sigma is None else None)
     verdicts = run_entry(entry, caps, G=G)

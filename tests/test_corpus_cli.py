@@ -549,6 +549,46 @@ def test_cli_replay_malformed_group_file_exits_4(tmp_path, capsys, mangle, messa
     assert "configuration error" in err and message in err
 
 
+def _replay_with_meta(tmp_path, edit):
+    """replay argv for a cyclic(2,1) bundle whose meta.json text is edited."""
+    bundle = _bundle_with(tmp_path, lambda path: save_group(build_group("cyclic(2,1)"), path))
+    meta = bundle / "meta.json"
+    meta.write_text(edit(meta.read_text()))
+    return ["replay", str(bundle)]
+
+
+def _with_closure_cap(text, cap):
+    meta = json.loads(text)
+    meta["caps"]["closure_cap"] = cap
+    return json.dumps(meta)
+
+
+def _run_config_bytes(tmp_path, blob):
+    config = tmp_path / "corpus.json"
+    config.write_bytes(blob)
+    return ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+_BAD_CAP = "cap 'closure_cap' must be a positive integer"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (lambda tmp: _replay_with_meta(tmp, lambda text: text[:-1]), "invalid JSON"),
+    (lambda tmp: _replay_with_meta(tmp, lambda text: _with_closure_cap(text, "100")),
+     _BAD_CAP),
+    (lambda tmp: _replay_with_meta(tmp, lambda text: _with_closure_cap(text, 0)), _BAD_CAP),
+    (lambda tmp: _replay_with_meta(tmp, lambda text: "[]"), "meta.json must be a JSON object"),
+    (lambda tmp: ["run", "--config", str(tmp), "--out", str(tmp / "out")], "cannot read"),
+    (lambda tmp: _run_config_bytes(tmp, b'{"entries": "\xe9"}'), "cannot read"),
+], ids=["meta-json", "meta-string-cap", "meta-zero-cap", "meta-not-object",
+        "config-directory", "config-not-utf8"])
+def test_cli_outside_input_exits_4(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 # -- command line --------------------------------------------------------
 
 

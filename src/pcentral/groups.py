@@ -466,7 +466,7 @@ def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
     grow, (xs, js, ys), new, _ = level
     occurs = np.bincount(images.ravel(), minlength=G.order).astype(bool)
     offsets = (occurs.cumsum() - 1)[images] * G.order
-    table = np.concatenate(list(map(G._right_column, occurs.nonzero()[0].tolist())))
+    table = np.concatenate([G._right_column(m) for m in occurs.nonzero()[0].tolist()])
     for gx, gj, gy in grow:
         F[:, gy] = table[offsets[:, gj] + F[:, gx]]
     hom = np.ones(len(F), dtype=bool)

@@ -16,7 +16,7 @@ breadth-first search over left-normed commutator values
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -152,9 +152,15 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
         g_alphabet: List[Element] = [g for g in G.elements if not g.is_identity()]
         a_alphabet: List[Automorphism] = [a for a in pair.A.elements if not a.is_identity()]
     elif entries == "generators":
-        g_letters = {x.key: x for g in G.generators for x in (g, G.canon(g.inverse()))}
+        g_letters: Dict[bytes, Element] = {}
+        for g in G.generators:
+            g_letters[g.key] = g
+            g_letters[g.inverse().key] = G.canon(g.inverse())
         g_alphabet = [g for g in g_letters.values() if not g.is_identity()]
-        a_letters = {x.key: x for a in pair.A_generators for x in (a, a.inverse())}
+        a_letters: Dict[bytes, Automorphism] = {}
+        for a in pair.A_generators:
+            a_letters[a.key] = a
+            a_letters[a.inverse().key] = a.inverse()
         a_alphabet = [a for a in a_letters.values() if not a.is_identity()]
     else:
         raise ValueError(f"unknown entry mode {entries!r}")
@@ -241,13 +247,15 @@ def restrict_action(pair: ActionPair, H: GroupTable) -> ActionPair:
     return ActionPair.build(H, [restrict_automorphism(a, H) for a in pair.A_generators])
 
 
-def aut_as_perm_group(pair: ActionPair) -> GroupTable:
-    """A itself, realized faithfully as permutations of the indices of G's
-    element list."""
+def aut_perm_realization(pair: ActionPair) -> GroupTable:
+    """A as a group table: each automorphism is a permutation of the indices
+    of G's element list."""
     return pair.A
 
 
-aut_perm_realization = aut_as_perm_group
+def aut_as_perm_group(pair: ActionPair) -> GroupTable:
+    """A itself, realized faithfully on the index set of G's element list."""
+    return pair.A
 
 
 def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,

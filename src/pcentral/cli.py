@@ -37,7 +37,7 @@ from .series import (
     agemo,
     lower_central_series,
     nilpotency_class,
-    omega_series,
+    omega_subgroup,
     upper_central_series,
 )
 from .groups import center
@@ -131,10 +131,19 @@ def _cmd_show(args) -> int:
         "upper_central_orders": ucs.orders(),
         "order_stats": {str(k): v for k, v in sorted(G.order_stats().items())},
     }
-    if G.is_p_group:  # up to p^i = exp(G), where Omega_i is G and agemo_i is 1
-        omegas = omega_series(G)
-        facts["omega_orders"] = [om.order for om in omegas]
-        facts["agemo_orders"] = [agemo(G, i).order for i in range(1, len(omegas) + 1)]
+    if G.is_p_group:
+        omegas, agemos = [], []
+        i = 1
+        while True:
+            om = omega_subgroup(G, i)
+            ag = agemo(G, i)
+            omegas.append(om.order)
+            agemos.append(ag.order)
+            if om.order == G.order and ag.order == 1:
+                break
+            i += 1
+        facts["omega_orders"] = omegas
+        facts["agemo_orders"] = agemos
     print(json.dumps(facts, indent=2, sort_keys=True))
     return 0
 

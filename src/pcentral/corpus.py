@@ -97,10 +97,18 @@ class Entry:
     expect: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
-        d = {"id": self.entry_id, "checks": list(self.checks), "group": self.group_spec,
-             "action": self.action_spec, "p": self.p, "sigma": self.sigma,
-             "expect": self.expect}
-        return {k: v for k, v in d.items() if v is not None}
+        d: Dict[str, object] = {"id": self.entry_id, "checks": list(self.checks)}
+        if self.group_spec is not None:
+            d["group"] = self.group_spec
+        if self.action_spec is not None:
+            d["action"] = self.action_spec
+        if self.p is not None:
+            d["p"] = self.p
+        if self.sigma is not None:
+            d["sigma"] = self.sigma
+        if self.expect is not None:
+            d["expect"] = self.expect
+        return d
 
 
 def _loc(raw: Optional[str], needle: str) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -198,7 +197,11 @@ class GroupTable:
 
     def order_stats(self) -> Dict[int, int]:
         self._fill_orders()
-        return dict(Counter(x.order() for x in self.elements))
+        stats: Dict[int, int] = {}
+        for x in self.elements:
+            k = x.order()
+            stats[k] = stats.get(k, 0) + 1
+        return stats
 
     # -- subgroups -------------------------------------------------------
 

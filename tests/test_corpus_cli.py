@@ -600,6 +600,19 @@ def test_cli_show_emits_structural_json(capsys):
     assert facts["omega_orders"] == [2, 8]
 
 
+@pytest.mark.parametrize("spec, omegas, agemos", [
+    ("dihedral(8)", [8, 8], [2, 1]),
+    ("wreath_cp_cp(2)", [8, 8], [2, 1]),
+    ("ut(4,3)", [729, 729], [3, 1]),
+])
+def test_cli_show_lists_omegas_until_agemo_is_trivial(capsys, spec, omegas, agemos):
+    # Omega_1 is already G in each group, but agemo_1 is not yet trivial
+    assert main(["show", spec]) == 0
+    facts = json.loads(capsys.readouterr().out)
+    assert facts["omega_orders"] == omegas
+    assert facts["agemo_orders"] == agemos
+
+
 def test_cli_show_bad_spec_exits_4(capsys):
     assert main(["show", "ut(4,,3)"]) == 4
     assert "configuration error" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from pcentral.groups import (
     GroupTable,
     automorphism_from_images,
     center,
+    centralizer,
     close,
     commutator_subgroup,
     conjugation_aut,
@@ -284,6 +285,17 @@ def test_normal_closure_is_normal():
     assert N.order == 4  # the Klein four-group of double transpositions
     for g in S4.generators:
         assert all(S4.conj(h, g).key in N.keys for h in N.elements)
+
+
+@pytest.mark.parametrize("build", [
+    lambda G, x: subgroup_generated(G, [x]),
+    lambda G, x: normal_closure(G, [x]),
+    lambda G, x: centralizer(G, [x]),
+], ids=["subgroup_generated", "normal_closure", "centralizer"])
+def test_an_element_outside_the_group_is_a_value_error(q8, build):
+    outside = Permutation.from_cycles(8, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="^element does not belong to this group$"):
+        build(q8, outside)
 
 
 def test_close_rejects_empty_generators():

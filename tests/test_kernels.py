@@ -17,9 +17,20 @@ from hypothesis import given, settings, strategies as st
 
 from test_relabeling import _relabeled, relabelings
 
+from pcentral.actions import inner_action, is_p_central_action, mixed_series_definitional
 from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation, decode_element
-from pcentral.groups import GroupTable
+from pcentral.errors import BudgetExceeded
+from pcentral.groups import (
+    GroupTable,
+    center,
+    commutator_subgroup,
+    conjugation_aut,
+    is_normal,
+    quotient,
+    subgroup_generated,
+)
+from pcentral.series import agemo, central_order_bound, omega_set
 
 SPECS = (
     "elementary_abelian(2,4)",
@@ -82,3 +93,208 @@ def test_right_column_of_an_unclosed_set_raises(backend, square):
     T = GroupTable([x.identity_like(), x], [x])
     with pytest.raises(KeyError):
         T._right_column(T.index_of(x))
+
+
+# -- the group core against element-by-element oracles ----------------------
+#
+# Each oracle below multiplies element objects one pair at a time through
+# T.mul, and follows the documented rule for every generator list.  They run
+# on each catalog table, on one subgroup and one quotient of it, and on
+# fresh (relabeled or decoded) tables.
+
+
+def _closure_keys(T, gens):
+    """The keys of <gens> in T, by breadth-first products with the generators."""
+    found = {T.identity.key}
+    frontier = [T.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = T.mul(x, g)
+                if y.key not in found:
+                    found.add(y.key)
+                    new.append(y)
+        frontier = new
+    return found
+
+
+def _generated(T, seeds, held=None):
+    """subgroup_generated's rule: held's generators, then each seed, in key
+    order, that lies outside the group grown so far; (generators, keys)."""
+    gens, keys = held if held is not None else ([], {T.identity.key})
+    gens = list(gens)
+    for s in sorted({T.canon(s) for s in seeds}, key=lambda x: x.key):
+        if s.key not in keys:
+            gens.append(s)
+            keys = _closure_keys(T, gens)
+    return gens, keys
+
+
+def _normal_closure(T, seeds, maps=()):
+    """normal_closure's rule: add the conjugates of the generators by T's
+    generators and their images under the maps until none is new."""
+    gens, keys = _generated(T, seeds)
+    while True:
+        grown = [c for h in gens for g in T.generators
+                 if (c := T.conj(h, g)).key not in keys]
+        grown += [c for h in gens for a in maps if (c := a(h)).key not in keys]
+        if not grown:
+            return gens, keys
+        gens, keys = _generated(T, grown, (gens, keys))
+
+
+def _order(T, x):
+    k, y = 1, x
+    while y.key != T.identity.key:
+        y, k = T.mul(y, x), k + 1
+    return k
+
+
+def _keys(xs):
+    return [x.key for x in xs]
+
+
+def _proper_normal(T):
+    """Z(T) when T is not abelian; else <x^p>, or <x> when x^p = 1, for the
+    last generator x."""
+    Z = center(T)
+    if Z.order < T.order:
+        return Z
+    x = T.generators[-1]
+    y = x ** (T.p or 2)
+    return subgroup_generated(T, [T.canon(y) if not y.is_identity() else x])
+
+
+def _subgroup(T):
+    """T's first generator together with [T, T]."""
+    return subgroup_generated(T, [T.generators[0], *commutator_subgroup(T, T, T).generators])
+
+
+def _tables(G):
+    return {"table": G, "subgroup": _subgroup(G), "quotient": quotient(G, _proper_normal(G))}
+
+
+KINDS = ("table", "subgroup", "quotient")
+
+
+@functools.lru_cache(maxsize=None)
+def _core_table(spec, kind):
+    return _tables(_group(spec))[kind]
+
+
+@st.composite
+def fresh_core_tables(draw):
+    """A fresh table, or a subgroup or quotient of one."""
+    return _tables(draw(fresh_tables()))[draw(st.sampled_from(KINDS))]
+
+
+def _assert_quotients_match(T):
+    for N in (center(T), commutator_subgroup(T, T, T)):
+        Q = quotient(T, N)
+        least = [min(T.mul(x, n).key for n in N) for x in T]
+        firsts = sorted(set(least))
+        assert [int(i) for i in Q.coset_id] == [firsts.index(k) for k in least]
+        assert [c.rep.key for c in Q] == firsts
+
+
+def _assert_center_and_conjugation_match(T):
+    Z = center(T)
+    assert Z.keys == {x.key for x in T
+                      if all(T.mul(x, g) == T.mul(g, x) for g in T.generators)}
+    assert _keys(Z.generators) == [x.key for x in T if x.key in Z.keys and not x.is_identity()]
+    for g in (*T.generators, T.elements[-1]):
+        assert list(conjugation_aut(T, g).images) == [T.index_of(T.conj(x, g)) for x in T]
+    for S in (Z, _subgroup(T), *(subgroup_generated(T, [g]) for g in T.generators)):
+        assert is_normal(T, S) == all(T.conj(h, g).key in S.keys for h in S for g in T)
+
+
+def _assert_commutators_match(T):
+    S = _subgroup(T)
+    for X, Y in ((T, T), (S, T), (T, S)):
+        H = commutator_subgroup(T, X, Y)
+        gens, keys = _normal_closure(T, [T.comm(x, y) for x in X.generators for y in Y.generators])
+        assert H.keys == keys
+        assert _keys(H.generators) == _keys(gens)
+
+
+def _assert_orders_match(T):
+    orders = [_order(T, x) for x in T]
+    assert T.exponent() == math.lcm(*orders)
+    if not T.is_p_group:
+        return
+    p = T.p
+    for i in (1, 2):
+        assert _keys(omega_set(T, i)) == [x.key for x, k in zip(T, orders) if p ** i % k == 0]
+    for n in (1, 2):
+        gens, keys = _generated(T, [x ** p ** n for x in T])
+        A = agemo(T, n)
+        assert A.keys == keys and _keys(A.generators) == _keys(gens)
+    pair, bound = inner_action(T), central_order_bound(p)
+    for X in (None, center(T), _subgroup(T)):
+        small = [x for x in (X or T) if bound % _order(T, x) == 0]
+        assert is_p_central_action(pair, X) == all(
+            a(x) == x for x in small for a in pair.A_generators)
+
+
+def _definitional_keys(pair, k_max):
+    """The term keys of the left-normed commutator sweep over the generator
+    alphabet, one state (value, A-entries so far, capped) at a time."""
+    G, cap = pair.G, k_max - 1
+    g_letters = {y.key: y for g in G.generators for y in (g, G.canon(g.inverse()))}
+    a_letters = {b.key: b for a in pair.A_generators for b in (a, a.inverse())}
+    letters = [(g, 0) for g in g_letters.values() if not g.is_identity()]
+    letters += [(a, 1) for a in a_letters.values() if not a.is_identity()]
+    seen = {(x.key, 0) for x in G}
+    frontier = [(x, 0) for x in G]
+    while frontier:
+        new = []
+        for v, c in frontier:
+            for y, step in letters:
+                w = G.comm(v, y) if not step else G.mul(G.canon(v.inverse()), y(v))
+                state = (w, min(c + step, cap))
+                if (w.key, state[1]) not in seen:
+                    seen.add((w.key, state[1]))
+                    new.append(state)
+        frontier = new
+    by_key = {x.key: x for x in G}
+    terms = [G.keys]
+    for k in range(2, k_max + 1):
+        terms.append(_closure_keys(G, [by_key[key] for key, c in seen if c >= k - 1]))
+    return terms, len(seen) * len(letters)
+
+
+def _assert_definitional_terms_match(T):
+    pair = inner_action(T)
+    keys, _ = _definitional_keys(pair, 3)
+    assert [t.keys for t in mixed_series_definitional(pair, 3)] == keys
+
+
+CORE_ORACLES = (_assert_quotients_match, _assert_center_and_conjugation_match,
+                _assert_commutators_match, _assert_orders_match,
+                _assert_definitional_terms_match)
+
+
+@pytest.mark.parametrize("oracle", CORE_ORACLES, ids=lambda f: f.__name__[8:])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("spec", SPECS)
+def test_group_core_matches_object_oracles(spec, kind, oracle):
+    oracle(_core_table(spec, kind))
+
+
+@pytest.mark.parametrize("oracle", CORE_ORACLES, ids=lambda f: f.__name__[8:])
+@settings(max_examples=8, deadline=None)
+@given(fresh_core_tables())
+def test_group_core_on_fresh_tables(oracle, T):
+    oracle(T)
+
+
+def test_definitional_budget_boundary():
+    # every state of the sweep costs one step per letter, and the sweep
+    # raises once the steps pass the budget
+    pair = inner_action(_group("heisenberg(3)"))
+    _, steps = _definitional_keys(pair, 3)
+    assert steps == 248
+    mixed_series_definitional(pair, 3, budget=steps)
+    with pytest.raises(BudgetExceeded, match=f"exceeded {steps - 1} commutator steps"):
+        mixed_series_definitional(pair, 3, budget=steps - 1)

@@ -3,6 +3,10 @@
 break a traced benchmark run.  The tracer is read as source, not imported.
 No module of the package imports a name it does not use, and every private
 module-level function or class is used somewhere outside its definition.
+The package calls none of numpy's sorting set routines (``np.unique`` and
+the ``*1d`` set operations built on it): on numpy 2.4.6 the first such call
+imports ``numpy.ma``, which costs about 18 ms and 1 MB of peak memory in
+every process that makes it, for work a mask or ``searchsorted`` does.
 """
 
 import ast
@@ -146,3 +150,15 @@ def test_private_definitions_are_used(path, name_uses):
                        for p, line in name_uses.get(node.name, ())):
                 unused.append(node.name)
     assert not unused, f"{path.name} defines unused private names {unused}"
+
+
+SET_ROUTINES = ("unique", "setdiff1d", "union1d", "intersect1d")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_set_routines(path):
+    calls = [(node.func.attr, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in SET_ROUTINES
+             and getattr(node.func.value, "id", None) in ("np", "numpy")]
+    assert not calls, f"{path.name} calls numpy set routines {calls}"

@@ -16,7 +16,7 @@ breadth-first search over left-normed commutator values
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -110,14 +110,24 @@ def commutator_group_of_pair(pair: ActionPair) -> GroupTable:
     return mixed_commutator_subgroup(pair)
 
 
+def _mixed_commutators(G: GroupTable, cs: np.ndarray,
+                       maps: Sequence[Automorphism]) -> np.ndarray:
+    """The indices of [c, a] = c^-1 a(c) for every c in cs and a in maps,
+    c-major, by one kernel call."""
+    images = np.stack([a.images[cs] for a in maps], axis=1).ravel()
+    return G._products(np.repeat(G._inverses(cs), len(maps)), images)
+
+
 def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
     """Mixed lower central series of the pair, computed to stabilization,
     seeding each term by [c, a] for generators c of the last (see above)."""
     if "mixed_series" not in pair._cache:
         G, A = pair.G, pair.A_generators
-        pair._cache["mixed_series"] = SeriesRecord.until_stable(
-            G, lambda T: normal_closure(
-                G, {mixed_commutator(c, a) for c in T.generators for a in A}, A))
+
+        def step(T: GroupTable) -> GroupTable:
+            seeds = _mixed_commutators(G, G._rows(T.generators), A)
+            return normal_closure(G, [G.elements[c] for c in seeds.tolist()], A)
+        pair._cache["mixed_series"] = SeriesRecord.until_stable(G, step)
     return pair._cache["mixed_series"]
 
 
@@ -165,48 +175,36 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     else:
         raise ValueError(f"unknown entry mode {entries!r}")
 
-    buckets: List[Set[Element]] = [set() for _ in range(cap + 1)]
-    seen: Set[Tuple[bytes, int]] = set()
-    frontier: List[Tuple[Element, int]] = []
-    for x in G.elements:
-        seen.add((x.key, 0))
-        buckets[0].add(x)
-        frontier.append((x, 0))
+    # [v, g] = v^-1 (g^-1 v g) and [v, a] = v^-1 a(v): row l of `right`
+    # holds the right factor for letter l at every v, and `shift` the
+    # A-entries the letter adds
+    N = G.order
+    letters = G._rows(g_alphabet)
+    right = np.concatenate([G._conjugates(np.arange(N), letters).reshape(N, -1).T,
+                            np.array([a.images for a in a_alphabet], dtype=np.intp).reshape(-1, N)])
+    shift = np.repeat([0, 1], [len(g_alphabet), len(a_alphabet)])[:, None]
+    seen = np.zeros((cap + 1, N), dtype=bool)  # seen[c, v]: the state (v, c)
+    seen[0] = True
+    flat, slot = seen.reshape(-1), np.empty(seen.size, dtype=np.intp)
+    values, counts = np.arange(N), np.zeros(N, dtype=np.intp)
     steps = 0
-    while frontier:
-        new: List[Tuple[Element, int]] = []
-        for v, c in frontier:
-            for g in g_alphabet:
-                steps += 1
-                w = G.comm(v, g)
-                state = (w.key, c)
-                if state not in seen:
-                    seen.add(state)
-                    buckets[c].add(w)
-                    new.append((w, c))
-            c2 = min(c + 1, cap)
-            for a in a_alphabet:
-                steps += 1
-                w = mixed_commutator(v, a)
-                state = (w.key, c2)
-                if state not in seen:
-                    seen.add(state)
-                    buckets[c2].add(w)
-                    new.append((w, c2))
-            if steps > budget:
-                raise BudgetExceeded(
-                    f"definitional sweep exceeded {budget} commutator steps")
-        frontier = new
+    while len(values):
+        steps += len(values) * len(right)
+        if steps > budget:
+            raise BudgetExceeded(
+                f"definitional sweep exceeded {budget} commutator steps")
+        ws = G._products(np.tile(G._inverses(values), len(right)), right[:, values].ravel())
+        states = (np.minimum(counts + shift, cap) * N).ravel() + ws
+        states = states[~flat[states]]
+        # one of each new state: the last write of its position wins
+        slot[states] = np.arange(len(states))
+        states = states[slot[states] == np.arange(len(states))]
+        flat[states] = True
+        counts, values = np.divmod(states, N)
 
-    terms: List[GroupTable] = [G]
-    tail: Set[Element] = set()
-    collected: List[Set[Element]] = [set() for _ in range(cap + 1)]
-    for c in range(cap, -1, -1):
-        tail = tail | buckets[c]
-        collected[c] = set(tail)
-    for k in range(2, k_max + 1):
-        terms.append(subgroup_generated(G, collected[k - 1]))
-    return terms
+    collected = np.logical_or.accumulate(seen[::-1])[::-1]
+    return [G] + [subgroup_generated(G, [G.elements[i] for i in collected[k - 1].nonzero()[0]])
+                  for k in range(2, k_max + 1)]
 
 
 def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> bool:
@@ -216,12 +214,8 @@ def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> boo
         raise NotPGroup("no designated prime on the acted-on group")
     bound = central_order_bound(G.p)
     X = X if X is not None else G
-    for x in X.elements:
-        if bound % x.order() == 0:
-            for a in pair.A_generators:
-                if a(x) != x:
-                    return False
-    return True
+    small = G._rows(x for x, k in zip(X.elements, X._orders().tolist()) if bound % k == 0)
+    return all((a.images[small] == small).all() for a in pair.A_generators)
 
 
 def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
@@ -231,7 +225,7 @@ def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
     if any(a(n).key not in N.keys for a in pair.A_generators for n in N.generators):
         raise NotInvariant("kernel subgroup is not invariant under the action")
     Q = quotient(pair.G, N)
-    ids = np.asarray(Q.coset_id, dtype=np.int32)
+    ids = Q.coset_id
     induced = []
     for a in pair.A_generators:
         moved, images = ids[a.images], np.empty(Q.order, dtype=np.int32)

@@ -22,6 +22,7 @@ from .groups import (
     Automorphism,
     GroupTable,
     _extend_block,
+    _image_codes,
     _opaque_rows,
     _schreier_levels,
     identity_automorphism,
@@ -120,17 +121,17 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
     generators, followed for every row at once by gathers.  The generators
     are picked by _greedy_levels, whose right column of row j holds the
     rows of the products x*a_j: their images of G's generators are gathers
-    of the rows, found among the sorted rows by searchsorted.
+    of the rows, found among the sorted rows by searchsorted.  The keys of
+    all the automorphisms come from one gather (Automorphism._stack).
     """
-    gen_idx = [G.index_of(g) for g in G.generators]
+    gen_idx = G._generator_rows()
 
     def keys(images: np.ndarray) -> np.ndarray:
         # big-endian, so that the rows' bytes sort like their numbers
         return _opaque_rows(images.astype(">i4"))
 
+    maps = maps[np.argsort(keys(maps[:, gen_idx]))]
     sorted_keys = keys(maps[:, gen_idx])
-    by_key = np.argsort(sorted_keys)
-    maps, sorted_keys = maps[by_key], sorted_keys[by_key]
     if (sorted_keys[1:] == sorted_keys[:-1]).any():
         raise AssertionError("automorphism search produced duplicate maps")
 
@@ -150,10 +151,14 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
         lambda j: np.searchsorted(sorted_keys, keys(maps[:, maps[j, gen_idx]])),
         np.arange(len(maps)) == identity, orders)
 
-    auts = [Automorphism(G, row) for row in maps]
+    auts = Automorphism._stack(G, maps)
     for a, k in zip(auts, orders.tolist()):
         a._ord = k
-    return GroupTable(auts, [auts[c] for c in chosen])
+    A = GroupTable(auts, [auts[c] for c in chosen])
+    # the automorphisms hold views of the rows of `maps`, so they are the
+    # table's stacked images (GroupTable._aut_images) at no further cost
+    A._cache["aut_images"] = maps, _image_codes(G, maps[:, gen_idx])
+    return A
 
 
 def _normalizes(G: GroupTable, y: Element, P: GroupTable) -> bool:

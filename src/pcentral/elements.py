@@ -38,6 +38,9 @@ _TAG_MATRIX = 0
 _TAG_PERM = 1
 _TAG_AUT = 2
 
+# keys joined at once by _key_bodies
+_KEY_BLOCK = 1024
+
 
 # deterministic Miller-Rabin: these bases decide every p below the least
 # strong pseudoprime to all of them
@@ -156,8 +159,13 @@ def _key_bodies(elements: Sequence[Element]) -> Optional[np.ndarray]:
     head, dtype = first._BODY
     if first.key[:head] != last.key[:head] or len(first.key) == head:
         return None
-    keys = np.frombuffer(b"".join([x.key for x in elements]), dtype=np.uint8)
-    bodies = np.ascontiguousarray(keys.reshape(len(elements), -1)[:, head:]).view(dtype)
+    bodies = np.empty((len(elements), len(first.key) - head), dtype=np.uint8)
+    # a block of keys at a time, so that no copy of all the keys is made
+    for start in range(0, len(elements), _KEY_BLOCK):
+        block = elements[start:start + _KEY_BLOCK]
+        keys = np.frombuffer(b"".join([x.key for x in block]), dtype=np.uint8)
+        bodies[start:start + len(block)] = keys.reshape(len(block), -1)[:, head:]
+    bodies = bodies.view(dtype)
     bodies.setflags(write=False)
     return bodies
 
@@ -262,6 +270,16 @@ class FpMatrix(Element):
                 @ self.arr.astype(np.float32)).astype(np.int32)
         prod %= self.p
         return prod.astype(np.uint8).reshape(len(bodies), n * n)
+
+    def _pair_products(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """The key bodies of x * y for paired rows of the bodies of matrices
+        of this one's size and prime, in one batched float32 product, exact
+        as in _right_products."""
+        n = self.n
+        prod = (lefts.reshape(-1, n, n).astype(np.float32)
+                @ rights.reshape(-1, n, n).astype(np.float32)).astype(np.int32)
+        prod %= self.p
+        return prod.astype(np.uint8).reshape(len(lefts), n * n)
 
     def _body_orders(self, bodies: np.ndarray) -> np.ndarray:
         """Orders of the matrices of this one's size and prime whose bodies
@@ -376,6 +394,11 @@ class Permutation(Element):
         are the rows: (x * self)(i) = x(self(i)), one gather into a
         C-contiguous block."""
         return bodies.take(self.images, axis=1)
+
+    def _pair_products(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """The key bodies of x * y for paired image rows: (x * y)(i) =
+        x(y(i)), one gather of each left row at its right row."""
+        return np.take_along_axis(lefts, rights.astype(np.intp), axis=1)
 
     def _compute_inverse(self) -> "Permutation":
         inv = np.empty(self.degree, dtype=np.int64)

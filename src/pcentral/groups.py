@@ -115,6 +115,41 @@ class GroupTable:
     def index_of(self, x: Element) -> int:
         return self._index[x.key]
 
+    def _rows(self, xs: Iterable[Element]) -> np.ndarray:
+        """The indices of the elements xs; ValueError for one outside the table."""
+        index = self._index
+        try:
+            return np.array([index[x.key] for x in xs], dtype=np.intp)
+        except KeyError:
+            raise ValueError("element does not belong to this group") from None
+
+    def _generator_rows(self) -> np.ndarray:
+        """The indices of the generators, kept."""
+        if "generator_rows" not in self._cache:
+            self._cache["generator_rows"] = self._rows(self.generators)
+        return self._cache["generator_rows"]
+
+    def _root(self) -> "GroupTable":
+        """The table at the end of this one's chain of parents."""
+        T = self
+        while T.parent is not None:
+            T = T.parent
+        return T
+
+    def _root_rows(self) -> np.ndarray:
+        """The indices of this table's elements in its root table, ascending
+        (both tables list their elements in key order), kept."""
+        rows = self._cache.get("root_rows")
+        if rows is None:
+            if self.parent is None:
+                rows = np.arange(self.order)
+            else:
+                index = self._root()._index
+                rows = np.fromiter((index[k] for k in self.keys), dtype=np.intp,
+                                   count=self.order)
+            self._cache["root_rows"] = rows
+        return rows
+
     def mul(self, x: Element, y: Element) -> Element:
         return self.canon(x * y)
 
@@ -127,48 +162,142 @@ class GroupTable:
 
     def _right_column(self, j: int) -> np.ndarray:
         """[index(x * e_j) for x in elements] as C ints, built on first use
-        and kept; KeyError if a product lies outside the table.  Matrix and
-        permutation tables multiply their key bodies a block at a time."""
+        and kept; KeyError if a product lies outside the table.  A matrix or
+        permutation root multiplies its key bodies a block at a time by e_j;
+        other tables take one _products call."""
         columns = self._cache.setdefault("right_columns", {})
         col = columns.get(j)
         if col is None:
-            g, bodies = self.elements[j], self._key_bodies()
+            bodies = self._key_bodies() if self.parent is None else None
             if bodies is None:
-                index = self._index
-                col = np.array([index[(x * g).key] for x in self.elements], dtype=np.intc)
+                col = self._products(np.arange(self.order), np.full(self.order, j))
             else:
+                g = self.elements[j]
                 col = np.concatenate([
                     self._rows_of(g._right_products(bodies[start:start + _BLOCK_ROWS]))
                     for start in range(0, len(bodies), _BLOCK_ROWS)])
             columns[j] = col
         return col
 
+    def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """[index(elements[x] * elements[y]) for x, y in zip(xs, ys)] as C
+        ints: the one pairwise product kernel of the group core; KeyError if
+        a product lies outside the table.
+
+        A matrix or permutation root multiplies the paired key bodies in
+        blocks of a bounded number of entries (one float32 matmul mod p, or
+        one gather per row) and finds the products with _rows_of.  A
+        subgroup multiplies in its root and maps back through its sorted
+        root indices.  A quotient multiplies the representatives in its
+        cover (QuotientGroup._products).  An automorphism table gathers its
+        stacked images and finds the products' generator images among its
+        own, which sort like its keys.
+        """
+        xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
+        if self.parent is not None:
+            at = self._root_rows()
+            return _find(at, self._root()._products(at[xs], at[ys]))
+        if not len(xs):
+            return np.empty(0, dtype=np.intc)
+        bodies, x = self._key_bodies(), self.elements[0]
+        if bodies is not None:
+            step = max(_BLOCK_ROWS, (1 << 16) // bodies.shape[1])
+            return np.concatenate([
+                self._rows_of(x._pair_products(bodies[xs[start:start + step]],
+                                               bodies[ys[start:start + step]]))
+                for start in range(0, len(xs), step)])
+        if isinstance(x, Automorphism):
+            images, codes = self._aut_images()
+            gen_idx = x.domain._generator_rows()
+            return _find(codes, _image_codes(x.domain, images[xs[:, None],
+                                                               images[ys[:, None], gen_idx]]))
+        index, els = self._index, self.elements
+        return np.array([index[(els[i] * els[j]).key] for i, j in zip(xs.tolist(), ys.tolist())],
+                        dtype=np.intc)
+
+    def _aut_images(self) -> Tuple[np.ndarray, np.ndarray]:
+        """An automorphism table's images stacked a row each, and the
+        _image_codes of its rows' images of the domain's generators, which
+        ascend like the keys; kept."""
+        if "aut_images" not in self._cache:
+            images = np.stack([a.images for a in self.elements])
+            domain = self.elements[0].domain
+            self._cache["aut_images"] = images, _image_codes(
+                domain, images[:, domain._generator_rows()])
+        return self._cache["aut_images"]
+
     def _rows_of(self, bodies: np.ndarray) -> np.ndarray:
         """The table indices of the elements with these key bodies, as C ints;
         KeyError if one is not in the table."""
-        rows = self._key_bodies()
-        pos = np.searchsorted(_opaque_rows(rows), _opaque_rows(bodies))
-        found = pos < len(rows)
-        # compared as numbers: an equality test of void values is far slower
-        found[found] = (rows[pos[found]] == bodies[found]).all(axis=1)
-        if not found.all():
-            raise KeyError("a product lies outside the table")
-        return pos.astype(np.intc)
+        return _find(self._key_bodies(), bodies)
 
-    def _fill_orders(self) -> None:
-        """Cache the order of every element that has none, by batched powers
-        where the backend has them (matrices)."""
+    def _powers(self, xs: np.ndarray, k) -> np.ndarray:
+        """[index(elements[x] ** k) for x in xs], k one count or one per x, by
+        squaring: at most two kernel calls per bit of the largest k."""
+        k = np.array(np.broadcast_to(k, np.shape(xs)), dtype=np.int64)
+        base = np.array(xs, dtype=np.intp)
+        out = np.full(len(base), self.index_of(self.identity), dtype=np.intp)
+        while True:
+            odd = (k & 1).astype(bool)
+            if odd.any():
+                out[odd] = self._products(out[odd], base[odd])
+            k >>= 1
+            live = k > 0
+            if not live.any():
+                return out
+            base[live] = self._products(base[live], base[live])
+
+    def _inverses(self, xs: np.ndarray) -> np.ndarray:
+        """The indices of the inverses x^(order - 1) of the elements xs, each
+        found once and kept."""
+        inv = self._cache.setdefault("inverses", np.full(self.order, -1, dtype=np.intp))
+        todo = np.zeros(self.order, dtype=bool)
+        todo[xs] = True
+        todo = (todo & (inv < 0)).nonzero()[0]
+        if len(todo):
+            self._fill_orders(todo)
+            els = self.elements
+            inv[todo] = self._powers(todo, [els[i].order() - 1 for i in todo.tolist()])
+        return inv[xs]
+
+    def _conjugates(self, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        """The indices of g^-1 x g for every x in xs and g in gs, x-major."""
+        xs, gs = np.repeat(xs, len(gs)), np.tile(gs, len(xs))
+        return self._products(self._products(self._inverses(gs), xs), gs)
+
+    def _commutators(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The indices of [x, y] = x^-1 y^-1 x y for every x in xs and y in
+        ys, x-major."""
+        xs, ys = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+        return self._products(self._products(self._inverses(xs), self._inverses(ys)),
+                              self._products(xs, ys))
+
+    def _fill_orders(self, rows: Optional[np.ndarray] = None) -> None:
+        """Cache the order of every element, or of those at the given rows,
+        that has none, by batched powers where the backend has them
+        (matrices); a subgroup fills its rows of its root."""
+        if self.parent is not None:
+            at = self._root_rows()
+            return self._root()._fill_orders(at if rows is None else at[rows])
         els = self.elements
         orders_of = getattr(els[0], "_body_orders", None)
-        todo = [i for i, x in enumerate(els) if x._ord is None] if orders_of else []
+        rows = range(len(els)) if rows is None else rows.tolist()
+        todo = [i for i in rows if els[i]._ord is None] if orders_of else []
         bodies = self._key_bodies() if todo else None
         if bodies is None:
             return
         todo = np.array(todo, dtype=np.intp)
         for start in range(0, len(todo), _BLOCK_ROWS):
-            rows = todo[start:start + _BLOCK_ROWS]
-            for i, k in zip(rows.tolist(), orders_of(bodies[rows]).tolist()):
+            block = todo[start:start + _BLOCK_ROWS]
+            for i, k in zip(block.tolist(), orders_of(bodies[block]).tolist()):
                 els[i]._ord = k
+
+    def _orders(self) -> np.ndarray:
+        """The elements' orders as int64s, kept."""
+        if "orders" not in self._cache:
+            self._fill_orders()
+            self._cache["orders"] = np.array([x.order() for x in self.elements], dtype=np.int64)
+        return self._cache["orders"]
 
     def conj(self, x: Element, g: Element) -> Element:
         """g^-1 x g, canonicalized."""
@@ -190,16 +319,11 @@ class GroupTable:
         return self.p
 
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._fill_orders()
-            self._cache["exponent"] = math.lcm(*(x.order() for x in self.elements))
-        return self._cache["exponent"]
+        return math.lcm(*self._orders().tolist())
 
     def order_stats(self) -> Dict[int, int]:
-        self._fill_orders()
         stats: Dict[int, int] = {}
-        for x in self.elements:
-            k = x.order()
+        for k in self._orders().tolist():
             stats[k] = stats.get(k, 0) + 1
         return stats
 
@@ -231,66 +355,105 @@ def _opaque_rows(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _closure(found: Dict[bytes, Element], gens: Sequence[Element], mul: Callable,
-             cap: Optional[int] = None) -> List[Element]:
-    """Grow `found` (key -> element) in place into <gens>; the members of
-    `gens` that `found` already holds must generate it.
+def _image_codes(domain: GroupTable, images: np.ndarray) -> np.ndarray:
+    """Rows of indices into the domain, one per map, coded so that the codes
+    ascend like the rows (and like the maps' keys): as numbers in base
+    |domain| when they fit an int64, else as the rows in big-endian ints,
+    whose bytes ascend."""
+    if domain.order ** images.shape[1] < 1 << 62:
+        return images.astype(np.int64) @ domain.order ** np.arange(
+            images.shape[1] - 1, -1, -1, dtype=np.int64)
+    return images.astype(">i4")
 
-    The one closure behind group, subgroup and action closure, by Dimino's
-    algorithm (G. Butler, *Fundamental Algorithms for Permutation Groups*,
-    1991): a generator g missing when reached adds the right coset Hg of the
-    group H held so far, then Hrs for each coset representative r and
-    generator s with rs new, so each element is made once.  Returns the
-    generators the result is closed under, those held at the start first.
-    Raises CapExceeded as soon as more than `cap` elements are found.
-    """
-    held = [g for g in gens if g.key in found]
-    for g in gens:
-        if g.key in found:
-            continue
-        ident = g.identity_like().key
-        base = [h for h in found.values() if h.key != ident]
-        held.append(g)
-        reps: List[Element] = []
-        # reps grows while the products rs are walked
-        for r in chain((g,), (mul(r, s) for r in reps for s in held)):
-            if r.key in found:
-                continue
-            reps.append(r)
-            for y in chain((r,), (mul(h, r) for h in base)):
-                found[y.key] = y
-                if cap is not None and len(found) > cap:
-                    raise CapExceeded(f"closure exceeded cap of {cap} elements")
-    return held
+
+def _find(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The positions of the entries of `wanted` among `rows`, as C ints;
+    KeyError if one is missing.  `rows` holds ascending numbers, or rows
+    whose bytes ascend."""
+    flat = rows.ndim == 1
+    pos = (np.searchsorted(rows, wanted) if flat
+           else np.searchsorted(_opaque_rows(rows), _opaque_rows(wanted)))
+    found = pos < len(rows)
+    # compared as numbers: an equality test of void values is far slower
+    same = rows[pos[found]] == wanted[found]
+    found[found] = same if flat else same.all(axis=1)
+    if not found.all():
+        raise KeyError("a product lies outside the table")
+    return pos.astype(np.intc)
 
 
 def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
           p: Optional[int] = None) -> GroupTable:
-    """Enumerate the group generated by `generators`, grown from the identity."""
+    """Enumerate the group generated by `generators`, grown from the identity
+    by element products, for elements that have no table yet.
+
+    Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
+    Groups*, 1991): a generator g missing when reached adds the right coset
+    Hg of the group H held so far, then Hrs for each coset representative r
+    and generator s with rs new, so each element is made once.  Raises
+    CapExceeded as soon as more than `cap` elements are found.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     identity = generators[0].identity_like()
     found = {identity.key: identity}
-    _closure(found, generators, operator.mul, cap=cap)
+    held = [g for g in generators if g.key in found]
+    for g in generators:
+        if g.key in found:
+            continue
+        base = [h for h in found.values() if h.key != identity.key]
+        held.append(g)
+        reps: List[Element] = []
+        # reps grows while the products rs are walked
+        for r in chain((g,), (r * s for r in reps for s in held)):
+            if r.key in found:
+                continue
+            reps.append(r)
+            for y in chain((r,), (h * r for h in base)):
+                found[y.key] = y
+                if len(found) > cap:
+                    raise CapExceeded(f"closure exceeded cap of {cap} elements")
     return GroupTable(found.values(), generators, p=p)
+
+
+def _grow(G: GroupTable, inside: np.ndarray, held: List[int],
+          seeds: np.ndarray) -> List[int]:
+    """Grow the mask `inside`, the subgroup of G generated by the indices
+    `held`, in place by the seeds in index (key) order, each dropped when it
+    already lies inside by then; returns held and the seeds kept.  One
+    breadth-first closure over right columns (_schreier_levels)."""
+    take = np.zeros(G.order, dtype=bool)
+    take[seeds] = True
+    steps = ([s] for s in take.nonzero()[0].tolist() if not inside[s])
+    return _schreier_levels(G._right_column, inside, steps, held, edges=False)[0]
+
+
+def _subgroup_at(G: GroupTable, inside: np.ndarray, gens: Sequence[int]) -> GroupTable:
+    """The subgroup of G on the mask `inside`, with the generators at `gens`."""
+    rows = inside.nonzero()[0]
+    els = G.elements
+    H = G.subgroup([els[i] for i in rows.tolist()], [els[j] for j in gens])
+    H._cache["root_rows"] = G._root_rows()[rows]
+    return H
 
 
 def subgroup_generated(G: GroupTable, seeds: Iterable[Element],
                        H: Optional[GroupTable] = None) -> GroupTable:
     """<H, seeds> inside G, grown from its subgroup H (from the identity when
-    H is None).  Seeds are taken in key order and dropped when already in the
-    group grown so far, so the generators are H's, then the seeds kept.
+    H is None) as a membership mask.  Seeds are taken in key order and
+    dropped when already in the group grown so far, so the generators are
+    H's, then the seeds kept.
     """
-    found = ({h.key: h for h in H.elements} if H is not None
-             else {G.identity.key: G.identity})
-    pool = sorted({s.key: s for s in map(G.canon, seeds) if s.key not in found}.values(),
-                  key=_key)
-    gens = _closure(found, (*(H.generators if H is not None else ()), *pool), G.mul)
-    return G.subgroup(found.values(), gens)
+    seeds = G._rows(seeds)
+    inside = np.zeros(G.order, dtype=bool)
+    held = G._rows(H.generators).tolist() if H is not None else []
+    inside[G._rows(H.elements) if H is not None else G.index_of(G.identity)] = True
+    return _subgroup_at(G, inside, _grow(G, inside, held, seeds))
 
 
 def is_normal(G: GroupTable, H: GroupTable) -> bool:
-    return all(G.conj(h, g).key in H.keys for g in G.generators for h in H.generators)
+    conj = G._conjugates(G._rows(H.generators), G._generator_rows())
+    return all(G.elements[c].key in H.keys for c in conj.tolist())
 
 
 def normal_closure(G: GroupTable, seeds: Iterable[Element],
@@ -299,15 +462,21 @@ def normal_closure(G: GroupTable, seeds: Iterable[Element],
     the automorphisms in `maps`: the fixpoint of adding the conjugates of H's
     generators by G's generators and their images under the maps.  Generators
     suffice: H = <S> is normal and invariant exactly when S^g and a(S) lie in H
-    for the generators g of G and the maps a."""
-    H = subgroup_generated(G, seeds)
+    for the generators g of G and the maps a.  H stays a mask until the
+    fixpoint, and grows as subgroup_generated grows it."""
+    seeds = G._rows(seeds)
+    if any(a.domain is not G for a in maps):
+        raise ValueError("acting automorphism is not defined on the given group")
+    inside = np.arange(G.order) == G.index_of(G.identity)
+    gens = _grow(G, inside, [], seeds)
     while True:
-        grown = [c for h in H.generators for g in G.generators
-                 if (c := G.conj(h, g)).key not in H.keys]
-        grown += [c for h in H.generators for a in maps if (c := a(h)).key not in H.keys]
-        if not grown:
-            return H
-        H = subgroup_generated(G, grown, H)
+        hs = np.array(gens, dtype=np.intp)
+        grown = np.concatenate([G._conjugates(hs, G._generator_rows()),
+                                *(a.images[hs] for a in maps)])
+        grown = grown[~inside[grown]]
+        if not len(grown):
+            return _subgroup_at(G, inside, gens)
+        gens = _grow(G, inside, gens, grown)
 
 
 def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTable:
@@ -317,7 +486,8 @@ def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTab
     Computational Group Theory*, 2005).  When X and Y are both normal every
     generator of [X, Y] lies in X ∩ Y, and that is asserted.
     """
-    H = normal_closure(G, {G.comm(x, y) for x in X.generators for y in Y.generators})
+    seeds = G._commutators(G._rows(X.generators), G._rows(Y.generators))
+    H = normal_closure(G, [G.elements[c] for c in seeds.tolist()])
     if (any(h.key not in X.keys or h.key not in Y.keys for h in H.generators)
             and is_normal(G, X) and is_normal(G, Y)):
         raise AssertionError("[X, Y] left X ∩ Y for normal X, Y")
@@ -331,8 +501,13 @@ def center(G: GroupTable) -> GroupTable:
 
 
 def centralizer(G: GroupTable, S: Iterable[Element]) -> GroupTable:
-    S = [G.canon(s) for s in S]
-    return G.subgroup(x for x in G.elements if all(G.mul(x, s) == G.mul(s, x) for s in S))
+    """The elements x with xs = sx for every s in S, by one kernel call over
+    both sides of every pair."""
+    S, every = G._rows(S), np.arange(G.order)
+    xs, ss = np.tile(every, len(S)), np.repeat(S, G.order)
+    left, right = G._products(np.concatenate([xs, ss]),
+                              np.concatenate([ss, xs])).reshape(2, len(S), G.order)
+    return G.subgroup(G.elements[i] for i in (left == right).all(axis=0).nonzero()[0].tolist())
 
 
 class Automorphism(Element):
@@ -347,14 +522,36 @@ class Automorphism(Element):
     __slots__ = ("domain", "images")
 
     def __init__(self, domain: GroupTable, images: Sequence[int]):
+        images = np.asarray(images, dtype=np.int32)
+        els = domain.elements
+        self._init(domain, images, bytes((_TAG_AUT,)) + b"".join(
+            els[i].key for i in images[domain._generator_rows()].tolist()))
+
+    def _init(self, domain: GroupTable, images: np.ndarray, key: bytes) -> None:
         self.domain = domain
-        self.images = np.asarray(images, dtype=np.int32)
+        self.images = images
         self.images.setflags(write=False)
-        els, index = domain.elements, domain._index
-        self.key = bytes((_TAG_AUT,)) + b"".join(
-            els[self.images[index[g.key]]].key for g in domain.generators)
+        self.key = key
         self._inv = None
         self._ord = None
+
+    @classmethod
+    def _stack(cls, domain: GroupTable, maps: np.ndarray) -> List["Automorphism"]:
+        """The automorphisms whose images are the rows of the int32 array
+        `maps`, their keys cut from gathers of the domain's key bytes at the
+        generators' image columns, a block of rows at a time.  Each holds a
+        view of `maps`."""
+        keys = np.frombuffer(b"".join(domain.keys), dtype=np.uint8).reshape(domain.order, -1)
+        columns, tag = maps[:, domain._generator_rows()], bytes((_TAG_AUT,))
+        width = columns.shape[1] * keys.shape[1]
+        auts = []
+        for start in range(0, len(maps), _BLOCK_ROWS):
+            blob = keys[columns[start:start + _BLOCK_ROWS]].tobytes()
+            for k, row in enumerate(maps[start:start + _BLOCK_ROWS]):
+                a = cls.__new__(cls)
+                a._init(domain, row, tag + blob[k * width:(k + 1) * width])
+                auts.append(a)
+        return auts
 
     def __call__(self, x: Element) -> Element:
         dom = self.domain
@@ -387,10 +584,9 @@ class Automorphism(Element):
         generators generate the domain (the key relies on that too)."""
         k = self._ord
         if k is None:
-            images, index = self.images.tolist(), self.domain._index
+            images = self.images.tolist()
             k = 1
-            for g in self.domain.generators:
-                start = index[g.key]
+            for start in self.domain._generator_rows().tolist():
                 i, length = images[start], 1
                 while i != start:
                     i, length = images[i], length + 1
@@ -403,15 +599,17 @@ class Automorphism(Element):
 
 
 def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
-                     steps: Iterable[Sequence[int]]) -> Tuple[List[int], List[tuple]]:
+                     steps: Iterable[Sequence[int]], held: Sequence[int] = (),
+                     edges: bool = True) -> Tuple[List[int], List[tuple]]:
     """The one breadth-first closure over element indices: a Schreier tree
-    of <gens>, grown from the subgroup H_0 in the mask `inside` a step at a
-    time.  column(j) is [index(x * e_j) for every x]; step d adds the
-    generators steps[d], and `inside` grows in place to H_d = <H_0,
+    of <gens>, grown from the subgroup H_0 = <held> in the mask `inside` a
+    step at a time.  column(j) is [index(x * e_j) for every x]; step d adds
+    the generators steps[d], and `inside` grows in place to H_d = <H_0,
     steps[0..d]>.  Steps are read lazily, so a step source may pick its
     generators from the mask as it stands.
 
-    Returns gens, all steps in order, and a level per step, a tuple of
+    Returns gens, held and then all steps in order, and a level per step, a
+    tuple of
     - `grow`: the tree edges x -> x*g_j = y that first reach each new y, as
       (xs, js, ys) arrays with j indexing gens, one triple per breadth-first
       layer, so every x lies in H_{d-1} or an earlier layer;
@@ -419,11 +617,12 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
       triple (an edge of an old generator inside H_{d-1} was checked at a
       lower level);
     - `new`: the elements added, and `size`: |H_d|.
+    With `edges` false only the mask and gens are made, and no level.
     A map of H_d that agrees with f(x*g_j) = f(x)*f(g_j) on the edges of
     every level up to d is a homomorphism (Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, 2005, on Schreier trees).
     """
-    gens, cols, levels = [], [], []
+    gens, cols, levels = list(held), list(map(column, held)), []
     first = np.empty(len(inside), dtype=np.intp)  # an edge reaching each new element
     for step in steps:
         old = inside.nonzero()[0].astype(np.intc)
@@ -441,15 +640,17 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
             tree[first[ys[reach]]] = True
             added = ys[tree]
             inside[added] = True
-            new.append(added)
-            if len(added):
-                grow.append((xs[tree], js[tree], added))
-            tree = ~tree
-            check.append((xs[tree], js[tree], ys[tree]))
+            if edges:
+                new.append(added)
+                if len(added):
+                    grow.append((xs[tree], js[tree], added))
+                tree = ~tree
+                check.append((xs[tree], js[tree], ys[tree]))
             xs = added.repeat(len(gens))
             js = np.arange(len(xs), dtype=np.intc) % len(gens)
-        levels.append((grow, tuple(map(np.concatenate, zip(*check))), np.concatenate(new),
-                       int(inside.sum())))
+        if edges:
+            levels.append((grow, tuple(map(np.concatenate, zip(*check))), np.concatenate(new),
+                           int(inside.sum())))
     return gens, levels
 
 
@@ -511,8 +712,7 @@ def identity_automorphism(G: GroupTable) -> Automorphism:
 
 
 def conjugation_aut(G: GroupTable, g: Element) -> Automorphism:
-    g = G.canon(g)
-    return Automorphism(G, [G.index_of(G.conj(x, g)) for x in G.elements])
+    return Automorphism(G, G._conjugates(np.arange(G.order), G._rows([g])))
 
 
 def restrict_automorphism(a: Automorphism, H: GroupTable) -> Automorphism:
@@ -569,25 +769,62 @@ class QuotientGroup(GroupTable):
     """G/N, with G its `cover`: coset_id[i] is the index in this table of the
     coset of cover.elements[i].
 
-    One scan of the cover in key order meets each coset first at its minimal
-    member, which becomes the coset's representative and key, so coset ids
-    follow the table's sorted order.
+    Each coset's representative and key is its least member in key order,
+    so coset ids follow the table's sorted order.  Every element is labelled
+    with its least known coset mate: each round takes the least label over
+    the right columns x -> x*n of a generating set of N, then follows labels
+    to their own labels, until no label moves (min-label propagation).
     """
 
     def __init__(self, cover: GroupTable, N: GroupTable):
         self.cover = cover
         self.normal_subgroup = N
-        self.coset_id = coset_id = [-1] * cover.order
-        cosets: List[Coset] = []
-        for i, x in enumerate(cover.elements):
-            if coset_id[i] < 0:
-                for n in N.elements:
-                    coset_id[cover.index_of(x * n)] = len(cosets)
-                cosets.append(Coset(x, self))
+        inside = np.arange(cover.order) == cover.index_of(cover.identity)
+        columns = [cover._right_column(j)
+                   for j in _grow(cover, inside, [], cover._rows(N.generators))]
+        label = np.arange(cover.order)
+        while True:
+            least = np.minimum.reduce([label, *(label[c] for c in columns)])
+            least = least[least]
+            if (least == label).all():
+                break
+            label = least
+        first = label == np.arange(cover.order)
+        self.coset_id = (first.cumsum() - 1)[label]
+        self._reps = first.nonzero()[0]
+        cosets = [Coset(cover.elements[i], self) for i in self._reps.tolist()]
         # GroupTable.__init__ finds the identity through Coset.identity_like
-        self.identity = cosets[coset_id[cover.index_of(cover.identity)]]
-        super().__init__(cosets, [cosets[coset_id[cover.index_of(g)]]
-                                  for g in cover.generators], p=cover.p)
+        self.identity = cosets[self.coset_id[cover.index_of(cover.identity)]]
+        super().__init__(cosets, [cosets[i] for i in self.coset_id[cover._generator_rows()]],
+                         p=cover.p)
+
+    def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The cosets of the products of the representatives, in the cover."""
+        reps = self._reps
+        return self.coset_id[self.cover._products(reps[xs], reps[ys])]
+
+    def _fill_orders(self, rows: Optional[np.ndarray] = None) -> None:
+        """Cache the order of every coset, or of the given rows, that has
+        none: for each prime r with |Q| = r^a m, r prime to m, the r-part of
+        x's order is that of x^m, found by at most a r-th powers."""
+        els = self.elements
+        todo = np.array([i for i in (range(len(els)) if rows is None else rows.tolist())
+                         if els[i]._ord is None], dtype=np.intp)
+        orders = np.ones(len(todo), dtype=np.int64)
+        e, rest, r = self.index_of(self.identity), self.order, 2
+        while rest > 1 and len(todo):
+            if rest % r:
+                r += 1
+                continue
+            a, m = _p_split(self.order, r)
+            rest //= r ** a
+            z = self._powers(todo, m)
+            for _ in range(a):
+                live = z != e
+                orders[live] *= r
+                z[live] = self._powers(z[live], r)
+        for i, k in zip(todo.tolist(), orders.tolist()):
+            els[i]._ord = k
 
     def project(self, x: Element) -> Coset:
         """The coset of an element of the cover."""
@@ -597,9 +834,10 @@ class QuotientGroup(GroupTable):
         """The full preimage in the cover of a subgroup of this quotient."""
         if not S.lies_in(self):
             raise ValueError("subgroup does not live in this quotient")
-        ids = {self.index_of(c) for c in S.elements}
-        return self.cover.subgroup(
-            x for x, c in zip(self.cover.elements, self.coset_id) if c in ids)
+        ids = np.zeros(self.order, dtype=bool)
+        ids[self._rows(S.elements)] = True
+        cover = self.cover
+        return cover.subgroup(cover.elements[i] for i in ids[self.coset_id].nonzero()[0].tolist())
 
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.order} = {self.cover.order}/{self.normal_subgroup.order})"

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from .elements import _require_prime
 from .errors import NotPGroup, OddPrimeRequired
 from .groups import (
@@ -99,7 +101,7 @@ def omega_set(G: GroupTable, i: int) -> Tuple:
     """All elements of order dividing p^i (as a sorted tuple, not a subgroup)."""
     p = G.require_p_group()
     bound = p ** i
-    return tuple(x for x in G.elements if bound % x.order() == 0)
+    return tuple(x for x, k in zip(G.elements, G._orders().tolist()) if bound % k == 0)
 
 
 def omega_subgroup(G: GroupTable, i: int) -> GroupTable:
@@ -126,12 +128,13 @@ def omega_series(G: GroupTable) -> List[GroupTable]:
 
 
 def agemo(G: GroupTable, n: int) -> GroupTable:
-    """G^{p^n} = subgroup generated by all p^n-th powers."""
+    """G^{p^n} = subgroup generated by all p^n-th powers, taken by squaring
+    in the table."""
     p = G.require_p_group()
     key = ("agemo", n)
     if key not in G._cache:
-        q = p ** n
-        G._cache[key] = subgroup_generated(G, {x ** q for x in G.elements})
+        powers = G._powers(np.arange(G.order), p ** n)
+        G._cache[key] = subgroup_generated(G, [G.elements[i] for i in powers.tolist()])
     return G._cache[key]
 
 
@@ -155,7 +158,8 @@ def xu_inequality(G: GroupTable, n: int) -> Verdict:
 def small_elements_lie_in(X: GroupTable, Z: GroupTable, p: int) -> bool:
     """Does every element of X of order dividing p (4 if p = 2) lie in Z?"""
     bound = central_order_bound(p)
-    return all(x.key in Z.keys for x in X.elements if bound % x.order() == 0)
+    return all(x.key in Z.keys for x, k in zip(X.elements, X._orders().tolist())
+               if bound % k == 0)
 
 
 def is_p_central_of_height(G: GroupTable, k: int, p: Optional[int] = None) -> bool:

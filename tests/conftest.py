@@ -3,6 +3,8 @@ import time
 import pytest
 
 from pcentral.corpus import CorpusResult, default_config, run_corpus
+from pcentral.elements import FpMatrix, Permutation
+from pcentral.groups import Automorphism, GroupTable
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +30,31 @@ def record(result: CorpusResult, entry: str, check: str):
                if r.get("entry") == entry and r.get("check") == check]
     assert len(matches) == 1, f"expected one record for {entry}/{check}"
     return matches[0]
+
+
+@pytest.fixture
+def arithmetic(monkeypatch):
+    """Counts of element arithmetic, reset by setting them to 0:
+    "products", the FpMatrix, Permutation and Automorphism products of
+    element objects, and "rows", the rows the table kernels multiply: the
+    pairs of every GroupTable._products call on a root table (a subgroup's
+    call reaches its root, a quotient's its cover) and the rows of every
+    right column a matrix or permutation root builds."""
+    counts = {"products": 0, "rows": 0}
+    for cls in (FpMatrix, Permutation, Automorphism):
+        def product(x, y, real=cls.__mul__):
+            counts["products"] += 1
+            return real(x, y)
+        monkeypatch.setattr(cls, "__mul__", product)
+    for cls in (FpMatrix, Permutation):
+        def column(g, bodies, real=cls._right_products):
+            counts["rows"] += len(bodies)
+            return real(g, bodies)
+        monkeypatch.setattr(cls, "_right_products", column)
+
+    def pairs(table, xs, ys, real=GroupTable._products):
+        if table.parent is None:
+            counts["rows"] += len(xs)
+        return real(table, xs, ys)
+    monkeypatch.setattr(GroupTable, "_products", pairs)
+    return counts

@@ -195,25 +195,21 @@ def test_sylow_matches_growth_inside_normalizers(spec, aut, p):
     assert [g.key for g in P.generators] == [g.key for g in ref.generators]
 
 
-def test_sylow_product_counts(monkeypatch):
-    # two per conjugation of P's generators by a scanned p-element, plus P's
-    # growth coset by coset; the Aut tables are built outside the count
-    tables = {spec: _aut(spec).perm_group
+def test_sylow_product_counts(arithmetic):
+    # two products per conjugation of P's generators by a scanned
+    # p-element, and a right column of the Aut table (432 and 11232 rows)
+    # per generator P gains; the Aut tables are built outside the count, as
+    # fresh tables that hold no right column yet
+    tables = {spec: GroupTable((A := _aut(spec).perm_group).elements, A.generators)
               for spec in ("heisenberg(3)", "elementary_abelian(3,3)")}
-    products = [0]
-    for cls in (FpMatrix, Permutation, Automorphism):
-        def counting(x, y, real=cls.__mul__):
-            products[0] += 1
-            return real(x, y)
-        monkeypatch.setattr(cls, "__mul__", counting)
 
     def count(A):
-        products[0] = 0
+        arithmetic.update(products=0, rows=0)
         sylow_p_subgroup(A, 3)
-        return products[0]
+        return arithmetic["products"], arithmetic["rows"]
 
-    assert count(tables["heisenberg(3)"]) == 50
-    assert count(tables["elementary_abelian(3,3)"]) == 68
+    assert count(tables["heisenberg(3)"]) == (18, 3 * 432)
+    assert count(tables["elementary_abelian(3,3)"]) == (36, 3 * 11232)
 
 
 def _reference_extend(G, gens, images):

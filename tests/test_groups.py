@@ -77,27 +77,25 @@ def test_action_cap_boundary():
     assert inner_action(G, cap=243).A_order == 243
 
 
-def test_closure_product_counts(monkeypatch):
-    # one product per element that is not a coset representative, and one
-    # per representative and generator (ut(4,3): 692 + 96)
+def test_closure_product_counts(arithmetic):
+    # close: one product per element that is not a coset representative,
+    # and one per representative and generator (ut(4,3): 692 + 96)
     E, H = build_group("elementary_abelian(3,6)"), build_group("heisenberg(3)")
-    products = [0]
-    for cls in (FpMatrix, Permutation, Automorphism):
-        def counting(x, y, real=cls.__mul__):
-            products[0] += 1
-            return real(x, y)
-        monkeypatch.setattr(cls, "__mul__", counting)
 
     def count(build):
-        products[0] = 0
+        arithmetic.update(products=0, rows=0)
         build()
-        return products[0]
+        return arithmetic["products"], arithmetic["rows"]
 
-    assert count(lambda: build_group("ut(4,3)")) == 788
-    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == 640
-    # the search finds G's orders in batches and the Aut table picks its
-    # generators by batched gathers: every product closes the action
-    assert count(lambda: build_action(H, "full_aut")) == 452
+    assert count(lambda: build_group("ut(4,3)")) == (788, 0)
+    # the Jordan maps and A's closure take products; [G, A] is closed in
+    # the table: its seeds are one kernel call, and each closure step a
+    # call for its conjugates and a right column per generator kept
+    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (41, 8232)
+    # the search takes right columns of G and finds G's orders in batches,
+    # and the Aut table picks its generators by batched gathers: every
+    # product closes the action
+    assert count(lambda: build_action(H, "full_aut")) == (452, 702)
 
 
 @pytest.mark.parametrize("spec", ["dihedral(8)", "quaternion(8)", "sym(4)",
@@ -110,18 +108,24 @@ def test_commutator_subgroup_matches_all_pairs_oracle(spec):
     assert fast.keys == brute.keys
 
 
-def test_commutator_subgroup_commutes_only_generators(monkeypatch):
+def test_commutator_subgroup_commutes_only_generators(monkeypatch, arithmetic):
     G = build_group("ut(4,3)")
-    calls = []
-    real = GroupTable.comm
+    pairs = []
+    real = GroupTable._commutators
 
-    def counting(self, x, y):
-        calls.append(x)
-        return real(self, x, y)
+    def counting(self, xs, ys):
+        pairs.append(len(xs) * len(ys))
+        return real(self, xs, ys)
 
-    monkeypatch.setattr(GroupTable, "comm", counting)
+    monkeypatch.setattr(GroupTable, "_commutators", counting)
+    arithmetic.update(products=0, rows=0)
     assert commutator_subgroup(G, G, G).order == 27
-    assert len(calls) == len(G.generators) ** 2  # 9, not |G| * 3 = 2187
+    assert pairs == [len(G.generators) ** 2]  # 9, not |G| * 3 = 2187
+    # three kernel rows per pair, two per inverse of G's 3 generators (x^2
+    # by squaring), a right column of 729 rows for each of the 3 generators
+    # [G, G] keeps, and two per conjugate of one of them by one of G's in
+    # the two closure steps (2 * 3, then 3 * 3)
+    assert arithmetic == {"products": 0, "rows": 27 + 2 * 3 + 3 * 729 + 2 * (6 + 9)}
 
 
 @pytest.mark.parametrize("spec", ["dihedral(16)", "sym(3)", "heisenberg(3)",

@@ -23,7 +23,6 @@ from .groups import (
     GroupTable,
     _extend_block,
     _image_codes,
-    _opaque_rows,
     _schreier_levels,
     identity_automorphism,
     subgroup_generated,
@@ -125,14 +124,9 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
     all the automorphisms come from one gather (Automorphism._stack).
     """
     gen_idx = G._generator_rows()
-
-    def keys(images: np.ndarray) -> np.ndarray:
-        # big-endian, so that the rows' bytes sort like their numbers
-        return _opaque_rows(images.astype(">i4"))
-
-    maps = maps[np.argsort(keys(maps[:, gen_idx]))]
-    sorted_keys = keys(maps[:, gen_idx])
-    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+    maps = maps[np.argsort(_image_codes(G, maps[:, gen_idx]))]
+    codes = _image_codes(G, maps[:, gen_idx])
+    if (codes[1:] == codes[:-1]).any():
         raise AssertionError("automorphism search produced duplicate maps")
 
     rows = np.arange(len(maps))
@@ -146,9 +140,9 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
             moving &= at != s
         orders = np.lcm(orders, length)
 
-    identity = np.searchsorted(sorted_keys, keys(np.array([gen_idx])))
+    identity = np.searchsorted(codes, _image_codes(G, gen_idx[None, :]))
     chosen, _ = _greedy_levels(
-        lambda j: np.searchsorted(sorted_keys, keys(maps[:, maps[j, gen_idx]])),
+        lambda j: np.searchsorted(codes, _image_codes(G, maps[:, maps[j, gen_idx]])),
         np.arange(len(maps)) == identity, orders)
 
     auts = Automorphism._stack(G, maps)
@@ -157,7 +151,7 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
     A = GroupTable(auts, [auts[c] for c in chosen])
     # the automorphisms hold views of the rows of `maps`, so they are the
     # table's stacked images (GroupTable._aut_images) at no further cost
-    A._cache["aut_images"] = maps, _image_codes(G, maps[:, gen_idx])
+    A._cache["aut_images"] = maps, codes
     return A
 
 

@@ -1,12 +1,18 @@
 """Fully enumerated finite groups and their basic machinery.
 
 Everything is desk scale: groups are grown coset by coset from their
-generators and stored as sorted element tables (sorted by canonical
+generators (`close`) and stored as sorted element tables (sorted by canonical
 byte key), so all downstream iteration is deterministic.  Subgroups are tables
 that share their parent's elements; a quotient numbers its cosets by an id
 array over the cover's element indices, and its elements are cosets keyed by
 their canonically minimal representative; an automorphism is an index array
 over its domain's element table, so automorphism groups are group tables too.
+
+Once a table exists, the group core works on element indices: one pairwise
+kernel, GroupTable._products, multiplies index arrays in batches on every
+kind of table, and subgroup growth, centralizers, normality, normal
+closures, commutator subgroups, coset numbering, orders and powers are
+built on it and on cached right-multiplication columns.
 """
 
 from __future__ import annotations
@@ -356,19 +362,19 @@ def _opaque_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _image_codes(domain: GroupTable, images: np.ndarray) -> np.ndarray:
-    """Rows of indices into the domain, one per map, coded so that the codes
-    ascend like the rows (and like the maps' keys): as numbers in base
-    |domain| when they fit an int64, else as the rows in big-endian ints,
-    whose bytes ascend."""
+    """One value for each row of indices into the domain (a map's images of
+    the domain's generators), ordered like the rows and so like the maps'
+    keys: the row as a number in base |domain| when that fits an int64,
+    else its big-endian bytes as one void value."""
     if domain.order ** images.shape[1] < 1 << 62:
         return images.astype(np.int64) @ domain.order ** np.arange(
             images.shape[1] - 1, -1, -1, dtype=np.int64)
-    return images.astype(">i4")
+    return _opaque_rows(images.astype(">i4"))
 
 
 def _find(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """The positions of the entries of `wanted` among `rows`, as C ints;
-    KeyError if one is missing.  `rows` holds ascending numbers, or rows
+    KeyError if one is missing.  `rows` holds ascending values, or rows
     whose bytes ascend."""
     flat = rows.ndim == 1
     pos = (np.searchsorted(rows, wanted) if flat
@@ -766,8 +772,8 @@ class Coset(Element):
 
 
 class QuotientGroup(GroupTable):
-    """G/N, with G its `cover`: coset_id[i] is the index in this table of the
-    coset of cover.elements[i].
+    """G/N, with G its `cover`: the int array coset_id holds at i the index
+    in this table of the coset of cover.elements[i].
 
     Each coset's representative and key is its least member in key order,
     so coset ids follow the table's sorted order.  Every element is labelled

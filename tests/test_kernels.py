@@ -12,12 +12,14 @@ leaves it.
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_relabeling import _relabeled, relabelings
 
 from pcentral.actions import inner_action, is_p_central_action, mixed_series_definitional
+from pcentral.autsearch import brute_force_aut
 from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation, decode_element
 from pcentral.errors import BudgetExceeded
@@ -298,3 +300,39 @@ def test_definitional_budget_boundary():
     mixed_series_definitional(pair, 3, budget=steps)
     with pytest.raises(BudgetExceeded, match=f"exceeded {steps - 1} commutator steps"):
         mixed_series_definitional(pair, 3, budget=steps - 1)
+
+
+# -- the pairwise kernel on every kind of table -----------------------------
+
+AUT_SPECS = ("quaternion(8)", "elementary_abelian(2,3)", "heisenberg(3)")
+
+
+@functools.lru_cache(maxsize=None)
+def _aut_table(spec):
+    return brute_force_aut(_group(spec)).perm_group
+
+
+@st.composite
+def kernel_tables(draw):
+    """A fresh matrix or permutation table, a subgroup or quotient of one,
+    or an automorphism table: inner automorphisms closed by element
+    products, or the Aut(G) table the search builds."""
+    kind = draw(st.sampled_from(KINDS + ("inner", "aut")))
+    if kind == "aut":
+        return _aut_table(draw(st.sampled_from(AUT_SPECS)))
+    T = _tables(draw(fresh_tables()))["table" if kind == "inner" else kind]
+    return inner_action(T).A if kind == "inner" else T
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_tables(), st.data())
+def test_products_and_powers_match_object_products(T, data):
+    index = st.integers(0, T.order - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=24))
+    xs, ys = map(np.array, zip(*pairs))
+    els = T.elements
+    assert T._products(xs, ys).tolist() == [T.index_of(els[x] * els[y])
+                                            for x, y in zip(xs.tolist(), ys.tolist())]
+    k = data.draw(st.integers(0, 40))
+    assert T._powers(xs, k).tolist() == [T.index_of(els[x] ** k) for x in xs.tolist()]
+    assert T._inverses(xs).tolist() == [T.index_of(els[x].inverse()) for x in xs.tolist()]

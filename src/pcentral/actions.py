@@ -153,6 +153,11 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     "generators" alphabet uses G's generators and A's generators with their
     inverses, which generates the same subgroups by the standard commutator
     expansions [x, uv] = [x,v]*([x,u] conj v) and a([x,b]) = [x,b]*[[x,b],a].
+
+    The states seen are a mask over (A-entries, value), and each
+    breadth-first level extends all its states by all letters in one kernel
+    call.  Every state costs one step per letter, and the sweep raises
+    BudgetExceeded before a level that would take the steps past `budget`.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -180,8 +185,8 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     # A-entries the letter adds
     N = G.order
     letters = G._rows(g_alphabet)
-    right = np.concatenate([G._conjugates(np.arange(N), letters).reshape(N, -1).T,
-                            np.array([a.images for a in a_alphabet], dtype=np.intp).reshape(-1, N)])
+    images = np.array([a.images for a in a_alphabet], dtype=np.intp).reshape(-1, N)
+    right = np.concatenate([G._conjugates(np.arange(N), letters).reshape(N, -1).T, images])
     shift = np.repeat([0, 1], [len(g_alphabet), len(a_alphabet)])[:, None]
     seen = np.zeros((cap + 1, N), dtype=bool)  # seen[c, v]: the state (v, c)
     seen[0] = True

@@ -23,6 +23,7 @@ from .groups import (
     GroupTable,
     _extend_block,
     _image_codes,
+    _subgroup_at,
     _schreier_levels,
     identity_automorphism,
     subgroup_generated,
@@ -167,13 +168,21 @@ def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
 def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     """A Sylow p-subgroup: P gains the first y of G, in key order, outside P
     that is a p-element and normalizes P, so P<y> is a p-group.  While p
-    divides |G:P| one exists, as P < N_S(P) for a Sylow S containing P."""
+    divides |G:P| one exists, as P < N_S(P) for a Sylow S containing P.
+    As y normalizes P, <P, y> is the union of the cosets P y^i, one kernel
+    call over P and the powers of y, with P's generators and then y."""
     _require_prime(p)
+    inside = np.arange(G.order) == G.index_of(G.identity)
+    gens: List[int] = []
     P = subgroup_generated(G, ())
     while (G.order // P.order) % p == 0:
         y = next((y for y in G.elements if y.key not in P.keys
                   and _p_split(y.order(), p)[1] == 1 and _normalizes(G, y, P)), None)
         if y is None:
             raise AssertionError("Sylow extension stalled below the p-part")
-        P = subgroup_generated(G, [y], P)
+        gens.append(G.index_of(y))
+        powers = G._powers(np.full(y.order(), gens[-1]), np.arange(y.order()))
+        held = inside.nonzero()[0]
+        inside[G._products(held.repeat(len(powers)), np.tile(powers, len(held)))] = True
+        P = _subgroup_at(G, inside, gens)
     return P

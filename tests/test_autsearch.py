@@ -197,10 +197,11 @@ def test_sylow_matches_growth_inside_normalizers(spec, aut, p):
 
 def test_sylow_product_counts(arithmetic):
     # two products per conjugation of P's generators by a scanned
-    # p-element, and a right column of the Aut table (432 and 11232 rows)
-    # per generator P gains; the Aut tables are built outside the count, as
-    # fresh tables that hold no right column yet
-    tables = {spec: GroupTable((A := _aut(spec).perm_group).elements, A.generators)
+    # p-element; for each y that P gains, three kernel rows for y^0, y^1
+    # and y^2 and one per element of P y^i (P of order 1, 3, then 9), not
+    # a column of the whole Aut table; the Aut tables are built outside
+    # the count
+    tables = {spec: _aut(spec).perm_group
               for spec in ("heisenberg(3)", "elementary_abelian(3,3)")}
 
     def count(A):
@@ -208,8 +209,8 @@ def test_sylow_product_counts(arithmetic):
         sylow_p_subgroup(A, 3)
         return arithmetic["products"], arithmetic["rows"]
 
-    assert count(tables["heisenberg(3)"]) == (18, 3 * 432)
-    assert count(tables["elementary_abelian(3,3)"]) == (36, 3 * 11232)
+    assert count(tables["heisenberg(3)"]) == (18, 3 * 3 + 3 * (1 + 3 + 9))
+    assert count(tables["elementary_abelian(3,3)"]) == (36, 3 * 3 + 3 * (1 + 3 + 9))
 
 
 def _reference_extend(G, gens, images):

@@ -6,7 +6,11 @@ catalog groups of both backends: as built, with matrix groups conjugated by a
 random T in GL(n, p), and with permutation groups moved onto up to 700
 points, where an image no longer fits one key byte.  A table over a set that
 is not closed under its products has no column for an element whose product
-leaves it.
+leaves it.  The pairwise kernel, its powers and inverses must match element
+products on every kind of table, and the group core built on them (cosets,
+centers, conjugation, normality, commutator subgroups, orders, omega and
+agemo, p-central actions, the definitional series) must match oracles that
+multiply element objects one pair at a time.
 """
 
 import functools

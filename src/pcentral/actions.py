@@ -113,9 +113,9 @@ def commutator_group_of_pair(pair: ActionPair) -> GroupTable:
 def _mixed_commutators(G: GroupTable, cs: np.ndarray,
                        maps: Sequence[Automorphism]) -> np.ndarray:
     """The indices of [c, a] = c^-1 a(c) for every c in cs and a in maps,
-    c-major, by one kernel call."""
-    images = np.stack([a.images[cs] for a in maps], axis=1).ravel()
-    return G._products(np.repeat(G._inverses(cs), len(maps)), images)
+    c-major, by one kernel call; none when there are no maps."""
+    images = np.array([a.images[cs] for a in maps], dtype=np.intp).reshape(len(maps), len(cs))
+    return G._products(np.repeat(G._inverses(cs), len(maps)), images.T.ravel())
 
 
 def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:

@@ -82,6 +82,16 @@ def test_trivial_action_series_collapses_immediately():
     assert is_p_central_action(pair)
 
 
+def test_actions_without_generators_have_trivial_commutators():
+    # Aut(C_2) is trivial, so the search keeps no generator; a trivial group
+    # has no generator to conjugate by
+    for pair in (build_action(build_group("cyclic(2,1)"), "full_aut"),
+                 inner_action(build_group("cyclic(2,1)").trivial_subgroup)):
+        assert pair.A_generators == ()
+        assert mixed_lower_central_series(pair).orders()[:2] == [pair.G.order, 1]
+        assert [T.order for T in mixed_series_definitional(pair, 3)] == [pair.G.order, 1, 1]
+
+
 @pytest.mark.parametrize("gspec,aspec", [
     ("heisenberg(3)", "inner"),
     ("dihedral(8)", "inner"),

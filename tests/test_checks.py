@@ -48,6 +48,15 @@ def test_quaternion_inner_battery(name):
     assert_verdict(v, expected)
 
 
+@pytest.mark.parametrize("name", sorted(PAIR_CHECKS))
+def test_battery_on_an_action_without_generators(name):
+    # Aut(C_2) is trivial: A = 1 has prime order for no prime, and every
+    # statement about [G, A] = 1 holds
+    v = PAIR_CHECKS[name](pair("cyclic(2,1)", "full_aut"))
+    expected = ("fail", "skipped") if name == "prime_order_action" else ("pass", "pass")
+    assert_verdict(v, expected)
+
+
 @pytest.mark.parametrize("name,expected", [
     ("main_regularity", ("fail", "skipped")),
     ("omega_exponent_bound", ("fail", "skipped")),

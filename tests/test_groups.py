@@ -98,6 +98,23 @@ def test_closure_product_counts(arithmetic):
     assert count(lambda: build_action(H, "full_aut")) == (452, 702)
 
 
+def test_a_long_cycle_grows_in_doubling_steps(monkeypatch):
+    # breadth-first layers alone would walk C_729 in 728 steps; once a layer
+    # adds under 1/8 of the elements held, all of them are also multiplied
+    # by one element it added, which doubles the stretch of the cycle held
+    G = build_group("cyclic(3,6)")
+    calls = []
+    real = GroupTable._products
+
+    def counting(self, xs, ys):
+        calls.append(len(xs))
+        return real(self, xs, ys)
+
+    monkeypatch.setattr(GroupTable, "_products", counting)
+    assert subgroup_generated(G, [G.generators[0]]).order == 729
+    assert calls == [9, 18, 36, 72, 144, 288, 576]
+
+
 @pytest.mark.parametrize("spec", ["dihedral(8)", "quaternion(8)", "sym(4)",
                                   "heisenberg(3)", "dic3()"])
 def test_commutator_subgroup_matches_all_pairs_oracle(spec):

@@ -4,13 +4,17 @@ A group table's right-multiplication columns, its elements' orders and its
 exponent must equal what multiplying element objects one at a time gives, on
 catalog groups of both backends: as built, with matrix groups conjugated by a
 random T in GL(n, p), and with permutation groups moved onto up to 700
-points, where an image no longer fits one key byte.  A table over a set that
-is not closed under its products has no column for an element whose product
-leaves it.  The pairwise kernel, its powers and inverses must match element
-products on every kind of table, and the group core built on them (cosets,
-centers, conjugation, normality, commutator subgroups, orders, omega and
-agemo, p-central actions, the definitional series) must match oracles that
-multiply element objects one pair at a time.
+points, where an image no longer fits one key byte; the columns also on
+subgroup, quotient, inner-action and automorphism tables.  A table over a set
+that is not closed under its products has no column for an element whose
+product leaves it.  The pairwise kernel, its powers and inverses must match
+element products on every kind of table, and the group core built on them
+(cosets, centers, conjugation, normality, commutator subgroups, orders, omega
+and agemo, p-central actions, the definitional series) must match oracles
+that multiply element objects one pair at a time.  Every subgroup the core
+cuts from a table holds the table's own element objects in key order, knows
+its root table's indices of them, and has the generators its constructor
+documents.
 """
 
 import functools
@@ -23,20 +27,21 @@ from hypothesis import given, settings, strategies as st
 from test_relabeling import _relabeled, relabelings
 
 from pcentral.actions import inner_action, is_p_central_action, mixed_series_definitional
-from pcentral.autsearch import brute_force_aut
+from pcentral.autsearch import brute_force_aut, normalizer
 from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation, decode_element
 from pcentral.errors import BudgetExceeded
 from pcentral.groups import (
     GroupTable,
     center,
+    centralizer,
     commutator_subgroup,
     conjugation_aut,
     is_normal,
     quotient,
     subgroup_generated,
 )
-from pcentral.series import agemo, central_order_bound, omega_set
+from pcentral.series import agemo, central_order_bound, omega_set, omega_subgroup
 
 SPECS = (
     "elementary_abelian(2,4)",
@@ -65,14 +70,6 @@ def fresh_tables(draw):
     if draw(st.booleans()):
         return draw(relabelings(G))
     return _relabeled(G, lambda x: decode_element(x.key))
-
-
-@settings(max_examples=30, deadline=None)
-@given(fresh_tables(), st.data())
-def test_right_columns_match_object_products(G, data):
-    for j in data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4)):
-        g = G.elements[j]
-        assert list(G._right_column(j)) == [G.index_of(x * g) for x in G]
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,6 +326,14 @@ def kernel_tables(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(fresh_tables(), kernel_tables()), st.data())
+def test_right_columns_match_object_products(G, data):
+    for j in data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4)):
+        g = G.elements[j]
+        assert list(G._right_column(j)) == [G.index_of(x * g) for x in G]
+
+
+@settings(max_examples=60, deadline=None)
 @given(kernel_tables(), st.data())
 def test_products_and_powers_match_object_products(T, data):
     index = st.integers(0, T.order - 1)
@@ -340,3 +345,57 @@ def test_products_and_powers_match_object_products(T, data):
     k = data.draw(st.integers(0, 40))
     assert T._powers(xs, k).tolist() == [T.index_of(els[x] ** k) for x in xs.tolist()]
     assert T._inverses(xs).tolist() == [T.index_of(els[x].inverse()) for x in xs.tolist()]
+
+
+# -- subgroups cut from their parent -----------------------------------------
+
+
+def _every_other(T):
+    """The documented generators of a subgroup given none: its non-identity
+    elements in key order."""
+    return [x.key for x in T if not x.is_identity()]
+
+
+def _subgroups(T):
+    """(name, subgroup of T, its expected generator keys) for every way the
+    group core cuts a subgroup from T."""
+    Q = quotient(T, _proper_normal(T))
+    x = T.generators[-1]
+    cyclic = subgroup_generated(T, [x])
+    seeds = [T.generators[0], T.elements[-1]]
+    grown = subgroup_generated(T, seeds, cyclic)
+    cases = [
+        ("center", center(T), None),
+        ("centralizer", centralizer(T, [x]), None),
+        ("preimage", Q.preimage(center(Q)), None),
+        ("trivial_subgroup", T.trivial_subgroup, None),
+        ("normalizer", normalizer(T, cyclic), None),
+        ("subgroup_generated", grown,
+         _keys(_generated(T, seeds, _generated(T, [x]))[0])),
+    ]
+    if T.is_p_group:
+        cases.append(("omega_subgroup", omega_subgroup(T, 1),
+                      _keys(_generated(T, omega_set(T, 1))[0])))
+    return cases
+
+
+def _root_of(H):
+    return H._root()
+
+
+def _root_rows_of(H):
+    return H._root_rows()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("spec", SPECS)
+def test_subgroups_are_cut_from_their_parent(spec, kind):
+    T = _core_table(spec, kind)
+    for name, H, gen_keys in _subgroups(T):
+        assert H.parent is T and H.lies_in(T), name
+        assert all(x is T.canon(x) for x in H), name
+        assert _keys(H) == sorted(_keys(H)), name
+        root = _root_of(H)
+        assert T.lies_in(root) and root.parent is None, name
+        assert list(_root_rows_of(H)) == [root.index_of(x) for x in H], name
+        assert _keys(H.generators) == (_every_other(H) if gen_keys is None else gen_keys), name

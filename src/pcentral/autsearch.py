@@ -162,7 +162,7 @@ def _normalizes(G: GroupTable, y: Element, P: GroupTable) -> bool:
 
 def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
     """N_G(P); conjugating P's generators into P suffices by finiteness."""
-    return G.subgroup(g for g in G.elements if _normalizes(G, g, P))
+    return _subgroup_at(G, np.array([_normalizes(G, g, P) for g in G.elements]))
 
 
 def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:

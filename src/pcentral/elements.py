@@ -13,8 +13,8 @@ hood), permutations are image tuples with composition (a*b)(i) = a(b(i)).
 
 Group tables also multiply in batches over key bodies, the bytes after the
 header: `_key_bodies` stacks them one row per element, and each backend's
-`_right_products` multiplies a block of rows on the right at once.  Keys that
-share a header sort like their bodies, so a table's rows are in its order.
+`_pair_products` multiplies paired rows at once.  Keys that share a header
+sort like their bodies, so a table's rows are in its order.
 """
 
 from __future__ import annotations
@@ -252,21 +252,11 @@ class FpMatrix(Element):
             )
         return FpMatrix._wrap(self.p, (self.arr @ other.arr) % self.p)
 
-    def _right_products(self, bodies: np.ndarray) -> np.ndarray:
-        """The key bodies of x * self for the matrices x whose bodies are the
-        rows: each row's n row vectors times self, in one product.  It runs in
-        float32, which is exact here: entries are at most 250 and n at most
-        255, so every partial sum is an integer below 2^24."""
-        n = self.n
-        prod = (bodies.reshape(-1, n).astype(np.float32)
-                @ self.arr.astype(np.float32)).astype(np.int32)
-        prod %= self.p
-        return prod.astype(np.uint8).reshape(len(bodies), n * n)
-
     def _pair_products(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """The key bodies of x * y for paired rows of the bodies of matrices
-        of this one's size and prime, in one batched float32 product, exact
-        as in _right_products."""
+        of this one's size and prime, in one batched product.  It runs in
+        float32, which is exact here: entries are at most 250 and n at most
+        255, so every partial sum is an integer below 2^24."""
         n = self.n
         prod = (lefts.reshape(-1, n, n).astype(np.float32)
                 @ rights.reshape(-1, n, n).astype(np.float32)).astype(np.int32)
@@ -380,12 +370,6 @@ class Permutation(Element):
         if other.degree != self.degree:
             raise BackendMismatch(f"degrees differ: {self.degree} vs {other.degree}")
         return Permutation._wrap(self.images[other.images])
-
-    def _right_products(self, bodies: np.ndarray) -> np.ndarray:
-        """The key bodies of x * self for the permutations x whose image rows
-        are the rows: (x * self)(i) = x(self(i)), one gather into a
-        C-contiguous block."""
-        return bodies.take(self.images, axis=1)
 
     def _pair_products(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """The key bodies of x * y for paired image rows: (x * y)(i) =

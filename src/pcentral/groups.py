@@ -2,17 +2,19 @@
 
 Everything is desk scale: groups are grown coset by coset from their
 generators (`close`) and stored as sorted element tables (sorted by canonical
-byte key), so all downstream iteration is deterministic.  Subgroups are tables
-that share their parent's elements; a quotient numbers its cosets by an id
-array over the cover's element indices, and its elements are cosets keyed by
-their canonically minimal representative; an automorphism is an index array
-over its domain's element table, so automorphism groups are group tables too.
+byte key), so all downstream iteration is deterministic.  A subgroup is cut
+from its parent table by a membership mask (`_subgroup_at`): it holds the
+parent's element objects in the parent's order and their indices in its root
+table.  A quotient numbers its cosets by an id array over the cover's element
+indices, and its elements are cosets keyed by their canonically minimal
+representative; an automorphism is an index array over its domain's element
+table, so automorphism groups are group tables too.
 
 Once a table exists, the group core works on element indices: one pairwise
 kernel, GroupTable._products, multiplies index arrays in batches on every
-kind of table, and subgroup growth, centralizers, normality, normal
-closures, commutator subgroups, coset numbering, orders and powers are
-built on it and on cached right-multiplication columns.
+kind of table, and right-multiplication columns, subgroup growth,
+centralizers, normality, normal closures, commutator subgroups, coset
+numbering, orders and powers are built on it.
 """
 
 from __future__ import annotations
@@ -68,34 +70,39 @@ _key = operator.attrgetter("key")
 class GroupTable:
     """A finite group, fully enumerated, with a canonical element order.
 
-    A subgroup is a table with a `parent`: it canonicalises through the
-    parent, so its elements are the parent's stored objects, and it takes the
-    parent's prime.  A table given no generators takes every non-identity
-    element as its generators.
+    The constructor makes a root table: it sorts and dedups its elements.  A
+    subgroup is cut from its `parent` by a mask (_subgroup_at): it holds the
+    parent's stored objects, takes the parent's prime, and keeps its `root`
+    (the table at the end of its chain of parents) and `root_rows`, its
+    elements' indices there; a root is its own root.  A table given no
+    generators takes every non-identity element as its generators.
     """
 
     def __init__(self, elements: Iterable[Element], generators: Sequence[Element] = (),
-                 p: Optional[int] = None, parent: Optional["GroupTable"] = None):
-        if parent is not None:
-            elements = map(parent.canon, elements)
-            p = parent.p
+                 p: Optional[int] = None):
         els = sorted(set(elements), key=_key)
         if not els:
             raise ValueError("a group needs at least the identity element")
-        self.elements: Tuple[Element, ...] = tuple(els)
+        if p is not None:
+            _require_prime(p)
+        self._hold(els, (generators[0] if generators else els[0]).identity_like(),
+                   generators, p)
+        self.parent: Optional[GroupTable] = None
+        self.root, self.root_rows = self, np.arange(self.order)
+
+    def _hold(self, elements: Sequence[Element], identity: Element,
+              generators: Sequence[Element], p: Optional[int]) -> None:
+        """Take the distinct key-sorted elements, and the stored copies of the
+        identity and the generators."""
+        self.elements: Tuple[Element, ...] = tuple(elements)
         self._index: Dict[bytes, int] = {x.key: i for i, x in enumerate(self.elements)}
         self.keys = self._index.keys()
-        self.parent = parent
-        probe = (parent.identity if parent is not None
-                 else (generators[0] if generators else els[0]).identity_like())
-        if probe.key not in self._index:
+        if identity.key not in self._index:
             raise ValueError("element table does not contain the identity")
-        self.identity: Element = self.canon(probe)
+        self.identity: Element = self.canon(identity)
         self.generators: Tuple[Element, ...] = (
             tuple(map(self.canon, generators)) if generators
             else tuple(x for x in self.elements if x is not self.identity))
-        if p is not None:
-            _require_prime(p)
         self.p = p
         self._cache: dict = {}
 
@@ -135,27 +142,6 @@ class GroupTable:
             self._cache["generator_rows"] = self._rows(self.generators)
         return self._cache["generator_rows"]
 
-    def _root(self) -> "GroupTable":
-        """The table at the end of this one's chain of parents."""
-        T = self
-        while T.parent is not None:
-            T = T.parent
-        return T
-
-    def _root_rows(self) -> np.ndarray:
-        """The indices of this table's elements in its root table, ascending
-        (both tables list their elements in key order), kept."""
-        rows = self._cache.get("root_rows")
-        if rows is None:
-            if self.parent is None:
-                rows = np.arange(self.order)
-            else:
-                index = self._root()._index
-                rows = np.fromiter((index[k] for k in self.keys), dtype=np.intp,
-                                   count=self.order)
-            self._cache["root_rows"] = rows
-        return rows
-
     def mul(self, x: Element, y: Element) -> Element:
         return self.canon(x * y)
 
@@ -167,26 +153,13 @@ class GroupTable:
         return self._cache["key_bodies"]
 
     def _right_column(self, j: int) -> np.ndarray:
-        """[index(x * e_j) for x in elements] as C ints, built on first use
-        and kept; KeyError if a product lies outside the table.  A matrix or
-        permutation root multiplies its key bodies a block at a time by e_j
-        (_right_products): a column through _products took 7-50% longer on
-        catalog tables of order 24 to 729, and 1.8 times as long on the
-        729-point permutations of cyclic(3,6) (best of 7 per table, on an
-        Intel Xeon).  Other tables take one _products call."""
+        """[index(x * e_j) for x in elements] as C ints, one _products call,
+        built on first use and kept; KeyError if a product lies outside the
+        table."""
         columns = self._cache.setdefault("right_columns", {})
-        col = columns.get(j)
-        if col is None:
-            bodies = self._key_bodies() if self.parent is None else None
-            if bodies is None:
-                col = self._products(np.arange(self.order), np.full(self.order, j))
-            else:
-                g = self.elements[j]
-                col = np.concatenate([
-                    self._rows_of(g._right_products(bodies[start:start + _BLOCK_ROWS]))
-                    for start in range(0, len(bodies), _BLOCK_ROWS)])
-            columns[j] = col
-        return col
+        if j not in columns:
+            columns[j] = self._products(np.arange(self.order), np.full(self.order, j))
+        return columns[j]
 
     def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[index(elements[x] * elements[y]) for x, y in zip(xs, ys)] as C
@@ -197,15 +170,15 @@ class GroupTable:
         blocks of a bounded number of entries (one float32 matmul mod p, or
         one gather per row) and finds the products with _rows_of.  A
         subgroup multiplies in its root and maps back through its sorted
-        root indices.  A quotient multiplies the representatives in its
+        root_rows.  A quotient multiplies the representatives in its
         cover (QuotientGroup._products).  An automorphism table gathers its
         stacked images and finds the products' generator images among its
         own, which sort like its keys.
         """
         xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
         if self.parent is not None:
-            at = self._root_rows()
-            return _find(at, self._root()._products(at[xs], at[ys]))
+            at = self.root_rows
+            return _find(at, self.root._products(at[xs], at[ys]))
         if not len(xs):
             return np.empty(0, dtype=np.intc)
         bodies, x = self._key_bodies(), self.elements[0]
@@ -286,8 +259,8 @@ class GroupTable:
         that has none, by batched powers where the backend has them
         (matrices); a subgroup fills its rows of its root."""
         if self.parent is not None:
-            at = self._root_rows()
-            return self._root()._fill_orders(at if rows is None else at[rows])
+            at = self.root_rows
+            return self.root._fill_orders(at if rows is None else at[rows])
         els = self.elements
         orders_of = getattr(els[0], "_body_orders", None)
         rows = range(len(els)) if rows is None else rows.tolist()
@@ -338,9 +311,6 @@ class GroupTable:
 
     # -- subgroups -------------------------------------------------------
 
-    def subgroup(self, elements: Iterable[Element], gens: Sequence[Element] = ()) -> "GroupTable":
-        return GroupTable(elements, gens, parent=self)
-
     def lies_in(self, G: "GroupTable") -> bool:
         """Is this table G, or cut from G through a chain of parents?"""
         H: Optional[GroupTable] = self
@@ -351,7 +321,8 @@ class GroupTable:
     @property
     def trivial_subgroup(self) -> "GroupTable":
         if "trivial" not in self._cache:
-            self._cache["trivial"] = self.subgroup((self.identity,))
+            self._cache["trivial"] = _subgroup_at(
+                self, np.arange(self.order) == self.index_of(self.identity))
         return self._cache["trivial"]
 
     def __repr__(self) -> str:
@@ -467,12 +438,16 @@ def _grow(G: GroupTable, inside: np.ndarray, held: List[int],
     return gens
 
 
-def _subgroup_at(G: GroupTable, inside: np.ndarray, gens: Sequence[int]) -> GroupTable:
-    """The subgroup of G on the mask `inside`, with the generators at `gens`."""
+def _subgroup_at(G: GroupTable, inside: np.ndarray, gen_rows: Sequence[int] = ()) -> GroupTable:
+    """The subgroup of G on the mask `inside`, generated by the elements at
+    gen_rows, or by every non-identity element when there are none: the one
+    subgroup constructor.  It holds G's stored objects in G's order, so in
+    key order, at their rows of G's root."""
     rows = inside.nonzero()[0]
     els = G.elements
-    H = G.subgroup([els[i] for i in rows.tolist()], [els[j] for j in gens])
-    H._cache["root_rows"] = G._root_rows()[rows]
+    H = GroupTable.__new__(GroupTable)
+    H._hold([els[i] for i in rows.tolist()], G.identity, [els[j] for j in gen_rows], G.p)
+    H.parent, H.root, H.root_rows = G, G.root, G.root_rows[rows]
     return H
 
 
@@ -546,7 +521,7 @@ def centralizer(G: GroupTable, S: Iterable[Element]) -> GroupTable:
     xs, ss = np.tile(every, len(S)), np.repeat(S, G.order)
     left, right = G._products(np.concatenate([xs, ss]),
                               np.concatenate([ss, xs])).reshape(2, len(S), G.order)
-    return G.subgroup(G.elements[i] for i in (left == right).all(axis=0).nonzero()[0].tolist())
+    return _subgroup_at(G, (left == right).all(axis=0))
 
 
 class Automorphism(Element):
@@ -872,8 +847,7 @@ class QuotientGroup(GroupTable):
             raise ValueError("subgroup does not live in this quotient")
         ids = np.zeros(self.order, dtype=bool)
         ids[self._rows(S.elements)] = True
-        cover = self.cover
-        return cover.subgroup(cover.elements[i] for i in ids[self.coset_id].nonzero()[0].tolist())
+        return _subgroup_at(self.cover, ids[self.coset_id])
 
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.order} = {self.cover.order}/{self.normal_subgroup.order})"

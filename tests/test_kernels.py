@@ -379,14 +379,6 @@ def _subgroups(T):
     return cases
 
 
-def _root_of(H):
-    return H._root()
-
-
-def _root_rows_of(H):
-    return H._root_rows()
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("spec", SPECS)
 def test_subgroups_are_cut_from_their_parent(spec, kind):
@@ -395,7 +387,7 @@ def test_subgroups_are_cut_from_their_parent(spec, kind):
         assert H.parent is T and H.lies_in(T), name
         assert all(x is T.canon(x) for x in H), name
         assert _keys(H) == sorted(_keys(H)), name
-        root = _root_of(H)
+        root = H.root
         assert T.lies_in(root) and root.parent is None, name
-        assert list(_root_rows_of(H)) == [root.index_of(x) for x in H], name
+        assert list(H.root_rows) == [root.index_of(x) for x in H], name
         assert _keys(H.generators) == (_every_other(H) if gen_keys is None else gen_keys), name

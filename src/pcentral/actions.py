@@ -266,7 +266,8 @@ def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
     p = G.require_p_group()
     left = (p ** n) % sigma.order() == 0
     om = omega_subgroup(commutator_group_of_pair(pair), n)
-    right = all(mixed_commutator(x, sigma).key in om.keys for x in G.generators)
+    right = all(G.elements[w].key in om.keys
+                for w in _mixed_commutators(G, G._generator_rows(), [sigma]).tolist())
     return conclude("order_matches_quotient_triviality", True, left == right,
                     {"n": n, "sigma_order": sigma.order(),
                      "power_is_trivial": left, "trivial_mod_omega": right})

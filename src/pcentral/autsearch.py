@@ -75,8 +75,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     is extended.  Only the automorphisms found are built as Automorphism
     objects.
     """
-    G._fill_orders()
-    orders = np.array([x.order() for x in G.elements])
+    orders = G._orders()
     e = G.index_of(G.identity)
     gens, levels = _greedy_levels(G._right_column, np.arange(G.order) == e, orders)
     if not gens:  # trivial group

@@ -15,12 +15,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .actions import (
     ActionPair,
+    _mixed_commutators,
     aut_as_perm_group,
     commutator_group_of_pair,
     gamma_term,
     induced_quotient_action,
     is_p_central_action,
-    mixed_commutator,
     mixed_lower_central_series,
     mixed_series_definitional,
     restrict_action,
@@ -102,7 +102,7 @@ def _inner_gate(check: str, G: GroupTable) -> Optional[Verdict]:
 
 def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
     """Do the p'-elements form a subgroup of full p'-order?"""
-    members = [x for x in G.elements if math.gcd(x.order(), p) == 1]
+    members = [x for x, k in zip(G.elements, G._orders().tolist()) if math.gcd(k, p) == 1]
     target = _p_split(G.order, p)[1]
     closed = subgroup_generated(G, members).order == len(members)
     return {
@@ -162,13 +162,14 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     alcs = lower_central_series(P)
     graded_bad: List[Dict[str, object]] = []
     for i in range(1, s.stabilized_at + 2):
+        cs = G._rows(s.term(i).generators)
         for j in range(1, alcs.stabilized_at + 2):
-            target = s.term(i + j)
-            for a in alcs.term(j).generators:
-                for c in s.term(i).generators:
-                    w = mixed_commutator(c, a)
-                    if w.key not in target.keys:
-                        graded_bad.append({"i": i, "j": j, "witness": w.key.hex()})
+            target, maps = s.term(i + j), alcs.term(j).generators
+            # witnesses a-major, c within a
+            ws = _mixed_commutators(G, cs, maps).reshape(len(cs), len(maps)).T.ravel()
+            graded_bad += [{"i": i, "j": j, "witness": w.key.hex()}
+                           for w in map(G.elements.__getitem__, ws.tolist())
+                           if w.key not in target.keys]
     orders = s.orders()
     descending = all(orders[i + 1] < orders[i] for i in range(s.stabilized_at))
     reaches_one = s.terms[s.stabilized_at].order == 1
@@ -279,7 +280,7 @@ def check_omega_exponent_bound(pair: ActionPair) -> Verdict:
     ok = r == 1
     for n in range(1, (m if ok else 0) + 1):
         om = omega_subgroup(H, n)
-        worst = max(x.order() for x in om.elements)
+        worst = int(om._orders().max())
         row: Dict[str, object] = {"n": n, "omega_order": om.order,
                                   "max_element_order": worst,
                                   "exponent_bounded": worst <= p ** n}
@@ -375,9 +376,9 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
         for i, omL in enumerate(omega_series(rpair.G), 1):
             qpair = induced_quotient_action(rpair, omL)
             central_above = is_p_central_action(qpair)
-            steps_down = all(
-                mixed_commutator(x, a).key in prev.keys
-                for x in omL.generators for a in rpair.A_generators)
+            L = rpair.G
+            steps_down = all(L.elements[w].key in prev.keys for w in _mixed_commutators(
+                L, L._rows(omL.generators), rpair.A_generators).tolist())
             detail.append({"k": k, "i": i, "omega_order": omL.order,
                            "quotient_action_small_trivial": central_above,
                            "commutators_drop_a_level": steps_down})

@@ -6,10 +6,12 @@ from functools import lru_cache
 import pytest
 
 from pcentral import checks as C
+from pcentral.actions import mixed_commutator
+from pcentral.autsearch import brute_force_aut
 from pcentral.catalog import build_action, build_group
 from pcentral.checks import ALL_CHECK_NAMES, PAIR_CHECKS
 from pcentral.elements import _p_split
-from pcentral.series import is_omega_regular
+from pcentral.series import SeriesRecord, is_omega_regular, lower_central_series
 
 
 @lru_cache(maxsize=None)
@@ -55,6 +57,50 @@ def test_battery_on_an_action_without_generators(name):
     v = PAIR_CHECKS[name](pair("cyclic(2,1)", "full_aut"))
     expected = ("fail", "skipped") if name == "prime_order_action" else ("pass", "pass")
     assert_verdict(v, expected)
+
+
+def test_checks_make_no_element_products(arithmetic):
+    # the checks take mixed commutators from one kernel call and orders from
+    # the table's kept orders, so they multiply no element objects
+    G = build_group("heisenberg(3)")
+    built = build_action(G, "inner")
+    products = {}
+    for name, run in [
+            ("mixed_series_ladder", lambda: C.check_mixed_series_ladder(built)),
+            ("omega_ladder", lambda: C.check_omega_ladder(built)),
+            ("power_order_criterion", lambda: C.check_power_order_criterion(built)),
+            ("omega_exponent_bound", lambda: C.check_omega_exponent_bound(built)),
+            ("normal_p_complement", lambda: C.check_normal_p_complement(G, 3)),
+            ("brute_force_aut", lambda: brute_force_aut(G))]:
+        arithmetic.update(products=0)
+        run()
+        products[name] = arithmetic["products"]
+    assert products == dict.fromkeys(products, 0)
+
+
+def test_graded_violations_list_each_commutator_a_major(monkeypatch):
+    # against a series that drops to 1 at once, every nontrivial [c, a] is
+    # a violation, listed by i, j, then a, then c, as the nested loops over
+    # element objects list them
+    pr = pair("heisenberg(3)", "inner")
+    G = pr.G
+    s = SeriesRecord((G, G.trivial_subgroup, G.trivial_subgroup), 1)
+    monkeypatch.setattr(C, "mixed_lower_central_series", lambda _: s)
+    alcs = lower_central_series(pr.A)
+
+    def violations(a_major):
+        rows = []
+        for i in (1, 2):
+            for j in range(1, alcs.stabilized_at + 2):
+                cs, maps = s.term(i).generators, alcs.term(j).generators
+                pairs = ([(c, a) for a in maps for c in cs] if a_major
+                         else [(c, a) for c in cs for a in maps])
+                rows += [{"i": i, "j": j, "witness": w.key.hex()} for c, a in pairs
+                         if not (w := mixed_commutator(c, a)).is_identity()]
+        return rows
+
+    assert violations(True) != violations(False)
+    assert C.check_mixed_series_ladder(pr).witnesses["graded_violations"] == violations(True)
 
 
 @pytest.mark.parametrize("name,expected", [

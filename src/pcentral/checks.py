@@ -372,11 +372,11 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
     ok = True
     for k in ks:
         rpair = restrict_action(pair, gamma_term(pair, k))
-        prev = rpair.G.trivial_subgroup
-        for i, omL in enumerate(omega_series(rpair.G), 1):
+        L = rpair.G
+        prev = L.trivial_subgroup
+        for i, omL in enumerate(omega_series(L), 1):
             qpair = induced_quotient_action(rpair, omL)
             central_above = is_p_central_action(qpair)
-            L = rpair.G
             steps_down = all(L.elements[w].key in prev.keys for w in _mixed_commutators(
                 L, L._rows(omL.generators), rpair.A_generators).tolist())
             detail.append({"k": k, "i": i, "omega_order": omL.order,

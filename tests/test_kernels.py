@@ -350,15 +350,16 @@ def test_products_and_powers_match_object_products(T, data):
 # -- subgroups cut from their parent -----------------------------------------
 
 
-def _every_other(T):
+def _non_identity_keys(T):
     """The documented generators of a subgroup given none: its non-identity
     elements in key order."""
     return [x.key for x in T if not x.is_identity()]
 
 
 def _subgroups(T):
-    """(name, subgroup of T, its expected generator keys) for every way the
-    group core cuts a subgroup from T."""
+    """(name, subgroup of T, its expected generator keys, or None for the
+    rule of a subgroup given none) for every way the group core cuts a
+    subgroup from T."""
     Q = quotient(T, _proper_normal(T))
     x = T.generators[-1]
     cyclic = subgroup_generated(T, [x])
@@ -390,4 +391,4 @@ def test_subgroups_are_cut_from_their_parent(spec, kind):
         root = H.root
         assert T.lies_in(root) and root.parent is None, name
         assert list(H.root_rows) == [root.index_of(x) for x in H], name
-        assert _keys(H.generators) == (_every_other(H) if gen_keys is None else gen_keys), name
+        assert _keys(H.generators) == (_non_identity_keys(H) if gen_keys is None else gen_keys), name

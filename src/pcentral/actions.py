@@ -260,19 +260,24 @@ def aut_as_perm_group(pair: ActionPair) -> GroupTable:
 def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
                                       n: int) -> Verdict:
     """Compare "sigma^(p^n) = 1" with "sigma trivial modulo the n-th omega
-    term of [G,A]" for sigma in A, and report the biconditional.  G's
-    generators suffice, as omega_n([G,A]) is characteristic in [G,A], so
-    normal in G.  Their commutators with every element of A come from one
-    kernel call, kept on the pair."""
+    term of [G,A]" for an automorphism sigma of G, and report the
+    biconditional.  G's generators suffice, as omega_n([G,A]) is
+    characteristic in [G,A], so normal in G.  Their commutators with every
+    element of A come from one kernel call, kept on the pair; a sigma
+    outside A takes a call of its own."""
     G = pair.G
     p = G.require_p_group()
     left = (p ** n) % sigma.order() == 0
     om = omega_subgroup(commutator_group_of_pair(pair), n)
-    if "generator_commutators" not in pair._cache:
-        pair._cache["generator_commutators"] = _mixed_commutators(
-            G, G._generator_rows(), pair.A.elements).reshape(len(G.generators), -1)
-    right = all(G.elements[w].key in om.keys for w in
-                pair._cache["generator_commutators"][:, pair.A.index_of(sigma)].tolist())
+    gens = G._generator_rows()
+    if sigma in pair.A:
+        if "generator_commutators" not in pair._cache:
+            pair._cache["generator_commutators"] = _mixed_commutators(
+                G, gens, pair.A.elements).reshape(len(gens), pair.A.order)
+        ws = pair._cache["generator_commutators"][:, pair.A.index_of(sigma)]
+    else:
+        ws = _mixed_commutators(G, gens, [sigma])
+    right = all(G.elements[w].key in om.keys for w in ws.tolist())
     return conclude("order_matches_quotient_triviality", True, left == right,
                     {"n": n, "sigma_order": sigma.order(),
                      "power_is_trivial": left, "trivial_mod_omega": right})

@@ -25,6 +25,7 @@ from pcentral.actions import (
     trivial_action,
 )
 from pcentral.catalog import build_action, build_group, paper_sigma_pair
+from pcentral.checks import check_power_order_criterion
 from pcentral.corpus import _DEFAULT_PAIRS
 from pcentral.errors import BudgetExceeded, NotInvariant
 from pcentral.groups import (
@@ -90,6 +91,27 @@ def test_actions_without_generators_have_trivial_commutators():
         assert pair.A_generators == ()
         assert mixed_lower_central_series(pair).orders()[:2] == [pair.G.order, 1]
         assert [T.order for T in mixed_series_definitional(pair, 3)] == [pair.G.order, 1, 1]
+
+
+def test_power_order_criterion_on_a_group_without_generators():
+    pair = inner_action(build_group("cyclic(2,1)").trivial_subgroup)
+    assert pair.G.generators == ()
+    v = order_matches_quotient_triviality(pair, pair.A.elements[0], 1)
+    assert (v.conclusion, v.witnesses["trivial_mod_omega"]) == ("pass", True)
+    v = check_power_order_criterion(pair)
+    assert (v.conclusion, v.witnesses["pairs_checked"], v.witnesses["failures"]) == ("pass", 1, [])
+
+
+def test_quotient_triviality_takes_an_automorphism_outside_the_action():
+    G = build_group("dihedral(8)")
+    pair, full = inner_action(G), build_action(G, "full_aut")
+    om = omega_subgroup(commutator_group_of_pair(pair), 1).keys
+    outside = [s for s in full.A.elements if s not in pair.A]
+    assert outside
+    for sigma in outside:
+        want = all(mixed_commutator(g, sigma).key in om for g in G.generators)
+        v = order_matches_quotient_triviality(pair, sigma, 1)
+        assert v.witnesses["trivial_mod_omega"] is want
 
 
 @pytest.mark.parametrize("gspec,aspec", [

@@ -322,7 +322,7 @@ class Permutation(Element):
         d = arr.shape[0]
         if d >= 1 << 16:
             raise CapExceeded(f"degree {d} exceeds the 2-byte encoding limit")
-        if sorted(int(v) for v in arr) != list(range(d)):
+        if not np.array_equal(np.sort(arr), np.arange(d)):
             raise ValueError(f"images are not a permutation of 0..{d - 1}")
         arr.setflags(write=False)
         self._init(arr)

@@ -350,14 +350,11 @@ def _find(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """The positions of the entries of `wanted` among `rows`, as C ints;
     KeyError if one is missing.  `rows` holds ascending values, or rows
     whose bytes ascend."""
-    flat = rows.ndim == 1
-    pos = (np.searchsorted(rows, wanted) if flat
+    pos = (np.searchsorted(rows, wanted) if rows.ndim == 1
            else np.searchsorted(_opaque_rows(rows), _opaque_rows(wanted)))
-    found = pos < len(rows)
-    # compared as numbers: an equality test of void values is far slower
-    same = rows[pos[found]] == wanted[found]
-    found[found] = same if flat else same.all(axis=1)
-    if not found.all():
+    # compared as numbers (an equality test of void values is far slower);
+    # an entry above every row is compared with the last, and differs
+    if not (rows[np.minimum(pos, len(rows) - 1)] == wanted).all():
         raise KeyError("a product lies outside the table")
     return pos.astype(np.intc)
 

@@ -63,6 +63,12 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _header(tag: int, size: int, *rest: int) -> bytes:
+    """A key's header: its tag byte, a 2-byte size and any further bytes."""
+    return bytes((tag,)) + size.to_bytes(2, "little") + bytes(rest)
+
+
 def _require_prime(p: int) -> None:
     if not isinstance(p, int) or not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p!r}")
@@ -206,12 +212,7 @@ class FpMatrix(Element):
             raise CapExceeded(f"matrix size {self.n} exceeds the 1-byte encoding limit")
         if p > 256:
             raise CapExceeded(f"entries mod {p} do not fit the 1-byte encoding")
-        self.key = (
-            bytes((_TAG_MATRIX,))
-            + p.to_bytes(2, "little")
-            + bytes((self.n,))
-            + body
-        )
+        self.key = _header(_TAG_MATRIX, p, self.n) + body
         self._inv = None
         self._ord = None
 
@@ -330,11 +331,7 @@ class Permutation(Element):
     def _init(self, arr: np.ndarray) -> None:
         self.images = arr
         d = arr.shape[0]
-        self.key = (
-            bytes((_TAG_PERM,))
-            + d.to_bytes(2, "little")
-            + arr.astype("<u2").tobytes()
-        )
+        self.key = _header(_TAG_PERM, d) + arr.astype("<u2").tobytes()
         self._inv = None
         self._ord = None
 
@@ -367,7 +364,7 @@ class Permutation(Element):
     def __mul__(self, other: Element) -> "Permutation":
         if not isinstance(other, Permutation):
             raise BackendMismatch(f"cannot multiply Permutation by {type(other).__name__}")
-        if other.degree != self.degree:
+        if len(other.images) != len(self.images):
             raise BackendMismatch(f"degrees differ: {self.degree} vs {other.degree}")
         return Permutation._wrap(self.images[other.images])
 

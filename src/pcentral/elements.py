@@ -402,6 +402,8 @@ def decode_element(key: bytes) -> Element:
         if len(key) < 4:
             raise ValueError("truncated matrix key")
         p = int.from_bytes(key[1:3], "little")
+        if p > 256:  # no FpMatrix has one: its entries take one byte each
+            raise ValueError(f"matrix key prime {p} does not fit the 1-byte encoding")
         n = key[3]
         body = key[4:]
         if len(body) != n * n:

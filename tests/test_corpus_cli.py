@@ -533,11 +533,19 @@ def test_cli_replay_singular_generator_exits_4(tmp_path, capsys):
     assert "matrix is singular mod 3" in capsys.readouterr().err
 
 
+# a file holding one 1x1 matrix key over p = 257, which no matrix has: a
+# malformed file, not an exhausted cap
+_KEY_257 = b"\0" + (257).to_bytes(2, "little") + b"\1\1"
+_FILE_257 = (b"PCG1\0" + (257).to_bytes(2, "little") + (1).to_bytes(4, "little")
+             + (1).to_bytes(2, "little") + len(_KEY_257).to_bytes(4, "little") + _KEY_257)
+
+
 @pytest.mark.parametrize("mangle,message", [
     (lambda blob: b"XXXX", "not a serialized group file"),
     (lambda blob: blob[:-1], "truncated generator key"),
     (lambda blob: blob + b"\0", "trailing bytes after generators"),
-], ids=["junk", "truncated", "trailing"])
+    (lambda blob: _FILE_257, "prime 257 does not fit the 1-byte encoding"),
+], ids=["junk", "truncated", "trailing", "prime-257"])
 def test_cli_replay_malformed_group_file_exits_4(tmp_path, capsys, mangle, message):
     def write(path):
         save_group(build_group("cyclic(2,1)"), path)
@@ -547,6 +555,7 @@ def test_cli_replay_malformed_group_file_exits_4(tmp_path, capsys, mangle, messa
     assert main(["replay", str(bundle)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+    assert f"{bundle / 'group.bin'}: " in err
 
 
 def _replay_with_meta(tmp_path, edit):

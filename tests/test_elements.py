@@ -64,9 +64,15 @@ def test_prime_above_the_key_encoding_rejected_at_construction():
         FpMatrix(257, [[1, 0], [0, 1]])
     with pytest.raises(CapExceeded):
         FpMatrix.identity(257, 2)
+
+
+def test_decode_rejects_a_matrix_key_beyond_the_encoding():
+    # no matrix has such a key, so a stored one is malformed input, not a cap
     key = b"\x00" + (257).to_bytes(2, "little") + b"\x01\x01"
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ValueError, match="prime 257 does not fit the 1-byte encoding"):
         decode_element(key)
+    assert decode_element(b"\x00" + (251).to_bytes(2, "little") + b"\x01\xfa") == FpMatrix(
+        251, [[250]])
 
 
 def _trial_division(n):

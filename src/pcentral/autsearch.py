@@ -23,6 +23,7 @@ from .groups import (
     GroupTable,
     _extend_block,
     _image_codes,
+    _level_edges,
     _subgroup_at,
     _schreier_levels,
     identity_automorphism,
@@ -78,6 +79,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     orders = G._orders()
     e = G.index_of(G.identity)
     gens, levels = _greedy_levels(G._right_column, np.arange(G.order) == e, orders)
+    levels = list(map(_level_edges, levels))
     if not gens:  # trivial group
         ident = identity_automorphism(G)
         return AutGroupResult(G, GroupTable([ident], [ident]), 0)

@@ -12,9 +12,9 @@ table, so automorphism groups are group tables too.
 
 Once a table exists, the group core works on element indices: one pairwise
 kernel, GroupTable._products, multiplies index arrays in batches on every
-kind of table, and right-multiplication columns, subgroup growth,
-centralizers, normality, normal closures, commutator subgroups, coset
-numbering, orders and powers are built on it.
+kind of table.  Right columns, centralizers, normality, coset numbering,
+orders and powers are built on it, and one closure, _schreier_levels, grows
+subgroups and Schreier trees as masks, layer by layer, through the columns.
 """
 
 from __future__ import annotations
@@ -395,44 +395,12 @@ def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
 
 def _grow(G: GroupTable, inside: np.ndarray, held: List[int],
           seeds: np.ndarray) -> List[int]:
-    """Grow the mask `inside`, the subgroup of G generated by the indices
-    `held`, in place by the seeds in index (key) order, each dropped when it
-    already lies inside by then; returns held and the seeds kept.
-
-    A kept seed s adds X*s for the group X held so far, and then each layer
-    multiplies the elements it added by every generator, through their
-    right columns.  A layer that adds under 1/8 of the elements held also
-    multiplies all of them by one element it added: that doubles the
-    distance covered along a long cycle, so a cyclic group of order n takes
-    about log2(n) layers, not n - 1.
-    """
-    gens, cols = list(held), [G._right_column(j) for j in held]
-    slot = np.empty(G.order, dtype=np.intp)
-
-    def fresh(ys: np.ndarray) -> np.ndarray:
-        # the entries not yet inside, one of each (the last write of its
-        # slot wins), now marked inside
-        ys = ys[~inside[ys]]
-        slot[ys] = np.arange(len(ys))
-        ys = ys[slot[ys] == np.arange(len(ys))]
-        inside[ys] = True
-        return ys
-
-    take = np.zeros(G.order, dtype=bool)
-    take[seeds] = True
-    for s in take.nonzero()[0].tolist():
-        if inside[s]:
-            continue
-        gens.append(s)
-        cols.append(G._right_column(s))
-        added = fresh(cols[-1][inside])
-        while len(added):
-            held_rows = inside.nonzero()[0]
-            if len(added) * 8 < len(held_rows):
-                jump = np.full(len(held_rows), added[-1])
-                added = np.concatenate([added, fresh(G._products(held_rows, jump))])
-            added = fresh(np.concatenate([c[added] for c in cols]))
-    return gens
+    """_schreier_levels growing the mask `inside`, the subgroup of G that
+    the indices `held` generate, by a step per seed in index (key) order,
+    each dropped when already inside by then; returns held and seeds kept."""
+    seeds = np.bincount(seeds, minlength=G.order).nonzero()[0]  # ascending, once each
+    steps = ([s] for s in seeds.tolist() if not inside[s])
+    return _schreier_levels(G._right_column, inside, steps, held)[0]
 
 
 def _subgroup_at(G: GroupTable, inside: np.ndarray, gen_rows: Sequence[int] = ()) -> GroupTable:
@@ -610,59 +578,65 @@ class Automorphism(Element):
 
 
 def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
-                     steps: Iterable[Sequence[int]]) -> Tuple[List[int], List[tuple]]:
-    """The one breadth-first closure over element indices: a Schreier tree
-    of <gens>, grown from the subgroup H_0 in the mask `inside` a step at a
-    time.  column(j) is [index(x * e_j) for every x]; step d adds the
-    generators steps[d], and `inside` grows in place to H_d = <H_0,
-    steps[0..d]>.  Steps are read lazily, so a step source may pick its
-    generators from the mask as it stands.
+                     steps: Iterable[Sequence[int]],
+                     held: Sequence[int] = ()) -> Tuple[List[int], List[tuple]]:
+    """The one closure that grows a membership mask layer by layer: a
+    Schreier tree of <gens>, grown breadth first from the subgroup H_0 in
+    the mask `inside`, which the indices `held` generate, a step at a time.
+    column(j) is [index(x * e_j) for every x]; step d adds the generators
+    steps[d], and `inside` grows in place to H_d = <H_0, steps[0..d]>.
+    Steps are read lazily, so a step source may pick its generators from the
+    mask as it stands.
 
-    Returns gens, all steps in order, and a level per step, a tuple of
-    - `grow`: the tree edges x -> x*g_j = y that first reach each new y, as
-      (xs, js, ys) arrays with j indexing gens, one triple per breadth-first
-      layer, so every x lies in H_{d-1} or an earlier layer;
-    - `check`: every other edge x -> x*g_j with x new or g_j new, as one
-      triple (an edge of an old generator inside H_{d-1} was checked at a
-      lower level);
-    - `new`: the elements added, and `size`: |H_d|.
-    A map of H_d that agrees with f(x*g_j) = f(x)*f(g_j) on the edges of
-    every level up to d is a homomorphism (Holt–Eick–O'Brien, *Handbook of
-    Computational Group Theory*, 2005, on Schreier trees).
+    Returns gens (held, then every step's) and a level (layers, new, size)
+    per step: the elements added, |H_d|, and per breadth-first layer
+    (xs, j0, ys, reach), with ys = x*g_j for j >= j0 and x in xs,
+    generator-major, and reach the positions of the tree edges in ys, one
+    first reaching each new element.  The first layer takes H_{d-1} by the
+    step's generators, each later one the new elements by every generator.
     """
-    gens, cols, levels = [], [], []
-    first = np.empty(len(inside), dtype=np.intp)  # an edge reaching each new element
+    gens, cols, levels = list(held), [column(j) for j in held], []
+    first = np.empty(len(inside), dtype=np.intp)  # a position reaching each new element
     for step in steps:
-        old = inside.nonzero()[0].astype(np.intc)
-        xs = old.repeat(len(step))
-        js = len(gens) + np.arange(len(xs), dtype=np.intc) % len(step)
+        xs, j0 = inside.nonzero()[0], len(gens)
         gens += step
         cols += map(column, step)
-        table = np.stack(cols)
-        grow, check, new = [], [], []
+        layers, new = [], []
         while len(xs):
-            ys = table[js, xs]
+            ys = np.concatenate([c[xs] for c in cols[j0:]])
             reach = (~inside[ys]).nonzero()[0]
             first[ys[reach]] = reach
-            tree = np.zeros(len(ys), dtype=bool)
-            tree[first[ys[reach]]] = True
-            added = ys[tree]
+            reach = reach[first[ys[reach]] == reach]
+            added = ys[reach]
             inside[added] = True
+            layers.append((xs, j0, ys, reach))
             new.append(added)
-            if len(added):
-                grow.append((xs[tree], js[tree], added))
-            tree = ~tree
-            check.append((xs[tree], js[tree], ys[tree]))
-            xs = added.repeat(len(gens))
-            js = np.arange(len(xs), dtype=np.intc) % len(gens)
-        levels.append((grow, tuple(map(np.concatenate, zip(*check))), np.concatenate(new),
-                       int(inside.sum())))
+            xs, j0 = added, 0
+        levels.append((layers, np.concatenate(new), int(inside.sum())))
     return gens, levels
+
+
+def _level_edges(level: tuple) -> tuple:
+    """A level of _schreier_levels as (grow, check, new, size), its edges
+    x -> x*g_j = y read off their positions as (xs, js, ys) arrays, j
+    indexing gens: `grow` holds the tree edges, a triple per layer, so every
+    x lies in H_{d-1} or an earlier layer, and `check` every other edge, with
+    x new or g_j new (one inside H_{d-1} was checked at a lower level).  A
+    map of H_d that agrees with f(x*g_j) = f(x)*f(g_j) on the edges of every
+    level up to d, with H_0 trivial, is a homomorphism (Holt–Eick–O'Brien,
+    *Handbook of Computational Group Theory*, 2005, on Schreier trees).
+    """
+    grow, check = [], []
+    for xs, j0, ys, reach in level[0]:
+        for pos, edges in ((reach, grow), (np.delete(np.arange(len(ys)), reach), check)):
+            js, at = np.divmod(pos, len(xs))
+            edges.append((xs[at], js + j0, ys[pos]))
+    return (grow, tuple(map(np.concatenate, zip(*check))), *level[1:])
 
 
 def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
                   level: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """Extend each row of F over one level of _schreier_levels, in place.
+    """Extend each row of F over one level's edges (_level_edges), in place.
 
     Row r of the int32 array F maps H_{d-1} by index; images[r, j] is the
     index of its image of g_j, for each generator g_j of H_d.  Each layer of
@@ -703,7 +677,7 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
     if gens:  # one level, with every generator, grown from the identity
         inside = np.arange(G.order) == G.index_of(G.identity)
         _, (level,) = _schreier_levels(G._right_column, inside, [gen_idx])
-        (hom, injective), size = _extend_block(G, F, row, level), level[-1]
+        (hom, injective), size = _extend_block(G, F, row, _level_edges(level)), level[-1]
     if not hom[0]:
         raise NotAHomomorphism("generator images are inconsistent on the Cayley graph")
     if size != G.order:

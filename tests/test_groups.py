@@ -98,10 +98,9 @@ def test_closure_product_counts(arithmetic):
     assert count(lambda: build_action(H, "full_aut")) == (452, 702)
 
 
-def test_a_long_cycle_grows_in_doubling_steps(monkeypatch):
-    # breadth-first layers alone would walk C_729 in 728 steps; once a layer
-    # adds under 1/8 of the elements held, all of them are also multiplied
-    # by one element it added, which doubles the stretch of the cycle held
+def test_a_long_cycle_grows_through_its_one_right_column(monkeypatch):
+    # breadth-first layers walk C_729 in 728 steps, each a gather from the
+    # generator's cached right column, so the kernel is called once
     G = build_group("cyclic(3,6)")
     calls = []
     real = GroupTable._products
@@ -112,9 +111,35 @@ def test_a_long_cycle_grows_in_doubling_steps(monkeypatch):
 
     monkeypatch.setattr(GroupTable, "_products", counting)
     assert subgroup_generated(G, [G.generators[0]]).order == 729
-    # the generator's right column is one call of a row per element, and the
-    # layers follow it
-    assert calls == [729, 9, 18, 36, 72, 144, 288, 576]
+    # the generator's right column is one call of a row per element
+    assert calls == [729]
+
+
+def _closed_under_products(H):
+    return all(x * y in H for x in H.elements for y in H.elements)
+
+
+def test_a_subgroup_grows_from_the_group_it_extends():
+    # a closure that multiplied new elements by the seed alone would stop at
+    # the 6-element set H·<(1 2 3)>, which is not a group
+    G = build_group("sym(4)")
+    t = G.canon(Permutation.from_cycles(4, [(0, 1)]))
+    c = G.canon(Permutation.from_cycles(4, [(1, 2, 3)]))
+    H = subgroup_generated(G, [t])
+    K = subgroup_generated(G, [c], H)
+    assert K.order == 24 and K.generators == (t, c)
+    assert _closed_under_products(K)
+
+
+def test_a_normal_closure_grows_from_a_non_normal_seed():
+    # <(1 3 2)> is not normal in S_4; its normal closure is A_4, where a
+    # closure that forgets the generators held stops at a 9-element set
+    G = build_group("sym(4)")
+    c = G.canon(Permutation.from_cycles(4, [(1, 3, 2)]))
+    N = normal_closure(G, [c])
+    assert N.order == 12 and N.generators[0] == c
+    assert _closed_under_products(N)
+    assert all(G.conj(x, g) in N for x in N.elements for g in G.generators)
 
 
 @pytest.mark.parametrize("spec", ["dihedral(8)", "quaternion(8)", "sym(4)",

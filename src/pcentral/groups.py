@@ -395,9 +395,8 @@ def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
 
 def _grow(G: GroupTable, inside: np.ndarray, held: List[int],
           seeds: np.ndarray) -> List[int]:
-    """_schreier_levels growing the mask `inside`, the subgroup of G that
-    the indices `held` generate, by a step per seed in index (key) order,
-    each dropped when already inside by then; returns held and seeds kept."""
+    """_schreier_levels from the mask `inside` = <held>, a step per seed in
+    key order, each dropped when already inside; returns held and seeds kept."""
     seeds = np.bincount(seeds, minlength=G.order).nonzero()[0]  # ascending, once each
     steps = ([s] for s in seeds.tolist() if not inside[s])
     return _schreier_levels(G._right_column, inside, steps, held)[0]
@@ -447,15 +446,12 @@ def normal_closure(G: GroupTable, seeds: Iterable[Element],
     if any(a.domain is not G for a in maps):
         raise ValueError("acting automorphism is not defined on the given group")
     inside = np.arange(G.order) == G.index_of(G.identity)
-    gens = _grow(G, inside, [], seeds)
-    while True:
-        hs = np.array(gens, dtype=np.intp)
-        grown = np.concatenate([G._conjugates(hs, G._generator_rows()),
-                                *(a.images[hs] for a in maps)])
-        grown = grown[~inside[grown]]
-        if not len(grown):
-            return _subgroup_at(G, inside, gens)
-        gens = _grow(G, inside, gens, grown)
+    gens, done = _grow(G, inside, [], seeds), None
+    while gens != done:  # _grow keeps no seed that lies inside
+        done, hs = gens, np.array(gens, dtype=np.intp)
+        gens = _grow(G, inside, gens, np.concatenate([G._conjugates(hs, G._generator_rows()),
+                                                       *(a.images[hs] for a in maps)]))
+    return _subgroup_at(G, inside, gens)
 
 
 def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTable:
@@ -588,12 +584,12 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
     Steps are read lazily, so a step source may pick its generators from the
     mask as it stands.
 
-    Returns gens (held, then every step's) and a level (layers, new, size)
-    per step: the elements added, |H_d|, and per breadth-first layer
-    (xs, j0, ys, reach), with ys = x*g_j for j >= j0 and x in xs,
-    generator-major, and reach the positions of the tree edges in ys, one
-    first reaching each new element.  The first layer takes H_{d-1} by the
-    step's generators, each later one the new elements by every generator.
+    Returns gens (held, then every step's) and a level (layers, cols, new,
+    size) per step: a layer (xs, j0, reach) per breadth-first step, the
+    columns of gens, the elements added and |H_d|.  A layer takes x*g_j for
+    x in xs and j >= j0, generator-major (H_{d-1} by the step's generators,
+    then each layer's new elements by all), and reach the positions of its
+    tree edges among them, one first reaching each new element.
     """
     gens, cols, levels = list(held), [column(j) for j in held], []
     first = np.empty(len(inside), dtype=np.intp)  # a position reaching each new element
@@ -609,29 +605,31 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
             reach = reach[first[ys[reach]] == reach]
             added = ys[reach]
             inside[added] = True
-            layers.append((xs, j0, ys, reach))
+            layers.append((xs, j0, reach))
             new.append(added)
             xs, j0 = added, 0
-        levels.append((layers, np.concatenate(new), int(inside.sum())))
+        levels.append((layers, cols[:], np.concatenate(new), int(inside.sum())))
     return gens, levels
 
 
 def _level_edges(level: tuple) -> tuple:
-    """A level of _schreier_levels as (grow, check, new, size), its edges
-    x -> x*g_j = y read off their positions as (xs, js, ys) arrays, j
-    indexing gens: `grow` holds the tree edges, a triple per layer, so every
-    x lies in H_{d-1} or an earlier layer, and `check` every other edge, with
-    x new or g_j new (one inside H_{d-1} was checked at a lower level).  A
-    map of H_d that agrees with f(x*g_j) = f(x)*f(g_j) on the edges of every
-    level up to d, with H_0 trivial, is a homomorphism (Holt–Eick–O'Brien,
-    *Handbook of Computational Group Theory*, 2005, on Schreier trees).
+    """A level of _schreier_levels as (grow, check, new, size): its edges
+    x -> x*g_j = y as (xs, js, ys) arrays, j indexing gens, read off their
+    positions and the products gathered again from the columns.  `grow`
+    holds the tree edges, a triple per layer, so every x lies in H_{d-1} or
+    an earlier layer, and `check` every other edge, with x new or g_j new
+    (one inside H_{d-1} was checked at a lower level).  A map of H_d that
+    agrees with f(x*g_j) = f(x)*f(g_j) on the edges of every level up to d,
+    with H_0 trivial, is a homomorphism (Holt–Eick–O'Brien, *Handbook of
+    Computational Group Theory*, 2005, on Schreier trees).
     """
     grow, check = [], []
-    for xs, j0, ys, reach in level[0]:
+    for xs, j0, reach in level[0]:
+        ys = np.concatenate([c[xs] for c in level[1][j0:]])
         for pos, edges in ((reach, grow), (np.delete(np.arange(len(ys)), reach), check)):
             js, at = np.divmod(pos, len(xs))
             edges.append((xs[at], js + j0, ys[pos]))
-    return (grow, tuple(map(np.concatenate, zip(*check))), *level[1:])
+    return (grow, tuple(map(np.concatenate, zip(*check))), *level[2:])
 
 
 def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,

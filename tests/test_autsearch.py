@@ -334,5 +334,5 @@ def test_generator_levels_match_the_subgroup_chain(spec):
     assert [level[-1] for level in levels] == chain
     assert chain[-1] == G.order
     # each level adds exactly the elements it counts
-    assert sorted(np.concatenate([level[-2] for level in levels]).tolist()) == sorted(
+    assert sorted(np.concatenate([level[2] for level in levels]).tolist()) == sorted(
         set(range(G.order)) - {G.index_of(G.identity)})

@@ -585,7 +585,7 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
     mask as it stands.
 
     Returns gens (held, then every step's) and a level (layers, cols, new,
-    size) per step: a layer (xs, j0, reach) per breadth-first step, the
+    size) per step: a layer (xs, j0, reach) per breadth-first round, the
     columns of gens, the elements added and |H_d|.  A layer takes x*g_j for
     x in xs and j >= j0, generator-major (H_{d-1} by the step's generators,
     then each layer's new elements by all), and reach the positions of its
@@ -594,7 +594,7 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
     gens, cols, levels = list(held), [column(j) for j in held], []
     first = np.empty(len(inside), dtype=np.intp)  # a position reaching each new element
     for step in steps:
-        xs, j0 = inside.nonzero()[0], len(gens)
+        xs, j0 = inside.nonzero()[0].astype(np.intc), len(gens)
         gens += step
         cols += map(column, step)
         layers, new = [], []
@@ -615,7 +615,8 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
 def _level_edges(level: tuple) -> tuple:
     """A level of _schreier_levels as (grow, check, new, size): its edges
     x -> x*g_j = y as (xs, js, ys) arrays, j indexing gens, read off their
-    positions and the products gathered again from the columns.  `grow`
+    positions, with the products gathered again from the columns (holding
+    them through every subgroup closure raised peak memory).  `grow`
     holds the tree edges, a triple per layer, so every x lies in H_{d-1} or
     an earlier layer, and `check` every other edge, with x new or g_j new
     (one inside H_{d-1} was checked at a lower level).  A map of H_d that
@@ -626,7 +627,8 @@ def _level_edges(level: tuple) -> tuple:
     grow, check = [], []
     for xs, j0, reach in level[0]:
         ys = np.concatenate([c[xs] for c in level[1][j0:]])
-        for pos, edges in ((reach, grow), (np.delete(np.arange(len(ys)), reach), check)):
+        other = np.delete(np.arange(len(ys), dtype=np.intc), reach)
+        for pos, edges in ((reach, grow), (other, check)):
             js, at = np.divmod(pos, len(xs))
             edges.append((xs[at], js + j0, ys[pos]))
     return (grow, tuple(map(np.concatenate, zip(*check))), *level[2:])

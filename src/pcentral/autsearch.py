@@ -56,7 +56,9 @@ def _greedy_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
     def steps() -> Iterator[List[int]]:
         while not inside.all():
             yield [int(ranked[~inside[ranked]][0])]
-    return _schreier_levels(column, inside, steps())
+    gens: List[int] = []
+    levels = list(_schreier_levels(column, inside, steps(), gens))
+    return gens, levels
 
 
 def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGroupResult:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .actions import DEFAULT_ACTION_CAP, ActionPair, inner_action, trivial_action
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut
-from .elements import Element, FpMatrix, Permutation, _is_prime, _p_split
+from .elements import Element, FpMatrix, Permutation, _is_prime, _p_split, _require_degree
 from .errors import CapExceeded, ConfigError, UnknownFamily
 from .groups import DEFAULT_CLOSURE_CAP, GroupTable, automorphism_from_images, close
 
@@ -141,7 +141,7 @@ def _elementary_abelian(p: int, n: int, cap: int) -> GroupTable:
         raise ConfigError(f"elementary_abelian needs a prime and a rank >= 1, got ({p},{n})")
     if p ** n > cap:
         raise CapExceeded(f"|G| = {p}^{n} exceeds cap {cap}")
-    stack = np.tile(np.eye(n + 1, dtype=np.int64), (p ** n, 1, 1))
+    stack = np.tile(np.eye(n + 1, dtype=np.uint8), (p ** n, 1, 1))
     stack[:, 0, 1:] = np.indices((p,) * n).reshape(n, -1).T
     elements = FpMatrix._stack(p, stack)
     # the unit vectors e_1, ..., e_n
@@ -168,9 +168,11 @@ def _cyclic(p: int, n: int, cap: int) -> GroupTable:
     m = p ** n
     if m > cap:
         raise CapExceeded(f"|G| = {p}^{n} exceeds cap {cap}")
-    shift = Permutation([(i + 1) % m for i in range(m)])
-    elements = [Permutation([(i + k) % m for i in range(m)]) for k in range(m)]
-    return GroupTable(elements, [shift], p=p)
+    _require_degree(m)
+    # row k, the shift i -> i + k, is a window of 0..m-1 written twice
+    points = np.arange(2 * m, dtype=np.uint32) % m
+    elements = Permutation._stack(np.lib.stride_tricks.sliding_window_view(points, m)[:m])
+    return GroupTable(elements, [elements[1 % m]], p=p)
 
 
 def _dihedral(order: int, cap: int) -> GroupTable:
@@ -261,26 +263,28 @@ def _dic3(cap: int) -> GroupTable:
 def _direct_product(g1: GroupTable, g2: GroupTable, cap: int) -> GroupTable:
     if g1.order * g2.order > cap:
         raise CapExceeded(f"|G| = {g1.order}*{g2.order} exceeds cap {cap}")
-    e1, e2 = g1.elements[0], g2.elements[0]
+    e1, e2 = g1.identity, g2.identity
     if isinstance(e1, Permutation) and isinstance(e2, Permutation):
-        d1 = e1.degree
-
-        def pair(x: Permutation, y: Permutation) -> Permutation:
-            return Permutation(list(x.images) + [d1 + i for i in y.images])
+        def pairs(xs: np.ndarray, ys: np.ndarray) -> List[Element]:
+            return Permutation._stack(np.hstack([xs, ys.astype(np.int32) + e1.degree]))
     elif isinstance(e1, FpMatrix) and isinstance(e2, FpMatrix) and e1.p == e2.p:
-        n1 = e1.n
+        n1, n = e1.n, e1.n + e2.n
 
-        def pair(x: FpMatrix, y: FpMatrix) -> FpMatrix:
-            arr = np.zeros((n1 + y.n, n1 + y.n), dtype=np.int64)
-            arr[:n1, :n1] = x.arr
-            arr[n1:, n1:] = y.arr
-            return FpMatrix(e1.p, arr)
+        def pairs(xs: np.ndarray, ys: np.ndarray) -> List[Element]:
+            arr = np.zeros((len(xs), n, n), dtype=np.uint8)
+            arr[:, :n1, :n1] = xs.reshape(-1, n1, n1)
+            arr[:, n1:, n1:] = ys.reshape(-1, n - n1, n - n1)
+            return FpMatrix._stack(e1.p, arr)
     else:
         raise ConfigError(
             "direct_product needs two permutation groups or two matrix groups over the same prime")
-    elements = [pair(x, y) for x in g1.elements for y in g2.elements]
-    id1, id2 = g1.identity, g2.identity
-    gens = [pair(g, id2) for g in g1.generators] + [pair(id1, g) for g in g2.generators]
+    # the key bodies of (x, y) for every x in g1 and y in g2, then of the
+    # generators (g, 1) and (1, g)
+    b1, b2 = g1._key_bodies(), g2._key_bodies()
+    elements = pairs(np.repeat(b1, len(b2), axis=0), np.tile(b2, (len(b1), 1)))
+    r1, r2 = g1._generator_rows(), g2._generator_rows()
+    i1, i2 = np.full(len(r2), g1.index_of(e1)), np.full(len(r1), g2.index_of(e2))
+    gens = pairs(b1[np.concatenate([r1, i1])], b2[np.concatenate([i2, r2])])
     return GroupTable(elements, gens, p=_prime_power_base(g1.order * g2.order))
 
 

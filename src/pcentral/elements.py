@@ -8,8 +8,12 @@ in the package deterministic.  Key layout:
   permutation:  0x01 | degree (2 bytes LE) | images, 2 bytes LE each
   automorphism: 0x02 | the domain generators' image keys (groups.Automorphism)
 
-Arithmetic is exact: matrix entries are residues mod p (numpy int64 under the
-hood), permutations are image tuples with composition (a*b)(i) = a(b(i)).
+An element's key is the only place its entries are stored: a matrix holds
+its residues mod p as the key body's bytes, and a permutation its images as
+the body's 2-byte words, composed by (a*b)(i) = a(b(i)).  Products, inverses
+and the identity test read the body in place; `FpMatrix.arr` decodes it on
+demand, and `Permutation.images` is a read-only view of it.  Arithmetic is
+exact.
 
 Group tables also multiply in batches over key bodies, the bytes after the
 header: `_key_bodies` stacks them one row per element, and each backend's
@@ -37,6 +41,8 @@ __all__ = [
 _TAG_MATRIX = 0
 _TAG_PERM = 1
 _TAG_AUT = 2
+
+_IMAGE = np.dtype("<u2")  # a permutation image in its key
 
 
 # deterministic Miller-Rabin: these bases decide every p below the least
@@ -72,6 +78,44 @@ def _header(tag: int, size: int, *rest: int) -> bytes:
 def _require_prime(p: int) -> None:
     if not isinstance(p, int) or not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p!r}")
+
+
+def _require_encodable(p: int, n: int) -> None:
+    """A matrix key holds n and each entry in one byte."""
+    if n > 255:
+        raise CapExceeded(f"matrix size {n} exceeds the 1-byte encoding limit")
+    if p > 256:
+        raise CapExceeded(f"entries mod {p} do not fit the 1-byte encoding")
+
+
+def _require_degree(d: int) -> None:
+    """A permutation key holds the degree and each image in two bytes."""
+    if d >= 1 << 16:
+        raise CapExceeded(f"degree {d} exceeds the 2-byte encoding limit")
+
+
+@lru_cache(maxsize=None)
+def _product_rule(p: int, n: int) -> Tuple[np.dtype, Optional[bytes]]:
+    """How FpMatrix.__mul__ multiplies n-by-n matrices mod p: in the
+    narrowest unsigned dtype that holds a sum of n products of residues, so
+    that the product is exact, and, when that is uint8 (small p and n), with
+    the bytes.translate table that reduces each byte mod p."""
+    bound = n * (p - 1) ** 2
+    if bound < 1 << 8:
+        return np.dtype(np.uint8), bytes(i % p for i in range(256))
+    return np.dtype(np.uint16 if bound < 1 << 16 else np.uint32), None
+
+
+@lru_cache(maxsize=None)
+def _eye_key(p: int, n: int) -> bytes:
+    """The key of the n-by-n identity matrix over GF(p)."""
+    return _header(_TAG_MATRIX, p, n) + np.eye(n, dtype=np.uint8).tobytes()
+
+
+@lru_cache(maxsize=None)
+def _arange_key(degree: int) -> bytes:
+    """The key of the identity permutation of the given degree."""
+    return _header(_TAG_PERM, degree) + np.arange(degree, dtype=_IMAGE).tobytes()
 
 
 def _p_split(n: int, p: int) -> Tuple[int, int]:
@@ -189,9 +233,10 @@ def _cycle_order(self) -> int:
 
 
 class FpMatrix(Element):
-    """n-by-n matrix over GF(p), entries stored reduced mod p."""
+    """n-by-n matrix over GF(p), entries stored reduced mod p, one byte each,
+    in the key body only; `arr` decodes them on demand."""
 
-    __slots__ = ("p", "n", "arr")
+    __slots__ = ("p", "n")
 
     _BODY = (4, np.dtype(np.uint8))
 
@@ -200,49 +245,55 @@ class FpMatrix(Element):
         arr = np.asarray(rows, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        arr = np.mod(arr, p)
-        arr.setflags(write=False)
-        self._init(p, arr, arr.astype(np.uint8).tobytes())
+        _require_encodable(p, arr.shape[0])
+        self._init(p, arr.shape[0], _header(_TAG_MATRIX, p, arr.shape[0])
+                   + np.mod(arr, p).astype(np.uint8).tobytes())
 
-    def _init(self, p: int, arr: np.ndarray, body: bytes) -> None:
+    def _init(self, p: int, n: int, key: bytes) -> None:
         self.p = p
-        self.n = arr.shape[0]
-        self.arr = arr
-        if self.n > 255:
-            raise CapExceeded(f"matrix size {self.n} exceeds the 1-byte encoding limit")
-        if p > 256:
-            raise CapExceeded(f"entries mod {p} do not fit the 1-byte encoding")
-        self.key = _header(_TAG_MATRIX, p, self.n) + body
+        self.n = n
+        self.key = key
         self._inv = None
         self._ord = None
 
     @classmethod
-    def _wrap(cls, p: int, arr: np.ndarray) -> "FpMatrix":
+    def _wrap(cls, p: int, n: int, key: bytes) -> "FpMatrix":
         m = cls.__new__(cls)
-        arr.setflags(write=False)
-        m._init(p, arr, arr.astype(np.uint8).tobytes())
+        m._init(p, n, key)
         return m
 
     @classmethod
     def _stack(cls, p: int, arrays: np.ndarray) -> List["FpMatrix"]:
-        """Matrices from an (N, n, n) int64 array, which this reduces mod p
-        in place and makes read-only; each matrix holds a view of it."""
+        """Matrices from an (N, n, n) integer array, reduced mod p: their
+        keys are cut from one byte string."""
         _require_prime(p)
-        np.mod(arrays, p, out=arrays)
-        arrays.setflags(write=False)
-        bodies = arrays.astype(np.uint8).reshape(len(arrays), -1)
-        matrices = [cls.__new__(cls) for _ in range(len(arrays))]
-        for m, arr, body in zip(matrices, arrays, bodies):
-            m._init(p, arr, body.tobytes())
-        return matrices
+        count, n = len(arrays), arrays.shape[1]
+        _require_encodable(p, n)
+        keys = np.empty((count, 4 + n * n), dtype=np.uint8)
+        keys[:, :4] = np.frombuffer(_header(_TAG_MATRIX, p, n), dtype=np.uint8)
+        keys[:, 4:] = np.mod(arrays.reshape(count, -1), p)
+        blob, width = keys.tobytes(), keys.shape[1]
+        return [cls._wrap(p, n, blob[k:k + width]) for k in range(0, len(blob), width)]
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
         _require_prime(p)
-        return cls._wrap(p, np.eye(n, dtype=np.int64))
+        _require_encodable(p, n)
+        return cls._wrap(p, n, _eye_key(p, n))
+
+    def _body(self) -> np.ndarray:
+        """The entries as a read-only uint8 view of the key body."""
+        return np.ndarray((self.n, self.n), np.uint8, self.key, 4)
+
+    @property
+    def arr(self) -> np.ndarray:
+        """The entries, decoded from the key as a read-only int64 array."""
+        arr = self._body().astype(np.int64)
+        arr.setflags(write=False)
+        return arr
 
     def rows(self) -> tuple:
-        return tuple(tuple(int(v) for v in row) for row in self.arr)
+        return tuple(map(tuple, self._body().tolist()))
 
     def __mul__(self, other: Element) -> "FpMatrix":
         if not isinstance(other, FpMatrix):
@@ -251,7 +302,16 @@ class FpMatrix(Element):
             raise BackendMismatch(
                 f"matrix universes differ: GF({self.p})^{self.n} vs GF({other.p})^{other.n}"
             )
-        return FpMatrix._wrap(self.p, (self.arr @ other.arr) % self.p)
+        p, n = self.p, self.n
+        dtype, reduce = _product_rule(p, n)
+        prod = np.matmul(np.ndarray((n, n), np.uint8, self.key, 4),
+                         np.ndarray((n, n), np.uint8, other.key, 4), dtype=dtype)
+        if reduce is None:
+            prod %= p
+            body = prod.astype(np.uint8).tobytes()
+        else:
+            body = prod.tobytes().translate(reduce)
+        return FpMatrix._wrap(p, n, self.key[:4] + body)
 
     def _pair_products(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """The key bodies of x * y for paired rows of the bodies of matrices
@@ -284,8 +344,8 @@ class FpMatrix(Element):
     def _compute_inverse(self) -> "FpMatrix":
         """Gauss-Jordan elimination mod p."""
         p, n = self.p, self.n
-        aug = [list(map(int, row)) + [1 if i == j else 0 for j in range(n)]
-               for i, row in enumerate(self.arr)]
+        aug = [row + [1 if i == j else 0 for j in range(n)]
+               for i, row in enumerate(self._body().tolist())]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
             if pivot is None:
@@ -297,54 +357,63 @@ class FpMatrix(Element):
                 if r != col and aug[r][col]:
                     f = aug[r][col]
                     aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-        return FpMatrix._wrap(p, np.array([row[n:] for row in aug], dtype=np.int64))
+        return FpMatrix._wrap(p, n, self.key[:4] + bytes(v for row in aug for v in row[n:]))
 
     def identity_like(self) -> "FpMatrix":
         return FpMatrix.identity(self.p, self.n)
 
     def is_identity(self) -> bool:
-        return bool((self.arr == np.eye(self.n, dtype=np.int64)).all())
+        return self.key == _eye_key(self.p, self.n)
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {[list(r) for r in self.rows()]})"
 
 
 class Permutation(Element):
-    """Permutation of {0, ..., degree-1}; (a*b)(i) = a(b(i))."""
+    """Permutation of {0, ..., degree-1}; (a*b)(i) = a(b(i)).  The images are
+    stored in the key body only; `images` is a read-only view of it."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    _BODY = (3, np.dtype("<u2"))
+    _BODY = (3, _IMAGE)
 
     def __init__(self, images: Iterable[int]):
         arr = np.asarray(list(images), dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("images must be a flat sequence")
         d = arr.shape[0]
-        if d >= 1 << 16:
-            raise CapExceeded(f"degree {d} exceeds the 2-byte encoding limit")
+        _require_degree(d)
         if not np.array_equal(np.sort(arr), np.arange(d)):
             raise ValueError(f"images are not a permutation of 0..{d - 1}")
-        arr.setflags(write=False)
-        self._init(arr)
+        self._init(_header(_TAG_PERM, d) + arr.astype(_IMAGE).tobytes())
 
-    def _init(self, arr: np.ndarray) -> None:
-        self.images = arr
-        d = arr.shape[0]
-        self.key = _header(_TAG_PERM, d) + arr.astype("<u2").tobytes()
+    def _init(self, key: bytes) -> None:
+        self.key = key
         self._inv = None
         self._ord = None
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Permutation":
+    def _wrap(cls, key: bytes) -> "Permutation":
         s = cls.__new__(cls)
-        arr.setflags(write=False)
-        s._init(arr)
+        s._init(key)
         return s
 
     @classmethod
+    def _stack(cls, images: np.ndarray) -> List["Permutation"]:
+        """Permutations from an (N, degree) integer array whose rows are
+        permutations: their keys are cut from one byte string."""
+        count, d = images.shape
+        _require_degree(d)
+        keys = np.empty((count, 3 + 2 * d), dtype=np.uint8)
+        keys[:, :3] = np.frombuffer(_header(_TAG_PERM, d), dtype=np.uint8)
+        keys[:, 3:] = images.astype(_IMAGE).view(np.uint8)
+        blob, width = keys.tobytes(), keys.shape[1]
+        return [cls._wrap(blob[k:k + width]) for k in range(0, len(blob), width)]
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._wrap(np.arange(degree, dtype=np.int64))
+        _require_degree(degree)
+        return cls._wrap(_arange_key(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
@@ -355,8 +424,13 @@ class Permutation(Element):
         return cls(images)
 
     @property
+    def images(self) -> np.ndarray:
+        """The images, a read-only <u2 view of the key body."""
+        return np.frombuffer(self.key, _IMAGE, offset=3)
+
+    @property
     def degree(self) -> int:
-        return self.images.shape[0]
+        return int.from_bytes(self.key[1:3], "little")
 
     def __call__(self, i: int) -> int:
         return int(self.images[i])
@@ -364,9 +438,17 @@ class Permutation(Element):
     def __mul__(self, other: Element) -> "Permutation":
         if not isinstance(other, Permutation):
             raise BackendMismatch(f"cannot multiply Permutation by {type(other).__name__}")
-        if len(other.images) != len(self.images):
+        if len(other.key) != len(self.key):
             raise BackendMismatch(f"degrees differ: {self.degree} vs {other.degree}")
-        return Permutation._wrap(self.images[other.images])
+        key = self.key
+        if len(key) <= 3 + 2 * 256:
+            # every image is its low byte (the high bytes are 0), so (x*y)(i)
+            # = x(y(i)) is one translation of y's low bytes by x's
+            body = bytearray(len(key) - 3)
+            body[::2] = other.key[3::2].translate(key[3::2].ljust(256, b"\0"))
+        else:
+            body = self.images.take(other.images, mode="clip").tobytes()
+        return Permutation._wrap(key[:3] + body)
 
     def _pair_products(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """The key bodies of x * y for paired image rows: (x * y)(i) =
@@ -377,27 +459,28 @@ class Permutation(Element):
         return np.ascontiguousarray(lefts).ravel().take(at)
 
     def _compute_inverse(self) -> "Permutation":
-        inv = np.empty(self.degree, dtype=np.int64)
-        inv[self.images] = np.arange(self.degree, dtype=np.int64)
-        return Permutation._wrap(inv)
+        inv = np.empty(self.degree, dtype=_IMAGE)
+        inv[self.images] = np.arange(self.degree, dtype=_IMAGE)
+        return Permutation._wrap(self.key[:3] + inv.tobytes())
 
     def identity_like(self) -> "Permutation":
         return Permutation.identity(self.degree)
 
     def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.degree, dtype=np.int64)).all())
+        return self.key == _arange_key(self.degree)
 
     order = _cycle_order
 
     def __repr__(self) -> str:
-        return f"Permutation({list(map(int, self.images))})"
+        return f"Permutation({self.images.tolist()})"
 
 
 def decode_element(key: bytes) -> Element:
-    """Rebuild an element from its canonical byte key."""
+    """Rebuild an element from its canonical byte key, which is validated and
+    then held as it is."""
     if not key:
         raise ValueError("empty element key")
-    tag = key[0]
+    key, tag = bytes(key), key[0]
     if tag == _TAG_MATRIX:
         if len(key) < 4:
             raise ValueError("truncated matrix key")
@@ -408,17 +491,17 @@ def decode_element(key: bytes) -> Element:
         body = key[4:]
         if len(body) != n * n:
             raise ValueError(f"matrix key body has {len(body)} bytes, expected {n * n}")
-        entries = np.frombuffer(body, dtype=np.uint8).astype(np.int64).reshape(n, n)
-        if entries.size and int(entries.max()) >= p:
+        if body and max(body) >= p:
             raise ValueError(f"matrix key entry out of range mod {p}")
-        return FpMatrix(p, entries)
+        _require_prime(p)
+        return FpMatrix._wrap(p, n, key)
     if tag == _TAG_PERM:
         if len(key) < 3:
             raise ValueError("truncated permutation key")
         d = int.from_bytes(key[1:3], "little")
-        body = key[3:]
-        if len(body) != 2 * d:
-            raise ValueError(f"permutation key body has {len(body)} bytes, expected {2 * d}")
-        images = np.frombuffer(body, dtype="<u2").astype(np.int64)
-        return Permutation(images)
+        if len(key) != 3 + 2 * d:
+            raise ValueError(f"permutation key body has {len(key) - 3} bytes, expected {2 * d}")
+        if not np.array_equal(np.sort(np.frombuffer(key, _IMAGE, offset=3)), np.arange(d)):
+            raise ValueError(f"images are not a permutation of 0..{d - 1}")
+        return Permutation._wrap(key)
     raise ValueError(f"unknown element tag {tag}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -399,7 +399,10 @@ def _grow(G: GroupTable, inside: np.ndarray, held: List[int],
     key order, each dropped when already inside; returns held and seeds kept."""
     seeds = np.bincount(seeds, minlength=G.order).nonzero()[0]  # ascending, once each
     steps = ([s] for s in seeds.tolist() if not inside[s])
-    return _schreier_levels(G._right_column, inside, steps, held)[0]
+    gens = list(held)
+    for _ in _schreier_levels(G._right_column, inside, steps, gens):
+        pass  # each level is freed as its step ends
+    return gens
 
 
 def _subgroup_at(G: GroupTable, inside: np.ndarray, gen_rows: Sequence[int] = ()) -> GroupTable:
@@ -574,24 +577,24 @@ class Automorphism(Element):
 
 
 def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
-                     steps: Iterable[Sequence[int]],
-                     held: Sequence[int] = ()) -> Tuple[List[int], List[tuple]]:
+                     steps: Iterable[Sequence[int]], gens: List[int]) -> Iterator[tuple]:
     """The one closure that grows a membership mask layer by layer: a
     Schreier tree of <gens>, grown breadth first from the subgroup H_0 in
-    the mask `inside`, which the indices `held` generate, a step at a time.
+    the mask `inside`, which the indices in `gens` generate, a step at a time.
     column(j) is [index(x * e_j) for every x]; step d adds the generators
-    steps[d], and `inside` grows in place to H_d = <H_0, steps[0..d]>.
-    Steps are read lazily, so a step source may pick its generators from the
-    mask as it stands.
+    steps[d] to `gens`, and `inside` grows in place to H_d = <H_0,
+    steps[0..d]>.  Steps are read lazily, so a step source may pick its
+    generators from the mask as it stands.
 
-    Returns gens (held, then every step's) and a level (layers, cols, new,
-    size) per step: a layer (xs, j0, reach) per breadth-first round, the
-    columns of gens, the elements added and |H_d|.  A layer takes x*g_j for
-    x in xs and j >= j0, generator-major (H_{d-1} by the step's generators,
-    then each layer's new elements by all), and reach the positions of its
-    tree edges among them, one first reaching each new element.
+    Yields a level (layers, cols, new, size) as each step ends, so a caller
+    that drops the levels frees each one before the next step: a layer
+    (xs, j0, reach) per breadth-first round, the columns of gens, the
+    elements added and |H_d|.  A layer takes x*g_j for x in xs and j >= j0,
+    generator-major (H_{d-1} by the step's generators, then each layer's new
+    elements by all), and reach the positions of its tree edges among them,
+    one first reaching each new element.
     """
-    gens, cols, levels = list(held), [column(j) for j in held], []
+    cols, size = [column(j) for j in gens], int(inside.sum())
     first = np.empty(len(inside), dtype=np.intp)  # a position reaching each new element
     for step in steps:
         xs, j0 = inside.nonzero()[0].astype(np.intc), len(gens)
@@ -608,8 +611,8 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
             layers.append((xs, j0, reach))
             new.append(added)
             xs, j0 = added, 0
-        levels.append((layers, cols[:], np.concatenate(new), int(inside.sum())))
-    return gens, levels
+        size += sum(map(len, new))
+        yield layers, cols[:], np.concatenate(new), size
 
 
 def _level_edges(level: tuple) -> tuple:
@@ -676,7 +679,7 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
     size = 1  # <> is the trivial group
     if gens:  # one level, with every generator, grown from the identity
         inside = np.arange(G.order) == G.index_of(G.identity)
-        _, (level,) = _schreier_levels(G._right_column, inside, [gen_idx])
+        (level,) = _schreier_levels(G._right_column, inside, [gen_idx], [])
         (hom, injective), size = _extend_block(G, F, row, _level_edges(level)), level[-1]
     if not hom[0]:
         raise NotAHomomorphism("generator images are inconsistent on the Cayley graph")

@@ -4,10 +4,14 @@ Every matrix and permutation is checked against an int64 reference computed
 from its constructor input: its key, its entries or images, products,
 inverses, orders and the identity test.  The catalog's tables are pinned by
 a SHA-256 of their keys in order and of their generators' keys, so a change
-of storage cannot move any table's elements, order or generators.
+of storage cannot move any table's elements, order or generators.  A table
+holds each element's entries once, in its key, and the bytes it holds per
+element are pinned under tracemalloc.
 """
 
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from sympy.combinatorics import Permutation as SymPermutation
 
 from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation, decode_element
+from pcentral.errors import CapExceeded
 from test_relabeling import general_linear, point_injections
 
 # (p, n) with small enough GL(n, p) for orders by repeated products
@@ -131,6 +136,24 @@ def test_identities_are_identities():
     assert not Permutation.from_cycles(300, [(0, 299)]).is_identity()
 
 
+def test_every_constructor_keeps_the_encoding_limits():
+    FpMatrix(2, np.eye(255, dtype=np.int64))  # the largest size a key byte holds
+    too_big = "matrix size 256 exceeds the 1-byte encoding limit"
+    for build in (lambda: FpMatrix(2, np.eye(256, dtype=np.int64)),
+                  lambda: FpMatrix.identity(2, 256),
+                  lambda: FpMatrix._stack(2, np.zeros((1, 256, 256), dtype=np.uint8))):
+        with pytest.raises(CapExceeded, match=too_big):
+            build()
+    with pytest.raises(CapExceeded, match="entries mod 257 do not fit the 1-byte encoding"):
+        FpMatrix._stack(257, np.zeros((1, 2, 2), dtype=np.int64))
+    too_many = "degree 65536 exceeds the 2-byte encoding limit"
+    for build in (lambda: Permutation(range(1 << 16)),
+                  lambda: Permutation.identity(1 << 16),
+                  lambda: Permutation._stack(np.zeros((1, 1 << 16), dtype=np.int64))):
+        with pytest.raises(CapExceeded, match=too_many):
+            build()
+
+
 # every group spec of the built-in corpus, the table of its sigma--5 entry,
 # and a matrix direct product and C_729 for paths the corpus does not take:
 # (order, SHA-256 of the keys in order, then of the generators' keys)
@@ -213,3 +236,28 @@ def _table_digest(G):
 @pytest.mark.parametrize("spec", sorted(CATALOG_DIGESTS))
 def test_catalog_tables_keep_their_keys(spec):
     assert _table_digest(build_group(spec)) == CATALOG_DIGESTS[spec]
+
+
+def _held_bytes_per_element(spec):
+    """The bytes a built table holds, per element, under tracemalloc."""
+    build_group(spec)  # imports and every cache the build fills
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = build_group(spec)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / G.order
+
+
+# bytes held per element (Python 3.11, numpy 2.4) when each matrix also kept
+# its int64 entries as a view into the built stack, and each permutation its
+# int64 images: 533 for E(5,4) and 7588 for C_729 (5832 of them images);
+# with the entries in the key only they read 197 and 1636
+@pytest.mark.parametrize("spec, limit", [("elementary_abelian(5,4)", 300),
+                                         ("cyclic(3,6)", 2000)])
+def test_tables_hold_each_entry_once(spec, limit):
+    assert _held_bytes_per_element(spec) < limit

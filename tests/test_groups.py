@@ -2,6 +2,7 @@
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +25,7 @@ from pcentral.errors import (
 from pcentral.groups import (
     Automorphism,
     GroupTable,
+    _schreier_levels,
     automorphism_from_images,
     center,
     centralizer,
@@ -129,6 +131,20 @@ def test_a_subgroup_grows_from_the_group_it_extends():
     K = subgroup_generated(G, [c], H)
     assert K.order == 24 and K.generators == (t, c)
     assert _closed_under_products(K)
+
+
+def test_closure_levels_come_as_each_step_ends():
+    # a caller that drops the levels frees each before the next step
+    G = build_group("sym(4)")
+    t, c = G._rows([Permutation.from_cycles(4, [(0, 1)]),
+                    Permutation.from_cycles(4, [(1, 2, 3)])]).tolist()
+    inside = np.arange(G.order) == G.index_of(G.identity)
+    gens = []
+    levels = _schreier_levels(G._right_column, inside, ([j] for j in (t, c)), gens)
+    assert gens == [] and inside.sum() == 1  # nothing runs before a level is asked for
+    assert next(levels)[-1] == inside.sum() == 2 and gens == [t]
+    assert next(levels)[-1] == inside.sum() == 24 and gens == [t, c]
+    assert next(levels, None) is None
 
 
 def test_a_normal_closure_grows_from_a_non_normal_seed():

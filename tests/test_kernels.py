@@ -11,7 +11,9 @@ product leaves it.  The pairwise kernel, its powers and inverses must match
 element products on every kind of table, and the group core built on them
 (cosets, centers, conjugation, normality, commutator subgroups, orders, omega
 and agemo, p-central actions, the definitional series) must match oracles
-that multiply element objects one pair at a time.  Every subgroup the core
+that multiply element objects one pair at a time.  Every kind of table
+finds the orders and inverses that new objects, holding no cache the table
+may have filled, find for themselves.  Every subgroup the core
 cuts from a table holds the table's own element objects in key order, knows
 its root table's indices of them, and has the generators its constructor
 documents.
@@ -32,9 +34,12 @@ from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation, decode_element
 from pcentral.errors import BudgetExceeded
 from pcentral.groups import (
+    Automorphism,
+    Coset,
     GroupTable,
     center,
     centralizer,
+    close,
     commutator_subgroup,
     conjugation_aut,
     is_normal,
@@ -345,6 +350,64 @@ def test_products_and_powers_match_object_products(T, data):
     k = data.draw(st.integers(0, 40))
     assert T._powers(xs, k).tolist() == [T.index_of(els[x] ** k) for x in xs.tolist()]
     assert T._inverses(xs).tolist() == [T.index_of(els[x].inverse()) for x in xs.tolist()]
+
+
+def _fresh_order_and_inverse(x):
+    """x's order and its inverse's key, from a new object that holds no cache
+    a table may have filled: an automorphism rebuilt from its images, a
+    coset's representative and a matrix or permutation decoded from their
+    keys."""
+    if isinstance(x, Automorphism):
+        y = Automorphism(x.domain, x.images)
+        return y.order(), y.inverse().key
+    if isinstance(x, Coset):
+        Q, rep = x.quotient, decode_element(x.rep.key)
+        y, k = rep, 1
+        while Q.project(y) is not Q.identity:
+            y, k = y * rep, k + 1
+        return k, Q.project(rep.inverse()).key
+    y = decode_element(x.key)
+    return y.order(), y.inverse().key
+
+
+def _general_linear_2_3():
+    """GL(2, 3) by close: a matrix root that is not a p-group."""
+    return close([FpMatrix(3, m) for m in ([[2, 0], [0, 1]], [[1, 1], [0, 1]],
+                                           [[0, 1], [1, 0]])])
+
+
+ORDER_TABLES = [(spec, kind) for spec in SPECS for kind in KINDS + ("inner",)] + [
+    (spec, "aut") for spec in AUT_SPECS] + [("GL(2,3)", "table")]
+
+
+def _order_table(spec, kind):
+    if kind == "aut":
+        return _aut_table(spec)
+    if spec == "GL(2,3)":
+        return _general_linear_2_3()
+    return inner_action(_group(spec)).A if kind == "inner" else _core_table(spec, kind)
+
+
+def _assert_orders_and_inverses_match_fresh_objects(T):
+    expected = [_fresh_order_and_inverse(x) for x in T]
+    assert T._orders().tolist() == [k for k, _ in expected]
+    assert T.exponent() == math.lcm(*(k for k, _ in expected))
+    inverses = T._inverses(np.arange(T.order)).tolist()
+    assert [T.elements[i].key for i in inverses] == [key for _, key in expected]
+
+
+@pytest.mark.parametrize("spec,kind", ORDER_TABLES)
+def test_table_orders_and_inverses_match_fresh_objects(spec, kind):
+    # every kind of table: matrix and permutation roots, a subgroup, a
+    # quotient, an action's A closed by close and a searched Aut(G) table
+    _assert_orders_and_inverses_match_fresh_objects(_order_table(spec, kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(fresh_tables(), kernel_tables()))
+def test_fresh_table_orders_and_inverses_match_fresh_objects(T):
+    # relabeled and decoded roots, and the tables cut from or acting on them
+    _assert_orders_and_inverses_match_fresh_objects(T)
 
 
 # -- subgroups cut from their parent -----------------------------------------

@@ -120,42 +120,23 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
     order first, ties by key.
 
     The rows are sorted once by the image indices of G's generators, which
-    is key order.  Each order is the lcm of the cycle lengths through G's
-    generators, followed for every row at once by gathers.  The generators
-    are picked by _greedy_levels, whose right column of row j holds the
-    rows of the products x*a_j: their images of G's generators are gathers
-    of the rows, found among the sorted rows by searchsorted.  The keys of
-    all the automorphisms come from one gather (Automorphism._stack).
+    is key order, so they are the table's stacked images
+    (GroupTable._aut_images) as they stand: the automorphisms hold views of
+    them, their keys cut from one gather (Automorphism._stack).  The
+    generators are then picked by _greedy_levels through the table's own
+    right columns and orders.
     """
     gen_idx = G._generator_rows()
     maps = maps[np.argsort(_image_codes(G, maps[:, gen_idx]))]
     codes = _image_codes(G, maps[:, gen_idx])
     if (codes[1:] == codes[:-1]).any():
         raise AssertionError("automorphism search produced duplicate maps")
-
-    rows = np.arange(len(maps))
-    orders = np.ones(len(maps), dtype=np.int64)
-    for s in gen_idx:
-        at, length = maps[:, s], np.ones(len(maps), dtype=np.int64)
-        moving = at != s
-        while moving.any():
-            at = maps[rows, at]
-            length += moving
-            moving &= at != s
-        orders = np.lcm(orders, length)
-
-    identity = np.searchsorted(codes, _image_codes(G, gen_idx[None, :]))
-    chosen, _ = _greedy_levels(
-        lambda j: np.searchsorted(codes, _image_codes(G, maps[:, maps[j, gen_idx]])),
-        np.arange(len(maps)) == identity, orders)
-
-    auts = Automorphism._stack(G, maps)
-    for a, k in zip(auts, orders.tolist()):
-        a._ord = k
-    A = GroupTable(auts, [auts[c] for c in chosen])
-    # the automorphisms hold views of the rows of `maps`, so they are the
-    # table's stacked images (GroupTable._aut_images) at no further cost
+    A = GroupTable(Automorphism._stack(G, maps))
     A._cache["aut_images"] = maps, codes
+    chosen, _ = _greedy_levels(A._right_column, np.arange(A.order) == A.index_of(A.identity),
+                               A._orders())
+    # the table was built before its generators could be picked
+    A.generators = tuple(A.elements[c] for c in chosen)
     return A
 
 
@@ -178,13 +159,14 @@ def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     inside = np.arange(G.order) == G.index_of(G.identity)
     gens: List[int] = []
     P = subgroup_generated(G, ())
+    orders = G._orders().tolist()
     while (G.order // P.order) % p == 0:
-        y = next((y for y in G.elements if y.key not in P.keys
-                  and _p_split(y.order(), p)[1] == 1 and _normalizes(G, y, P)), None)
-        if y is None:
+        i = next((i for i, y in enumerate(G.elements) if y.key not in P.keys
+                  and _p_split(orders[i], p)[1] == 1 and _normalizes(G, y, P)), None)
+        if i is None:
             raise AssertionError("Sylow extension stalled below the p-part")
-        gens.append(G.index_of(y))
-        powers = G._powers(np.full(y.order(), gens[-1]), np.arange(y.order()))
+        gens.append(i)
+        powers = G._powers(np.full(orders[i], i), np.arange(orders[i]))
         held = inside.nonzero()[0]
         inside[G._products(held.repeat(len(powers)), np.tile(powers, len(held)))] = True
         P = _subgroup_at(G, inside, gens)

@@ -324,23 +324,6 @@ class FpMatrix(Element):
         prod %= self.p
         return prod.astype(np.uint8).reshape(len(lefts), n * n)
 
-    def _body_orders(self, bodies: np.ndarray) -> np.ndarray:
-        """Orders of the matrices of this one's size and prime whose bodies
-        are the rows, by batched powers: each row leaves the batch when its
-        power reaches the identity."""
-        n, p = self.n, self.p
-        x = bodies.reshape(-1, n, n).astype(np.int64)
-        orders = np.zeros(len(x), dtype=np.int64)
-        live, power, k = np.arange(len(x)), x, 1
-        eye = np.eye(n, dtype=np.int64)
-        while len(live):
-            done = (power == eye).all(axis=(1, 2))
-            orders[live[done]] = k
-            live, power = live[~done], power[~done]
-            power = (power @ x[live]) % p
-            k += 1
-        return orders
-
     def _compute_inverse(self) -> "FpMatrix":
         """Gauss-Jordan elimination mod p."""
         p, n = self.p, self.n

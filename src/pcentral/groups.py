@@ -215,14 +215,20 @@ class GroupTable:
 
     def _powers(self, xs: np.ndarray, k) -> np.ndarray:
         """[index(elements[x] ** k) for x in xs], k one count or one per x, by
-        squaring: at most two kernel calls per bit of the largest k."""
+        squaring from the lowest set bit of each k: at most two kernel calls
+        per bit of the largest k."""
         k = np.array(np.broadcast_to(k, np.shape(xs)), dtype=np.int64)
         base = np.array(xs, dtype=np.intp)
         out = np.full(len(base), self.index_of(self.identity), dtype=np.intp)
+        started = np.zeros(len(base), dtype=bool)
         while True:
             odd = (k & 1).astype(bool)
-            if odd.any():
-                out[odd] = self._products(out[odd], base[odd])
+            more = odd & started
+            if more.any():
+                out[more] = self._products(out[more], base[more])
+            first = odd & ~started
+            out[first] = base[first]
+            started |= first
             k >>= 1
             live = k > 0
             if not live.any():
@@ -237,9 +243,7 @@ class GroupTable:
         todo[xs] = True
         todo = (todo & (inv < 0)).nonzero()[0]
         if len(todo):
-            self._fill_orders(todo)
-            els = self.elements
-            inv[todo] = self._powers(todo, [els[i].order() - 1 for i in todo.tolist()])
+            inv[todo] = self._powers(todo, self._orders(todo) - 1)
         return inv[xs]
 
     def _conjugates(self, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
@@ -254,32 +258,19 @@ class GroupTable:
         return self._products(self._products(self._inverses(xs), self._inverses(ys)),
                               self._products(xs, ys))
 
-    def _fill_orders(self, rows: Optional[np.ndarray] = None) -> None:
-        """Cache the order of every element, or of those at the given rows,
-        that has none, by batched powers where the backend has them
-        (matrices); a subgroup fills its rows of its root."""
+    def _orders(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The orders of the elements at the given rows, or of all, as
+        int64s.  A root keeps them in one array, 0 where not yet known, and
+        fills the rows asked for; a subgroup reads its root's rows."""
         if self.parent is not None:
-            at = self.root_rows
-            return self.root._fill_orders(at if rows is None else at[rows])
-        els = self.elements
-        orders_of = getattr(els[0], "_body_orders", None)
-        rows = range(len(els)) if rows is None else rows.tolist()
-        todo = [i for i in rows if els[i]._ord is None] if orders_of else []
-        bodies = self._key_bodies() if todo else None
-        if bodies is None:
-            return
-        todo = np.array(todo, dtype=np.intp)
-        for start in range(0, len(todo), _BLOCK_ROWS):
-            block = todo[start:start + _BLOCK_ROWS]
-            for i, k in zip(block.tolist(), orders_of(bodies[block]).tolist()):
-                els[i]._ord = k
-
-    def _orders(self) -> np.ndarray:
-        """The elements' orders as int64s, kept."""
-        if "orders" not in self._cache:
-            self._fill_orders()
-            self._cache["orders"] = np.array([x.order() for x in self.elements], dtype=np.int64)
-        return self._cache["orders"]
+            return self.root._orders(self.root_rows if rows is None else self.root_rows[rows])
+        orders = self._cache.setdefault("orders", np.zeros(self.order, dtype=np.int64))
+        todo = (orders == 0).nonzero()[0] if rows is None else rows[orders[rows] == 0]
+        if len(todo):
+            rule = (_cycle_orders if isinstance(self.elements[0], Automorphism)
+                    else _prime_power_orders)
+            orders[todo] = rule(self, todo)
+        return orders if rows is None else orders[rows]
 
     def conj(self, x: Element, g: Element) -> Element:
         """g^-1 x g, canonicalized."""
@@ -327,6 +318,44 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, p={self.p})"
+
+
+def _prime_power_orders(T: GroupTable, rows: np.ndarray) -> np.ndarray:
+    """The orders of the elements at rows: for each prime r with |T| = r^a m,
+    r prime to m, the r-part of x's order is that of x^m, found by at most a
+    r-th powers through _powers."""
+    orders = np.ones(len(rows), dtype=np.int64)
+    e, rest, r = T.index_of(T.identity), T.order, 2
+    while rest > 1:
+        if rest % r:
+            r += 1
+            continue
+        a, m = _p_split(T.order, r)
+        rest //= r ** a
+        z = T._powers(rows, m)
+        for _ in range(a):
+            live = z != e
+            orders[live] *= r
+            z[live] = T._powers(z[live], r)
+    return orders
+
+
+def _cycle_orders(A: GroupTable, rows: np.ndarray) -> np.ndarray:
+    """The orders of the automorphisms at rows of the table A: the lcm of
+    their cycle lengths through the domain's generators (Automorphism.order),
+    followed for every row at once by gathers from the stacked images."""
+    images, _ = A._aut_images()
+    orders = np.ones(len(rows), dtype=np.int64)
+    for s in A.elements[0].domain._generator_rows().tolist():
+        length = np.ones(len(rows), dtype=np.int64)
+        live, at = np.arange(len(rows)), images[rows, s]
+        while len(live):
+            moving = at != s
+            live, at = live[moving], at[moving]
+            length[live] += 1
+            at = images[rows[live], at]
+        orders = np.lcm(orders, length)
+    return orders
 
 
 def _opaque_rows(rows: np.ndarray) -> np.ndarray:
@@ -562,12 +591,12 @@ class Automorphism(Element):
         generators generate the domain (the key relies on that too)."""
         k = self._ord
         if k is None:
-            images = self.images.tolist()
+            image = self.images.item
             k = 1
             for start in self.domain._generator_rows().tolist():
-                i, length = images[start], 1
+                i, length = image(start), 1
                 while i != start:
-                    i, length = images[i], length + 1
+                    i, length = image(i), length + 1
                 k = math.lcm(k, length)
             self._ord = k
         return k
@@ -708,7 +737,7 @@ def restrict_automorphism(a: Automorphism, H: GroupTable) -> Automorphism:
 
 def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:
     """Greedy generating sequence: highest order first, ties by canonical key."""
-    candidates = sorted(G.elements, key=lambda x: (-x.order(), x.key))
+    candidates = [G.elements[i] for i in np.argsort(-G._orders(), kind="stable").tolist()]
     H = subgroup_generated(G, ())
     while H.order < G.order:
         H = subgroup_generated(G, [next(x for x in candidates if x.key not in H.keys)], H)
@@ -787,29 +816,6 @@ class QuotientGroup(GroupTable):
         """The cosets of the products of the representatives, in the cover."""
         reps = self._reps
         return self.coset_id[self.cover._products(reps[xs], reps[ys])]
-
-    def _fill_orders(self, rows: Optional[np.ndarray] = None) -> None:
-        """Cache the order of every coset, or of the given rows, that has
-        none: for each prime r with |Q| = r^a m, r prime to m, the r-part of
-        x's order is that of x^m, found by at most a r-th powers."""
-        els = self.elements
-        todo = np.array([i for i in (range(len(els)) if rows is None else rows.tolist())
-                         if els[i]._ord is None], dtype=np.intp)
-        orders = np.ones(len(todo), dtype=np.int64)
-        e, rest, r = self.index_of(self.identity), self.order, 2
-        while rest > 1 and len(todo):
-            if rest % r:
-                r += 1
-                continue
-            a, m = _p_split(self.order, r)
-            rest //= r ** a
-            z = self._powers(todo, m)
-            for _ in range(a):
-                live = z != e
-                orders[live] *= r
-                z[live] = self._powers(z[live], r)
-        for i, k in zip(todo.tolist(), orders.tolist()):
-            els[i]._ord = k
 
     def project(self, x: Element) -> Coset:
         """The coset of an element of the cover."""

@@ -91,13 +91,33 @@ def test_closure_product_counts(arithmetic):
 
     assert count(lambda: build_group("ut(4,3)")) == (788, 0)
     # the Jordan maps and A's closure take products; [G, A] is closed in
-    # the table: its seeds are one kernel call, and each closure step a
-    # call for its conjugates and a right column per generator kept
-    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (41, 8232)
-    # the search takes right columns of G and finds G's orders in batches,
-    # and the Aut table picks its generators by batched gathers: every
-    # product closes the action
-    assert count(lambda: build_action(H, "full_aut")) == (452, 702)
+    # the table: its seeds are one kernel call, each closure step a call
+    # for its conjugates and a right column per generator kept, and the
+    # inverses of G's 6 generators two rows each for their orders (x^3)
+    # and one for x^2
+    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (41, 8238)
+    # the search takes right columns of G and finds G's orders through the
+    # kernel (two rows per non-identity element, 52), and the Aut table
+    # picks its generators through its own right columns (3 * 432 rows):
+    # every product closes the action
+    assert count(lambda: build_action(H, "full_aut")) == (452, 2050)
+
+
+@pytest.mark.parametrize("x", [Permutation([]), FpMatrix(3, np.zeros((0, 0), dtype=np.int64))],
+                         ids=["permutation", "matrix"])
+def test_a_trivial_group_of_empty_elements_multiplies_its_objects(x, arithmetic):
+    # a 0-point permutation or a 0x0 matrix has an empty key body, so its
+    # table has no body array and the kernel multiplies element objects a
+    # pair at a time (a replayed group.bin can hold such a generator)
+    T = close([x], p=3)
+    assert T.order == 1 and T._key_bodies() is None
+    arithmetic.update(products=0, rows=0)
+    assert T._products(np.array([0, 0]), np.array([0, 0])).tolist() == [0, 0]
+    assert arithmetic == {"products": 2, "rows": 2}
+    assert T._right_column(0).tolist() == [0]
+    assert T.exponent() == 1
+    assert center(T).keys == T.keys
+    assert lower_central_series(T).orders() == [1, 1]
 
 
 def test_a_long_cycle_grows_through_its_one_right_column(monkeypatch):
@@ -181,11 +201,12 @@ def test_commutator_subgroup_commutes_only_generators(monkeypatch, arithmetic):
     arithmetic.update(products=0, rows=0)
     assert commutator_subgroup(G, G, G).order == 27
     assert pairs == [len(G.generators) ** 2]  # 9, not |G| * 3 = 2187
-    # three kernel rows per pair, two per inverse of G's 3 generators (x^2
-    # by squaring), a right column of 729 rows for each of the 3 generators
-    # [G, G] keeps, and two per conjugate of one of them by one of G's in
-    # the two closure steps (2 * 3, then 3 * 3)
-    assert arithmetic == {"products": 0, "rows": 27 + 2 * 3 + 3 * 729 + 2 * (6 + 9)}
+    # three kernel rows per pair, three per inverse of G's 3 generators
+    # (two for the order, x^3, and one for x^2 by squaring), a right column
+    # of 729 rows for each of the 3 generators [G, G] keeps, and two per
+    # conjugate of one of them by one of G's in the two closure steps
+    # (2 * 3, then 3 * 3)
+    assert arithmetic == {"products": 0, "rows": 27 + 3 * 3 + 3 * 729 + 2 * (6 + 9)}
 
 
 @pytest.mark.parametrize("spec", ["dihedral(16)", "sym(3)", "heisenberg(3)",

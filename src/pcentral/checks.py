@@ -319,15 +319,10 @@ def _qualifying_ks(pair: ActionPair) -> List[int]:
         return []
     p = pair.G.p
     s = mixed_lower_central_series(pair)
+    # terms past stabilization repeat, so k beyond stabilized_at + 1 names
+    # a term already tested
     hi = min(p, s.stabilized_at + 1)
-    ks = [k for k in range(1, hi + 1) if _p_central_on_term(pair, k)]
-    if not ks and s.stabilized_at + 1 < p:
-        # terms past stabilization repeat; test one representative index
-        for k in range(s.stabilized_at + 1, p + 1):
-            if _p_central_on_term(pair, k):
-                ks.append(k)
-                break
-    return ks
+    return [k for k in range(1, hi + 1) if _p_central_on_term(pair, k)]
 
 
 def _no_qualifying_k(check: str, pair: ActionPair) -> Verdict:

@@ -3,6 +3,8 @@
 break a traced benchmark run.  The tracer is read as source, not imported.
 No module of the package imports a name it does not use, and every private
 module-level function or class is used somewhere outside its definition.
+No table writes an element's cached order or inverse: only an element's own
+methods assign ``_ord`` and ``_inv``, and only on ``self``.
 The package calls none of numpy's sorting set routines (``np.unique`` and
 the ``*1d`` set operations built on it): on numpy 2.4.6 the first such call
 imports ``numpy.ma``, which costs about 18 ms and 1 MB of peak memory in
@@ -162,3 +164,28 @@ def test_no_numpy_set_routines(path):
              and node.func.attr in SET_ROUTINES
              and getattr(node.func.value, "id", None) in ("np", "numpy")]
     assert not calls, f"{path.name} calls numpy set routines {calls}"
+
+
+ELEMENT_CACHES = ("_ord", "_inv")
+
+
+def _assigned_attributes(tree):
+    """(attribute node, line) of every attribute an assignment writes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute):
+                    yield sub, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_element_caches_are_written_only_by_their_element(path):
+    writes = [(attr.attr, line) for attr, line in _assigned_attributes(ast.parse(path.read_text()))
+              if attr.attr in ELEMENT_CACHES and getattr(attr.value, "id", None) != "self"]
+    assert not writes, f"{path.name} writes element caches of other objects {writes}"

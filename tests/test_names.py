@@ -170,18 +170,20 @@ ELEMENT_CACHES = ("_ord", "_inv")
 
 
 def _assigned_attributes(tree):
-    """(attribute node, line) of every attribute an assignment writes."""
+    """(attribute node, line) of every attribute an assignment writes,
+    unpacking tuple and list targets."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Attribute):
-                    yield sub, node.lineno
+        targets = (list(node.targets) if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute):
+                yield target, node.lineno
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

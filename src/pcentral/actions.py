@@ -22,17 +22,9 @@ import numpy as np
 
 from .elements import Element
 from .errors import BudgetExceeded, CapExceeded, NotInvariant, NotPGroup
-from .groups import (
-    Automorphism,
-    GroupTable,
-    close,
-    conjugation_aut,
-    identity_automorphism,
-    normal_closure,
-    quotient,
-    restrict_automorphism,
-    subgroup_generated,
-)
+from .groups import (Automorphism, GroupTable, _inside, _rows_in, _seeds, close, conjugation_aut,
+                     identity_automorphism, normal_closure, quotient, restrict_automorphism,
+                     subgroup_generated)
 from .series import SeriesRecord, central_order_bound, omega_subgroup
 from .verdict import Verdict, conclude
 
@@ -125,8 +117,8 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
         G, A = pair.G, pair.A_generators
 
         def step(T: GroupTable) -> GroupTable:
-            seeds = _mixed_commutators(G, G._rows(T.generators), A)
-            return normal_closure(G, [G.elements[c] for c in seeds.tolist()], A)
+            seeds = _mixed_commutators(G, _rows_in(G, T, T._gens), A)
+            return normal_closure(G, _seeds(G, seeds), A)
         pair._cache["mixed_series"] = SeriesRecord.until_stable(G, step)
     return pair._cache["mixed_series"]
 
@@ -219,7 +211,7 @@ def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> boo
         raise NotPGroup("no designated prime on the acted-on group")
     bound = central_order_bound(G.p)
     X = X if X is not None else G
-    small = G._rows(x for x, k in zip(X.elements, X._orders().tolist()) if bound % k == 0)
+    small = _rows_in(G, X)[bound % X._orders() == 0]
     return all((a.images[small] == small).all() for a in pair.A_generators)
 
 
@@ -227,9 +219,11 @@ def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
     """The action induced on G/N; N must be normal and A-invariant.  Each
     map ids[x] -> ids[a(x)], with ids = Q.coset_id, is one scatter, and one
     gather asserts that it is well defined."""
-    if any(a(n).key not in N.keys for a in pair.A_generators for n in N.generators):
+    G = pair.G
+    inside, gens = _inside(N, G), _rows_in(G, N, N._gens)
+    if not all(inside[a.images[gens]].all() for a in pair.A_generators):
         raise NotInvariant("kernel subgroup is not invariant under the action")
-    Q = quotient(pair.G, N)
+    Q = quotient(G, N)
     ids = Q.coset_id
     induced = []
     for a in pair.A_generators:
@@ -269,15 +263,17 @@ def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
     p = G.require_p_group()
     left = (p ** n) % sigma.order() == 0
     om = omega_subgroup(commutator_group_of_pair(pair), n)
-    gens = G._generator_rows()
-    if sigma in pair.A:
+    gens = G._gens
+    try:
+        row = pair.A.index_of(sigma)
+    except KeyError:
+        ws = _mixed_commutators(G, gens, [sigma])
+    else:
         if "generator_commutators" not in pair._cache:
             pair._cache["generator_commutators"] = _mixed_commutators(
                 G, gens, pair.A.elements).reshape(len(gens), pair.A.order)
-        ws = pair._cache["generator_commutators"][:, pair.A.index_of(sigma)]
-    else:
-        ws = _mixed_commutators(G, gens, [sigma])
-    right = all(G.elements[w].key in om.keys for w in ws.tolist())
+        ws = pair._cache["generator_commutators"][:, row]
+    right = bool(_inside(om, G)[ws].all())
     return conclude("order_matches_quotient_triviality", True, left == right,
                     {"n": n, "sigma_order": sigma.order(),
                      "power_is_trivial": left, "trivial_mod_omega": right})

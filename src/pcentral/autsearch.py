@@ -17,18 +17,8 @@ import numpy as np
 
 from .elements import Element, _p_split, _require_prime
 from .errors import BudgetExceeded
-from .groups import (
-    _BLOCK_ROWS,
-    Automorphism,
-    GroupTable,
-    _extend_block,
-    _image_codes,
-    _level_edges,
-    _subgroup_at,
-    _schreier_levels,
-    identity_automorphism,
-    subgroup_generated,
-)
+from .groups import (_BLOCK_ROWS, GroupTable, _extend_block, _image_codes, _inside, _level_edges,
+                     _subgroup_at, _schreier_levels, identity_automorphism, subgroup_generated)
 
 __all__ = ["AutGroupResult", "brute_force_aut", "sylow_p_subgroup", "normalizer"]
 
@@ -75,11 +65,11 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     Every tuple is tried that the one-tuple-at-a-time search tries, in the
     same order, so `tuples_tried`, the budget outcome and the automorphisms
     found do not depend on the blocks; the budget is tested before a block
-    is extended.  Only the automorphisms found are built as Automorphism
-    objects.
+    is extended.  The automorphisms found are rows of a table, and their
+    objects are made only when read.
     """
     orders = G._orders()
-    e = G.index_of(G.identity)
+    e = G._identity_row
     gens, levels = _greedy_levels(G._right_column, np.arange(G.order) == e, orders)
     levels = list(map(_level_edges, levels))
     if not gens:  # trivial group
@@ -117,31 +107,30 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
 def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
     """The automorphisms whose index arrays are the rows of `maps`, as a
     table generated by minimal_generating_sequence's greedy rule: highest
-    order first, ties by key.
-
-    The rows are sorted once by the image indices of G's generators, which
-    is key order, so they are the table's stacked images
-    (GroupTable._aut_images) as they stand: the automorphisms hold views of
-    them, their keys cut from one gather (Automorphism._stack).  The
-    generators are then picked by _greedy_levels through the table's own
-    right columns and orders.
+    order first, ties by key.  Its rows are coded by the images of G's
+    generators, in key order, and `maps` in that order are its stacked
+    images (GroupTable._aut_images), from which its automorphisms are made
+    when read; _greedy_levels then picks the generators.
     """
-    gen_idx = G._generator_rows()
-    maps = maps[np.argsort(_image_codes(G, maps[:, gen_idx]))]
-    codes = _image_codes(G, maps[:, gen_idx])
-    if (codes[1:] == codes[:-1]).any():
+    A = GroupTable.__new__(GroupTable)
+    A._domain = G
+    rows = A._root(_image_codes(G, maps[:, G._gens]), (),
+                   identity_automorphism(G), None)
+    if A.order != len(maps):
         raise AssertionError("automorphism search produced duplicate maps")
-    A = GroupTable(Automorphism._stack(G, maps))
-    A._cache["aut_images"] = maps, codes
-    chosen, _ = _greedy_levels(A._right_column, np.arange(A.order) == A.index_of(A.identity),
+    A._images = np.empty_like(maps)
+    A._images[rows] = maps
+    A._images.setflags(write=False)
+    chosen, _ = _greedy_levels(A._right_column, np.arange(A.order) == A._identity_row,
                                A._orders())
     # the table was built before its generators could be picked
-    A.generators = tuple(A.elements[c] for c in chosen)
+    A._gens = np.array(chosen, dtype=np.intp)
     return A
 
 
 def _normalizes(G: GroupTable, y: Element, P: GroupTable) -> bool:
-    return all(G.conj(h, y).key in P.keys for h in P.generators)
+    inside = _inside(P, G)
+    return all(inside[G.index_of(y.inverse() * h * y)] for h in P.generators)
 
 
 def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
@@ -156,13 +145,13 @@ def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     As y normalizes P, <P, y> is the union of the cosets P y^i, one kernel
     call over P and the powers of y, with P's generators and then y."""
     _require_prime(p)
-    inside = np.arange(G.order) == G.index_of(G.identity)
+    inside = np.arange(G.order) == G._identity_row
     gens: List[int] = []
     P = subgroup_generated(G, ())
     orders = G._orders().tolist()
     while (G.order // P.order) % p == 0:
-        i = next((i for i, y in enumerate(G.elements) if y.key not in P.keys
-                  and _p_split(orders[i], p)[1] == 1 and _normalizes(G, y, P)), None)
+        i = next((i for i in range(G.order) if not inside[i] and _p_split(orders[i], p)[1] == 1
+                  and _normalizes(G, G.elements[i], P)), None)
         if i is None:
             raise AssertionError("Sylow extension stalled below the p-part")
         gens.append(i)

@@ -136,16 +136,17 @@ def _prime_power_base(n: int):
 
 def _elementary_abelian(p: int, n: int, cap: int) -> GroupTable:
     """The affine row matrices [[1, v], [0, I]], which multiply by adding
-    their rows v, built from one stacked array with v in key order."""
+    their rows v, built as a table of the key bodies of one stacked array,
+    with v in key order."""
     if not _is_prime(p) or n < 1:
         raise ConfigError(f"elementary_abelian needs a prime and a rank >= 1, got ({p},{n})")
     if p ** n > cap:
         raise CapExceeded(f"|G| = {p}^{n} exceeds cap {cap}")
     stack = np.tile(np.eye(n + 1, dtype=np.uint8), (p ** n, 1, 1))
     stack[:, 0, 1:] = np.indices((p,) * n).reshape(n, -1).T
-    elements = FpMatrix._stack(p, stack)
-    # the unit vectors e_1, ..., e_n
-    return GroupTable(elements, [elements[p ** (n - 1 - i)] for i in range(n)], p=p)
+    # generated by the unit vectors e_1, ..., e_n
+    return GroupTable._of_bodies(FpMatrix._stack(p, stack), FpMatrix.identity(p, n + 1),
+                                 [p ** (n - 1 - i) for i in range(n)], p)
 
 
 def _unitriangular(n: int, p: int, cap: int) -> GroupTable:
@@ -171,8 +172,8 @@ def _cyclic(p: int, n: int, cap: int) -> GroupTable:
     _require_degree(m)
     # row k, the shift i -> i + k, is a window of 0..m-1 written twice
     points = np.arange(2 * m, dtype=np.uint32) % m
-    elements = Permutation._stack(np.lib.stride_tricks.sliding_window_view(points, m)[:m])
-    return GroupTable(elements, [elements[1 % m]], p=p)
+    shifts = Permutation._stack(np.lib.stride_tricks.sliding_window_view(points, m)[:m])
+    return GroupTable._of_bodies(shifts, Permutation.identity(m), [1 % m], p)
 
 
 def _dihedral(order: int, cap: int) -> GroupTable:
@@ -265,12 +266,15 @@ def _direct_product(g1: GroupTable, g2: GroupTable, cap: int) -> GroupTable:
         raise CapExceeded(f"|G| = {g1.order}*{g2.order} exceeds cap {cap}")
     e1, e2 = g1.identity, g2.identity
     if isinstance(e1, Permutation) and isinstance(e2, Permutation):
-        def pairs(xs: np.ndarray, ys: np.ndarray) -> List[Element]:
+        identity = Permutation.identity(e1.degree + e2.degree)
+
+        def pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             return Permutation._stack(np.hstack([xs, ys.astype(np.int32) + e1.degree]))
     elif isinstance(e1, FpMatrix) and isinstance(e2, FpMatrix) and e1.p == e2.p:
         n1, n = e1.n, e1.n + e2.n
+        identity = FpMatrix.identity(e1.p, n)
 
-        def pairs(xs: np.ndarray, ys: np.ndarray) -> List[Element]:
+        def pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             arr = np.zeros((len(xs), n, n), dtype=np.uint8)
             arr[:, :n1, :n1] = xs.reshape(-1, n1, n1)
             arr[:, n1:, n1:] = ys.reshape(-1, n - n1, n - n1)
@@ -279,13 +283,15 @@ def _direct_product(g1: GroupTable, g2: GroupTable, cap: int) -> GroupTable:
         raise ConfigError(
             "direct_product needs two permutation groups or two matrix groups over the same prime")
     # the key bodies of (x, y) for every x in g1 and y in g2, then of the
-    # generators (g, 1) and (1, g)
+    # generators (g, 1) and (1, g), which the table finds among the first
     b1, b2 = g1._key_bodies(), g2._key_bodies()
-    elements = pairs(np.repeat(b1, len(b2), axis=0), np.tile(b2, (len(b1), 1)))
-    r1, r2 = g1._generator_rows(), g2._generator_rows()
-    i1, i2 = np.full(len(r2), g1.index_of(e1)), np.full(len(r1), g2.index_of(e2))
-    gens = pairs(b1[np.concatenate([r1, i1])], b2[np.concatenate([i2, r2])])
-    return GroupTable(elements, gens, p=_prime_power_base(g1.order * g2.order))
+    r1, r2 = g1._gens, g2._gens
+    i1, i2 = np.full(len(r2), g1._identity_row), np.full(len(r1), g2._identity_row)
+    x1 = np.concatenate([np.repeat(np.arange(len(b1)), len(b2)), r1, i1])
+    x2 = np.concatenate([np.tile(np.arange(len(b2)), len(b1)), i2, r2])
+    return GroupTable._of_bodies(pairs(b1[x1], b2[x2]), identity,
+                                 np.arange(len(b1) * len(b2), len(x1)),
+                                 _prime_power_base(g1.order * g2.order))
 
 
 # -- dispatch ------------------------------------------------------------

@@ -10,38 +10,22 @@ out", recording the per-index detail in the witnesses.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .actions import (
-    ActionPair,
-    _mixed_commutators,
-    aut_as_perm_group,
-    commutator_group_of_pair,
-    gamma_term,
-    induced_quotient_action,
-    is_p_central_action,
-    mixed_lower_central_series,
-    mixed_series_definitional,
-    restrict_action,
-    order_matches_quotient_triviality,
-)
+import numpy as np
+
+from .actions import (ActionPair, _mixed_commutators, aut_as_perm_group, commutator_group_of_pair,
+                      gamma_term, induced_quotient_action, is_p_central_action,
+                      mixed_lower_central_series, mixed_series_definitional, restrict_action,
+                      order_matches_quotient_triviality)
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import paper_sigma_pair, sigma_matrix, sigma_power_closed_form
 from .elements import _p_split
-from .groups import GroupTable, center, commutator_subgroup, quotient, subgroup_generated
-from .series import (
-    is_omega_regular,
-    is_p_central_of_height,
-    lower_central_series,
-    nilpotency_class,
-    omega_conv,
-    omega_series,
-    omega_subgroup,
-    small_elements_lie_in,
-    upper_central_series,
-    xu_inequality,
-)
+from .groups import (GroupTable, _inside, _rows_in, center, commutator_subgroup, quotient,
+                     subgroup_generated)
+from .series import (is_omega_regular, is_p_central_of_height, lower_central_series,
+                     nilpotency_class, omega_conv, omega_series, omega_subgroup,
+                     small_elements_lie_in, upper_central_series, xu_inequality)
 from .verdict import PASS, Verdict, conclude
 
 __all__ = [
@@ -102,7 +86,7 @@ def _inner_gate(check: str, G: GroupTable) -> Optional[Verdict]:
 
 def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
     """Do the p'-elements form a subgroup of full p'-order?"""
-    members = [x for x, k in zip(G.elements, G._orders().tolist()) if math.gcd(k, p) == 1]
+    members = [G.elements[i] for i in (np.gcd(G._orders(), p) == 1).nonzero()[0].tolist()]
     target = _p_split(G.order, p)[1]
     closed = subgroup_generated(G, members).order == len(members)
     return {
@@ -162,14 +146,13 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     alcs = lower_central_series(P)
     graded_bad: List[Dict[str, object]] = []
     for i in range(1, s.stabilized_at + 2):
-        cs = G._rows(s.term(i).generators)
+        cs = _rows_in(G, s.term(i), s.term(i)._gens)
         for j in range(1, alcs.stabilized_at + 2):
             target, maps = s.term(i + j), alcs.term(j).generators
             # witnesses a-major, c within a
             ws = _mixed_commutators(G, cs, maps).reshape(len(cs), len(maps)).T.ravel()
-            graded_bad += [{"i": i, "j": j, "witness": w.key.hex()}
-                           for w in map(G.elements.__getitem__, ws.tolist())
-                           if w.key not in target.keys]
+            graded_bad += [{"i": i, "j": j, "witness": G._row_key(w).hex()}
+                           for w in ws[~_inside(target, G)[ws]].tolist()]
     orders = s.orders()
     descending = all(orders[i + 1] < orders[i] for i in range(s.stabilized_at))
     reaches_one = s.terms[s.stabilized_at].order == 1
@@ -193,7 +176,7 @@ def check_mixed_series_oracle(pair: ActionPair, *, k_max: int = 5,
     diffs = [{"k": k, "definitional_order": defs[k - 1].order,
               "recursive_order": gamma_term(pair, k).order}
              for k in range(1, k_max + 1)
-             if defs[k - 1].keys != gamma_term(pair, k).keys]
+             if not np.array_equal(defs[k - 1].root_rows, gamma_term(pair, k).root_rows)]
     return conclude("mixed_series_oracle", True, not diffs,
                     {"k_max": k_max,
                      "orders": [t.order for t in defs],
@@ -212,7 +195,7 @@ def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
     if base:
         Hgrp = commutator_group_of_pair(pair)
         lcsH = lower_central_series(Hgrp)
-        Zkeys = center(Hgrp).keys
+        Z = center(Hgrp)
         s = mixed_lower_central_series(pair)
         k_hi = max(s.stabilized_at + 1, lcsH.stabilized_at + 2, G.p, 2)
         for k in range(2, k_hi + 1):
@@ -222,7 +205,7 @@ def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
                 any_hyp = True
                 left = omega_conv(lcsH.term(k - 1))
                 mid = omega_conv(gamma_term(pair, k))
-                ok = left.keys <= mid.keys and mid.keys <= Zkeys
+                ok = bool(_inside(mid, left).all() and _inside(Z, mid).all())
                 row.update(lower_omega=left.order, mid_omega=mid.order,
                            ok=ok)
                 all_ok &= ok
@@ -245,7 +228,7 @@ def check_xu_regularity(G: GroupTable) -> Verdict:
         p = G.p
         term = lower_central_series(G).term(max(p - 1, 1))
         om = omega_conv(term)
-        hyp = om.keys <= center(G).keys
+        hyp = bool(_inside(center(G), om).all())
         witnesses["omega_of_term_order"] = om.order
         witnesses["central"] = hyp
     if not hyp:
@@ -372,8 +355,8 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
         for i, omL in enumerate(omega_series(L), 1):
             qpair = induced_quotient_action(rpair, omL)
             central_above = is_p_central_action(qpair)
-            steps_down = all(L.elements[w].key in prev.keys for w in _mixed_commutators(
-                L, L._rows(omL.generators), rpair.A_generators).tolist())
+            steps_down = bool(_inside(prev, L)[_mixed_commutators(
+                L, _rows_in(L, omL, omL._gens), rpair.A_generators)].all())
             detail.append({"k": k, "i": i, "omega_order": omL.order,
                            "quotient_action_small_trivial": central_above,
                            "commutators_drop_a_level": steps_down})
@@ -498,7 +481,7 @@ def check_derived_omega_identity(G: GroupTable) -> Verdict:
         X = Q.preimage(omega_subgroup(Q, k))
         left = commutator_subgroup(G, X, G)
         right = omega_subgroup(derived, k)
-        same = left.keys == right.keys
+        same = np.array_equal(left.root_rows, right.root_rows)
         per_k.append({"k": k, "commutator_order": left.order,
                       "omega_order": right.order, "equal": same})
         ok &= same

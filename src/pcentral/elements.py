@@ -15,17 +15,19 @@ and the identity test read the body in place; `FpMatrix.arr` decodes it on
 demand, and `Permutation.images` is a read-only view of it.  Arithmetic is
 exact.
 
-Group tables also multiply in batches over key bodies, the bytes after the
-header: `_key_bodies` stacks them one row per element, and each backend's
-`_pair_products` multiplies paired rows at once.  Keys that share a header
-sort like their bodies, so a table's rows are in its order.
+Group tables hold key bodies, the bytes after the header, a row per element
+(`_stack` and `_key_bodies`), make an element object from its row only when
+it is read (`_like`), and multiply paired rows at once (`_pair_products`).
+Keys that share a header sort like their bodies, so a table's rows are in
+its order.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,9 +184,6 @@ class Element:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Element) and self.key == other.key
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __lt__(self, other: "Element") -> bool:
         return self.key < other.key
 
@@ -196,20 +195,25 @@ class Element:
 
 
 def _key_bodies(elements: Sequence[Element]) -> Optional[np.ndarray]:
-    """The key bodies of key-sorted elements as one read-only array, a row
-    each, in their backend's body dtype.  None unless the backend has batched
-    kernels and all the keys share a header (one matrix size and prime, or one
-    degree), which for sorted keys the first and last decide."""
-    first, last = elements[0], elements[-1]
-    if first._BODY is None or type(last) is not type(first):
+    """The key bodies of elements as one array, a row each, in their
+    backend's body dtype, copied in from joins of at most 4096 keys.  None
+    unless the backend has batched kernels and every key shares the first's
+    header and length with a body that is not empty."""
+    first = elements[0]
+    if first._BODY is None:
         return None
     head, dtype = first._BODY
-    if first.key[:head] != last.key[:head] or len(first.key) == head:
+    size, header = len(first.key), first.key[:head]
+    if size == head or set(map(type, elements)) != {type(first)}:
         return None
-    keys = np.frombuffer(b"".join([x.key for x in elements]), dtype=np.uint8)
-    bodies = np.ascontiguousarray(keys.reshape(len(elements), -1)[:, head:]).view(dtype)
-    bodies.setflags(write=False)
-    return bodies
+    bodies = np.empty((len(elements), size - head), dtype=np.uint8)
+    for start in range(0, len(elements), 4096):
+        keys = [x.key for x in elements[start:start + 4096]]
+        if set(map(len, keys)) != {size} or not all(map(bytes.startswith, keys, repeat(header))):
+            return None
+        joined = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), size)
+        bodies[start:start + len(keys)] = joined[:, head:]
+    return bodies.view(dtype)
 
 
 def _cycle_order(self) -> int:
@@ -253,8 +257,7 @@ class FpMatrix(Element):
         self.p = p
         self.n = n
         self.key = key
-        self._inv = None
-        self._ord = None
+        self._inv = self._ord = None
 
     @classmethod
     def _wrap(cls, p: int, n: int, key: bytes) -> "FpMatrix":
@@ -263,17 +266,16 @@ class FpMatrix(Element):
         return m
 
     @classmethod
-    def _stack(cls, p: int, arrays: np.ndarray) -> List["FpMatrix"]:
-        """Matrices from an (N, n, n) integer array, reduced mod p: their
-        keys are cut from one byte string."""
+    def _stack(cls, p: int, arrays: np.ndarray) -> np.ndarray:
+        """The key bodies of the matrices of an (N, n, n) integer array,
+        reduced mod p, as one array, a row each."""
         _require_prime(p)
         count, n = len(arrays), arrays.shape[1]
         _require_encodable(p, n)
-        keys = np.empty((count, 4 + n * n), dtype=np.uint8)
-        keys[:, :4] = np.frombuffer(_header(_TAG_MATRIX, p, n), dtype=np.uint8)
-        keys[:, 4:] = np.mod(arrays.reshape(count, -1), p)
-        blob, width = keys.tobytes(), keys.shape[1]
-        return [cls._wrap(p, n, blob[k:k + width]) for k in range(0, len(blob), width)]
+        return np.mod(arrays.reshape(count, n * n), p).astype(np.uint8)
+
+    def _like(self, key: bytes) -> "FpMatrix":
+        return FpMatrix._wrap(self.p, self.n, key)
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
@@ -372,8 +374,7 @@ class Permutation(Element):
 
     def _init(self, key: bytes) -> None:
         self.key = key
-        self._inv = None
-        self._ord = None
+        self._inv = self._ord = None
 
     @classmethod
     def _wrap(cls, key: bytes) -> "Permutation":
@@ -382,16 +383,14 @@ class Permutation(Element):
         return s
 
     @classmethod
-    def _stack(cls, images: np.ndarray) -> List["Permutation"]:
-        """Permutations from an (N, degree) integer array whose rows are
-        permutations: their keys are cut from one byte string."""
-        count, d = images.shape
-        _require_degree(d)
-        keys = np.empty((count, 3 + 2 * d), dtype=np.uint8)
-        keys[:, :3] = np.frombuffer(_header(_TAG_PERM, d), dtype=np.uint8)
-        keys[:, 3:] = images.astype(_IMAGE).view(np.uint8)
-        blob, width = keys.tobytes(), keys.shape[1]
-        return [cls._wrap(blob[k:k + width]) for k in range(0, len(blob), width)]
+    def _stack(cls, images: np.ndarray) -> np.ndarray:
+        """The key bodies of the permutations that are the rows of an
+        (N, degree) integer array, as one array of images."""
+        _require_degree(images.shape[1])
+        return images.astype(_IMAGE)
+
+    def _like(self, key: bytes) -> "Permutation":
+        return Permutation._wrap(key)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

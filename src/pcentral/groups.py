@@ -1,14 +1,15 @@
 """Fully enumerated finite groups and their basic machinery.
 
 Everything is desk scale: groups are grown coset by coset from their
-generators (`close`) and stored as sorted element tables (sorted by canonical
-byte key), so all downstream iteration is deterministic.  A subgroup is cut
-from its parent table by a membership mask (`_subgroup_at`): it holds the
-parent's element objects in the parent's order and their indices in its root
-table.  A quotient numbers its cosets by an id array over the cover's element
-indices, and its elements are cosets keyed by their canonically minimal
-representative; an automorphism is an index array over its domain's element
-table, so automorphism groups are group tables too.
+generators (`close`) and stored as tables of rows sorted by canonical key,
+so all downstream iteration is deterministic.  A table is its rows, and one
+lookup, `_find` among its sorted row codes, finds an element's row; element
+objects are made when first read.  A subgroup is cut from its parent table
+by a membership mask (`_subgroup_at`): it is its rows of its root table.  A
+quotient numbers its cosets by an id array over the cover's rows, and its
+elements are cosets keyed by their canonically minimal representative; an
+automorphism is an index array over its domain's rows, so automorphism
+groups are group tables too.
 
 Once a table exists, the group core works on element indices: one pairwise
 kernel, GroupTable._products, multiplies index arrays in batches on every
@@ -19,23 +20,17 @@ subgroups and Schreier trees as masks, layer by layer, through the columns.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
+from collections.abc import Sequence as _Sequence
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .elements import _TAG_AUT, Element, _key_bodies, _p_split, _require_prime
-from .errors import (
-    BackendMismatch,
-    CapExceeded,
-    NotAHomomorphism,
-    NotBijective,
-    NotInvariant,
-    NotNormal,
-    NotPGroup,
-)
+from .errors import (BackendMismatch, CapExceeded, NotAHomomorphism, NotBijective, NotInvariant,
+                     NotNormal, NotPGroup)
 
 __all__ = [
     "GroupTable",
@@ -64,93 +59,181 @@ DEFAULT_CLOSURE_CAP = 200_000
 # peak memory on the rank-6 sigma example and gained no time)
 _BLOCK_ROWS = 256
 
-_key = operator.attrgetter("key")
+
+class _Elements(_Sequence):
+    """A table's elements, read-only, each made by the root when first read."""
+
+    def __init__(self, table: "GroupTable"):
+        self._root = table.root
+        self._rows = table.root_rows if table.parent is not None else range(table.order)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._root._element, map(int, self._rows[i])))
+        return self._root._element(int(self._rows[i]))
 
 
 class GroupTable:
     """A finite group, fully enumerated, with a canonical element order.
 
-    The constructor makes a root table: it sorts and dedups its elements.  A
-    subgroup is cut from its `parent` by a mask (_subgroup_at): it holds the
-    parent's stored objects, takes the parent's prime, and keeps its `root`
-    (the table at the end of its chain of parents) and `root_rows`, its
-    elements' indices there; a root is its own root.  A table given no
-    generators takes every non-identity element as its generators.
+    The constructor makes a root table from element objects, which it keeps,
+    on their sorted distinct row codes (`_root`): the key bodies of matrices
+    or permutations (`_bodies`), the _image_codes of automorphisms of one
+    `_domain`, or else the keys.  A subgroup is cut from its `parent` by a
+    mask (_subgroup_at): it takes the parent's prime, and is `root_rows`, its
+    rows in its `root` (the table at the end of its chain of parents; a root
+    is its own).  Every table keeps its identity's row and its generators'
+    rows (`_gens`); given no generators, it takes every non-identity element.
     """
+
+    _bodies: Optional[np.ndarray] = None
+    _domain: Optional["GroupTable"] = None
+    _images: Optional[np.ndarray] = None  # an automorphism table's (_aut_images)
 
     def __init__(self, elements: Iterable[Element], generators: Sequence[Element] = (),
                  p: Optional[int] = None):
-        els = sorted(set(elements), key=_key)
+        els = list(elements)
         if not els:
             raise ValueError("a group needs at least the identity element")
         if p is not None:
             _require_prime(p)
-        self._hold(els, (generators[0] if generators else els[0]).identity_like(),
-                   generators, p)
-        self.parent: Optional[GroupTable] = None
-        self.root, self.root_rows = self, np.arange(self.order)
+        codes = _key_bodies(els)
+        if all(isinstance(x, Automorphism) and x.domain is els[0].domain for x in els):
+            self._domain = els[0].domain
+        self._root(self._codes_of(els) if codes is None else codes, els,
+                   (generators[0] if generators else els[0]).identity_like(), p, generators)
 
-    def _hold(self, elements: Sequence[Element], identity: Element,
-              generators: Sequence[Element], p: Optional[int]) -> None:
-        """Take the distinct key-sorted elements, and the stored copies of the
-        identity and the generators."""
-        self.elements: Tuple[Element, ...] = tuple(elements)
-        self._index: Dict[bytes, int] = {x.key: i for i, x in enumerate(self.elements)}
-        self.keys = self._index.keys()
-        if identity.key not in self._index:
-            raise ValueError("element table does not contain the identity")
-        self.identity: Element = self.canon(identity)
-        self.generators: Tuple[Element, ...] = (
-            tuple(map(self.canon, generators)) if generators
-            else tuple(x for x in self.elements if x is not self.identity))
-        self.p = p
-        self._cache: dict = {}
+    @classmethod
+    def _of_bodies(cls, bodies: np.ndarray, identity: Element, gen_rows: Sequence[int],
+                   p: Optional[int]) -> "GroupTable":
+        """The root table on key bodies of the identity's backend, generated
+        by the elements at gen_rows; it makes no element object."""
+        T = cls.__new__(cls)
+        T._gens = T._root(bodies, (), identity, p)[np.asarray(gen_rows, dtype=np.intp)]
+        return T
+
+    def _root(self, codes: np.ndarray, objects: Sequence[Element], identity: Element,
+              p: Optional[int], generators: Sequence[Element] = ()) -> np.ndarray:
+        """Become a root on the distinct `codes` in ascending (byte) order,
+        keeping objects[i], if given, as codes[i]'s row's object; the identity
+        and generators (else every other row) must have rows.  Returns each
+        code's row."""
+        rank = np.argsort(codes if codes.ndim == 1 else _opaque_rows(codes), kind="stable")
+        codes = codes[rank]
+        first, differ = np.ones(len(codes), dtype=bool), codes[1:] != codes[:-1]
+        first[1:] = differ.any(axis=1) if differ.ndim == 2 else differ
+        self._codes = codes[first]
+        self._codes.setflags(write=False)
+        self._made = dict(enumerate(map(objects.__getitem__, rank[first].tolist()))
+                          if objects else ())
+        if self._codes.ndim == 2:
+            self._bodies, self._proto, self._header = (self._codes, identity,
+                                                       identity.key[:identity._BODY[0]])
+        self.parent, self.root, self.root_rows = None, self, np.arange(len(self._codes))
+        self.p, self._cache, self.elements = p, {}, _Elements(self)
+        try:
+            found = self._lookup([identity, *generators]).astype(np.intp)
+        except KeyError:
+            raise ValueError("element does not belong to this group" if identity in self
+                             else "element table does not contain the identity") from None
+        self._identity_row = int(found[0])
+        self._gens = found[1:] if generators else (self.root_rows != found[0]).nonzero()[0]
+        return (first.cumsum() - 1)[np.argsort(rank)]
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.root_rows)
+
+    @property
+    def identity(self) -> Element:
+        return self.elements[self._identity_row]
+
+    @property
+    def generators(self) -> Tuple[Element, ...]:
+        return tuple(map(self.elements.__getitem__, self._gens.tolist()))
+
+    @functools.cached_property
+    def keys(self) -> frozenset:
+        """The elements' keys as a set, for tests; the package reads rows."""
+        return frozenset(map(self._row_key, range(self.order)))
 
     def __contains__(self, x: Element) -> bool:
-        return isinstance(x, Element) and x.key in self._index
+        try:
+            return isinstance(x, Element) and self.index_of(x) >= 0
+        except KeyError:
+            return False
 
     def __iter__(self):
         return iter(self.elements)
 
+    def _element(self, row: int) -> Element:
+        """A root's object at a row, made on first use and kept."""
+        x = self._made.get(row)
+        if x is None:
+            x = self._made[row] = self._make(row)
+        return x
+
+    def _make(self, row: int) -> Element:
+        if self._domain is not None:
+            return Automorphism(self._domain, self._aut_images()[row])
+        return self._proto._like(self._row_key(row))
+
+    def _row_key(self, row: int) -> bytes:
+        """The key at a row, made without an object where it holds a body."""
+        if self.parent is not None:
+            return self.root._row_key(self.root_rows[row])
+        if self._bodies is not None:
+            return self._header + self._bodies[row].tobytes()
+        return self._element(row).key
+
+    def _codes_of(self, xs: List[Element]) -> np.ndarray:
+        """The row codes of xs in this root; KeyError if one can have none."""
+        if self._bodies is not None:
+            bodies = _key_bodies(xs)
+            if bodies is None or not xs[0].key.startswith(self._header):
+                raise KeyError("element of another backend, size or prime")
+            return bodies
+        if self._domain is not None:
+            dom, gens = self._domain, self._domain._gens
+            if not all(isinstance(x, Automorphism) and x.domain is dom for x in xs):
+                raise KeyError("not an automorphism of this table's domain")
+            return _image_codes(dom, np.array([x.images[gens] for x in xs],
+                                              dtype=np.intp).reshape(len(xs), len(gens)))
+        return np.array([x.key for x in xs], dtype=object)
+
+    def _lookup(self, xs: List[Element]) -> np.ndarray:
+        """The rows of xs as C ints, by _find among the sorted row codes (a
+        subgroup's are its root rows); KeyError for one outside the table."""
+        if not xs:
+            return np.empty(0, dtype=np.intc)
+        if self.parent is not None:
+            return _find(self.root_rows, self.root._lookup(xs))
+        return _find(self._codes, self._codes_of(xs))
+
+    def index_of(self, x: Element) -> int:  # KeyError for x outside the table
+        return int(self._lookup([x])[0])
+
     def canon(self, x: Element) -> Element:
         """The stored copy of x (so per-element caches accumulate in one place)."""
-        i = self._index.get(x.key)
-        if i is None:
-            raise ValueError("element does not belong to this group")
-        return self.elements[i]
-
-    def index_of(self, x: Element) -> int:
-        return self._index[x.key]
+        return self.elements[self._rows([x])[0]]
 
     def _rows(self, xs: Iterable[Element]) -> np.ndarray:
         """The indices of the elements xs; ValueError for one outside the table."""
-        index = self._index
         try:
-            return np.array([index[x.key] for x in xs], dtype=np.intp)
+            return self._lookup(list(xs)).astype(np.intp)
         except KeyError:
             raise ValueError("element does not belong to this group") from None
-
-    def _generator_rows(self) -> np.ndarray:
-        """The indices of the generators, kept."""
-        if "generator_rows" not in self._cache:
-            self._cache["generator_rows"] = self._rows(self.generators)
-        return self._cache["generator_rows"]
 
     def mul(self, x: Element, y: Element) -> Element:
         return self.canon(x * y)
 
     def _key_bodies(self) -> Optional[np.ndarray]:
-        """The elements' key bodies, a row each (elements._key_bodies), kept
-        after the first call; None for cosets and automorphisms."""
-        if "key_bodies" not in self._cache:
-            self._cache["key_bodies"] = _key_bodies(self.elements)
-        return self._cache["key_bodies"]
+        return self._bodies
 
     def _right_column(self, j: int) -> np.ndarray:
         """[index(x * e_j) for x in elements] as C ints, one _products call,
@@ -168,12 +251,12 @@ class GroupTable:
 
         A matrix or permutation root multiplies the paired key bodies in
         blocks of a bounded number of entries (one float32 matmul mod p, or
-        one gather per row) and finds the products with _rows_of.  A
+        one gather per row) and finds the products among its bodies.  A
         subgroup multiplies in its root and maps back through its sorted
         root_rows.  A quotient multiplies the representatives in its
         cover (QuotientGroup._products).  An automorphism table gathers its
         stacked images and finds the products' generator images among its
-        own, which sort like its keys.
+        codes.  Any other table multiplies its objects a pair at a time.
         """
         xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
         if self.parent is not None:
@@ -181,37 +264,30 @@ class GroupTable:
             return _find(at, self.root._products(at[xs], at[ys]))
         if not len(xs):
             return np.empty(0, dtype=np.intc)
-        bodies, x = self._key_bodies(), self.elements[0]
+        bodies = self._bodies
         if bodies is not None:
             step = max(_BLOCK_ROWS, (1 << 16) // bodies.shape[1])
             return np.concatenate([
-                self._rows_of(x._pair_products(bodies[xs[start:start + step]],
-                                               bodies[ys[start:start + step]]))
+                _find(bodies, self._proto._pair_products(bodies[xs[start:start + step]],
+                                                         bodies[ys[start:start + step]]))
                 for start in range(0, len(xs), step)])
-        if isinstance(x, Automorphism):
-            images, codes = self._aut_images()
-            gen_idx = x.domain._generator_rows()
-            return _find(codes, _image_codes(x.domain, images[xs[:, None],
-                                                               images[ys[:, None], gen_idx]]))
-        index, els = self._index, self.elements
-        return np.array([index[(els[i] * els[j]).key] for i, j in zip(xs.tolist(), ys.tolist())],
-                        dtype=np.intc)
+        if self._domain is not None:
+            images, gen_idx = self._aut_images(), self._domain._gens
+            return _find(self._codes, _image_codes(self._domain, images[xs[:, None],
+                                                                       images[ys[:, None], gen_idx]]))
+        els = self.elements
+        return self._lookup([els[i] * els[j] for i, j in zip(xs.tolist(), ys.tolist())])
 
-    def _aut_images(self) -> Tuple[np.ndarray, np.ndarray]:
-        """An automorphism table's images stacked a row each, and the
-        _image_codes of its rows' images of the domain's generators, which
-        ascend like the keys; kept."""
-        if "aut_images" not in self._cache:
-            images = np.stack([a.images for a in self.elements])
-            domain = self.elements[0].domain
-            self._cache["aut_images"] = images, _image_codes(
-                domain, images[:, domain._generator_rows()])
-        return self._cache["aut_images"]
-
-    def _rows_of(self, bodies: np.ndarray) -> np.ndarray:
-        """The table indices of the elements with these key bodies, as C ints;
-        KeyError if one is not in the table."""
-        return _find(self._key_bodies(), bodies)
+    def _aut_images(self) -> np.ndarray:
+        """An automorphism table's maps, stacked a row at a time on first use,
+        each automorphism's images re-pointed at its row: one copy is held."""
+        if self._images is None:
+            images = self._images = np.empty((self.order, self._domain.order), dtype=np.int32)
+            for row, a in self._made.items():
+                images[row] = a.images
+                a.images = images[row]
+                a.images.setflags(write=False)
+        return self._images
 
     def _powers(self, xs: np.ndarray, k) -> np.ndarray:
         """[index(elements[x] ** k) for x in xs], k one count or one per x, by
@@ -219,7 +295,7 @@ class GroupTable:
         per bit of the largest k."""
         k = np.array(np.broadcast_to(k, np.shape(xs)), dtype=np.int64)
         base = np.array(xs, dtype=np.intp)
-        out = np.full(len(base), self.index_of(self.identity), dtype=np.intp)
+        out = np.full(len(base), self._identity_row, dtype=np.intp)
         started = np.zeros(len(base), dtype=bool)
         while True:
             odd = (k & 1).astype(bool)
@@ -267,8 +343,7 @@ class GroupTable:
         orders = self._cache.setdefault("orders", np.zeros(self.order, dtype=np.int64))
         todo = (orders == 0).nonzero()[0] if rows is None else rows[orders[rows] == 0]
         if len(todo):
-            rule = (_cycle_orders if isinstance(self.elements[0], Automorphism)
-                    else _prime_power_orders)
+            rule = _cycle_orders if self._domain is not None else _prime_power_orders
             orders[todo] = rule(self, todo)
         return orders if rows is None else orders[rows]
 
@@ -309,15 +384,41 @@ class GroupTable:
             H = H.parent
         return H is G
 
-    @property
+    @functools.cached_property
     def trivial_subgroup(self) -> "GroupTable":
-        if "trivial" not in self._cache:
-            self._cache["trivial"] = _subgroup_at(
-                self, np.arange(self.order) == self.index_of(self.identity))
-        return self._cache["trivial"]
+        return _subgroup_at(self, np.arange(self.order) == self._identity_row)
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, p={self.p})"
+
+
+def _rows_in(G: GroupTable, H: GroupTable, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """G's rows of H's elements at `rows` (all when None), read off the root
+    rows when H and G share a root; ValueError for one outside G."""
+    if H.root is not G.root:
+        return G._rows(H.elements if rows is None else map(H.elements.__getitem__, rows))
+    try:
+        return _find(G.root_rows, H.root_rows if rows is None else H.root_rows[rows]).astype(np.intp)
+    except KeyError:
+        raise ValueError("element does not belong to this group") from None
+
+
+def _seeds(G: GroupTable, rows: np.ndarray) -> List[Element]:
+    """G's elements at the distinct non-identity rows: all that
+    subgroup_generated and normal_closure take from seeds."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[rows] = True
+    mask[G._identity_row] = False
+    return list(map(G.elements.__getitem__, mask.nonzero()[0].tolist()))
+
+
+def _inside(H: GroupTable, G: GroupTable) -> np.ndarray:
+    """Which of G's rows lie in H, a table cut from G's root, as a mask."""
+    if H.root is not G.root:
+        raise ValueError("the tables are not cut from one root")
+    mask = np.zeros(H.root.order, dtype=bool)
+    mask[H.root_rows] = True
+    return mask[G.root_rows]
 
 
 def _prime_power_orders(T: GroupTable, rows: np.ndarray) -> np.ndarray:
@@ -325,7 +426,7 @@ def _prime_power_orders(T: GroupTable, rows: np.ndarray) -> np.ndarray:
     r prime to m, the r-part of x's order is that of x^m, found by at most a
     r-th powers through _powers."""
     orders = np.ones(len(rows), dtype=np.int64)
-    e, rest, r = T.index_of(T.identity), T.order, 2
+    e, rest, r = T._identity_row, T.order, 2
     while rest > 1:
         if rest % r:
             r += 1
@@ -344,9 +445,9 @@ def _cycle_orders(A: GroupTable, rows: np.ndarray) -> np.ndarray:
     """The orders of the automorphisms at rows of the table A: the lcm of
     their cycle lengths through the domain's generators (Automorphism.order),
     followed for every row at once by gathers from the stacked images."""
-    images, _ = A._aut_images()
+    images = A._aut_images()
     orders = np.ones(len(rows), dtype=np.int64)
-    for s in A.elements[0].domain._generator_rows().tolist():
+    for s in A._domain._gens.tolist():
         length = np.ones(len(rows), dtype=np.int64)
         live, at = np.arange(len(rows)), images[rows, s]
         while len(live):
@@ -361,7 +462,7 @@ def _cycle_orders(A: GroupTable, rows: np.ndarray) -> np.ndarray:
 def _opaque_rows(rows: np.ndarray) -> np.ndarray:
     """Each row as one void value; void values compare like their bytes."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
 
 
 def _image_codes(domain: GroupTable, images: np.ndarray) -> np.ndarray:
@@ -379,11 +480,11 @@ def _find(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """The positions of the entries of `wanted` among `rows`, as C ints;
     KeyError if one is missing.  `rows` holds ascending values, or rows
     whose bytes ascend."""
-    pos = (np.searchsorted(rows, wanted) if rows.ndim == 1
-           else np.searchsorted(_opaque_rows(rows), _opaque_rows(wanted)))
+    pos = (rows.searchsorted(wanted) if rows.ndim == 1
+           else _opaque_rows(rows).searchsorted(_opaque_rows(wanted)))
     # compared as numbers (an equality test of void values is far slower);
     # an entry above every row is compared with the last, and differs
-    if not (rows[np.minimum(pos, len(rows) - 1)] == wanted).all():
+    if not (rows.take(pos, axis=0, mode="clip") == wanted).all():
         raise KeyError("a product lies outside the table")
     return pos.astype(np.intc)
 
@@ -437,13 +538,15 @@ def _grow(G: GroupTable, inside: np.ndarray, held: List[int],
 def _subgroup_at(G: GroupTable, inside: np.ndarray, gen_rows: Sequence[int] = ()) -> GroupTable:
     """The subgroup of G on the mask `inside`, generated by the elements at
     gen_rows, or by every non-identity element when there are none: the one
-    subgroup constructor.  It holds G's stored objects in G's order, so in
-    key order, at their rows of G's root."""
+    subgroup constructor.  It is its rows of G's root, in G's order, so in
+    key order, and its generators' and identity's rows among them."""
     rows = inside.nonzero()[0]
-    els = G.elements
     H = GroupTable.__new__(GroupTable)
-    H._hold([els[i] for i in rows.tolist()], G.identity, [els[j] for j in gen_rows], G.p)
     H.parent, H.root, H.root_rows = G, G.root, G.root_rows[rows]
+    H.p, H._cache, H.elements = G.p, {}, _Elements(H)
+    H._identity_row = int(np.searchsorted(rows, G._identity_row))
+    H._gens = (np.searchsorted(rows, gen_rows) if len(gen_rows)
+               else (rows != G._identity_row).nonzero()[0])
     return H
 
 
@@ -456,14 +559,14 @@ def subgroup_generated(G: GroupTable, seeds: Iterable[Element],
     """
     seeds = G._rows(seeds)
     inside = np.zeros(G.order, dtype=bool)
-    held = G._rows(H.generators).tolist() if H is not None else []
-    inside[G._rows(H.elements) if H is not None else G.index_of(G.identity)] = True
+    held = _rows_in(G, H, H._gens).tolist() if H is not None else []
+    inside[_rows_in(G, H) if H is not None else G._identity_row] = True
     return _subgroup_at(G, inside, _grow(G, inside, held, seeds))
 
 
 def is_normal(G: GroupTable, H: GroupTable) -> bool:
-    conj = G._conjugates(G._rows(H.generators), G._generator_rows())
-    return all(G.elements[c].key in H.keys for c in conj.tolist())
+    conj = G._conjugates(_rows_in(G, H, H._gens), G._gens)
+    return bool(_inside(H, G)[conj].all())
 
 
 def normal_closure(G: GroupTable, seeds: Iterable[Element],
@@ -477,11 +580,11 @@ def normal_closure(G: GroupTable, seeds: Iterable[Element],
     seeds = G._rows(seeds)
     if any(a.domain is not G for a in maps):
         raise ValueError("acting automorphism is not defined on the given group")
-    inside = np.arange(G.order) == G.index_of(G.identity)
+    inside = np.arange(G.order) == G._identity_row
     gens, done = _grow(G, inside, [], seeds), None
     while gens != done:  # _grow keeps no seed that lies inside
         done, hs = gens, np.array(gens, dtype=np.intp)
-        gens = _grow(G, inside, gens, np.concatenate([G._conjugates(hs, G._generator_rows()),
+        gens = _grow(G, inside, gens, np.concatenate([G._conjugates(hs, G._gens),
                                                        *(a.images[hs] for a in maps)]))
     return _subgroup_at(G, inside, gens)
 
@@ -493,9 +596,9 @@ def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTab
     Computational Group Theory*, 2005).  When X and Y are both normal every
     generator of [X, Y] lies in X ∩ Y, and that is asserted.
     """
-    seeds = G._commutators(G._rows(X.generators), G._rows(Y.generators))
-    H = normal_closure(G, [G.elements[c] for c in seeds.tolist()])
-    if (any(h.key not in X.keys or h.key not in Y.keys for h in H.generators)
+    seeds = G._commutators(_rows_in(G, X, X._gens), _rows_in(G, Y, Y._gens))
+    H = normal_closure(G, _seeds(G, seeds))
+    if (not (_inside(X, H)[H._gens].all() and _inside(Y, H)[H._gens].all())
             and is_normal(G, X) and is_normal(G, Y)):
         raise AssertionError("[X, Y] left X ∩ Y for normal X, Y")
     return H
@@ -529,41 +632,16 @@ class Automorphism(Element):
     __slots__ = ("domain", "images")
 
     def __init__(self, domain: GroupTable, images: Sequence[int]):
-        images = np.asarray(images, dtype=np.int32)
-        els = domain.elements
-        self._init(domain, images, bytes((_TAG_AUT,)) + b"".join(
-            els[i].key for i in images[domain._generator_rows()].tolist()))
-
-    def _init(self, domain: GroupTable, images: np.ndarray, key: bytes) -> None:
-        self.domain = domain
-        self.images = images
+        self.domain, self.images = domain, np.asarray(images, dtype=np.int32)
         self.images.setflags(write=False)
-        self.key = key
-        self._inv = None
-        self._ord = None
-
-    @classmethod
-    def _stack(cls, domain: GroupTable, maps: np.ndarray) -> List["Automorphism"]:
-        """The automorphisms whose images are the rows of the int32 array
-        `maps`, their keys cut from gathers of the domain's key bytes at the
-        generators' image columns, a block of rows at a time.  Each holds a
-        view of `maps`."""
-        keys = np.frombuffer(b"".join(domain.keys), dtype=np.uint8).reshape(domain.order, -1)
-        columns, tag = maps[:, domain._generator_rows()], bytes((_TAG_AUT,))
-        width = columns.shape[1] * keys.shape[1]
-        auts = []
-        for start in range(0, len(maps), _BLOCK_ROWS):
-            blob = keys[columns[start:start + _BLOCK_ROWS]].tobytes()
-            for k, row in enumerate(maps[start:start + _BLOCK_ROWS]):
-                a = cls.__new__(cls)
-                a._init(domain, row, tag + blob[k * width:(k + 1) * width])
-                auts.append(a)
-        return auts
+        self.key = bytes((_TAG_AUT,)) + b"".join(
+            map(domain._row_key, self.images[domain._gens].tolist()))
+        self._inv = self._ord = None
 
     def __call__(self, x: Element) -> Element:
         dom = self.domain
         try:
-            i = dom._index[x.key]
+            i = dom.index_of(x)
         except KeyError:
             raise ValueError("element does not belong to the automorphism's domain") from None
         return dom.elements[self.images[i]]
@@ -593,7 +671,7 @@ class Automorphism(Element):
         if k is None:
             image = self.images.item
             k = 1
-            for start in self.domain._generator_rows().tolist():
+            for start in self.domain._gens.tolist():
                 i, length = image(start), 1
                 while i != start:
                     i, length = image(i), length + 1
@@ -692,7 +770,7 @@ def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
     for start in range(0, len(xs), step):
         part = slice(start, start + step)
         hom &= (table[offsets[:, js[part]] + F[:, xs[part]]] == F[:, ys[part]]).all(axis=1)
-    return hom, (F[:, new] != G.index_of(G.identity)).all(axis=1)
+    return hom, (F[:, new] != G._identity_row).all(axis=1)
 
 
 def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
@@ -701,13 +779,13 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
     well-definedness (every edge consistent) and bijectivity."""
     if len(gens) != len(images):
         raise ValueError(f"{len(gens)} generators but {len(images)} images")
-    gen_idx = [G.index_of(G.canon(g)) for g in gens]
-    row = np.array([[G.index_of(G.canon(m)) for m in images]], dtype=np.int32)
-    F = np.full((1, G.order), G.index_of(G.identity), dtype=np.int32)
+    gen_idx = G._rows(gens).tolist()
+    row = G._rows(images).astype(np.int32)[None]
+    F = np.full((1, G.order), G._identity_row, dtype=np.int32)
     hom = injective = np.ones(1, dtype=bool)
     size = 1  # <> is the trivial group
     if gens:  # one level, with every generator, grown from the identity
-        inside = np.arange(G.order) == G.index_of(G.identity)
+        inside = np.arange(G.order) == G._identity_row
         (level,) = _schreier_levels(G._right_column, inside, [gen_idx], [])
         (hom, injective), size = _extend_block(G, F, row, _level_edges(level)), level[-1]
     if not hom[0]:
@@ -730,17 +808,19 @@ def conjugation_aut(G: GroupTable, g: Element) -> Automorphism:
 def restrict_automorphism(a: Automorphism, H: GroupTable) -> Automorphism:
     """Restrict a to an A-invariant subgroup H, as an automorphism of H;
     invariance is checked on H's generators."""
-    if any(a(h).key not in H.keys for h in H.generators):
+    G = a.domain
+    rows = _rows_in(G, H)
+    if not _inside(H, G)[a.images[rows[H._gens]]].all():
         raise NotInvariant("subgroup is not invariant under the automorphism")
-    return Automorphism(H, [H.index_of(a(h)) for h in H.elements])
+    return Automorphism(H, _find(H.root_rows, G.root_rows[a.images[rows]]))
 
 
 def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:
     """Greedy generating sequence: highest order first, ties by canonical key."""
-    candidates = [G.elements[i] for i in np.argsort(-G._orders(), kind="stable").tolist()]
+    ranked = np.argsort(-G._orders(), kind="stable")
     H = subgroup_generated(G, ())
     while H.order < G.order:
-        H = subgroup_generated(G, [next(x for x in candidates if x.key not in H.keys)], H)
+        H = subgroup_generated(G, [G.elements[ranked[~_inside(H, G)[ranked]][0]]], H)
     return H.generators
 
 
@@ -756,8 +836,7 @@ class Coset(Element):
         self.rep = rep
         self.quotient = quotient
         self.key = rep.key
-        self._inv = None
-        self._ord = None
+        self._inv = self._ord = None
 
     def __mul__(self, other: Element) -> "Coset":
         if not isinstance(other, Coset) or other.quotient is not self.quotient:
@@ -782,7 +861,8 @@ class QuotientGroup(GroupTable):
     in this table of the coset of cover.elements[i].
 
     Each coset's representative and key is its least member in key order,
-    so coset ids follow the table's sorted order.  Every element is labelled
+    so coset ids follow the table's sorted order, and the row codes are the
+    representatives' rows in the cover.  Every element is labelled
     with its least known coset mate: round t takes the least label over the
     right columns x -> x*n and x -> x*n^(2^t) of a generating set of N, then
     follows labels to their own labels, until no label moves (min-label
@@ -793,9 +873,9 @@ class QuotientGroup(GroupTable):
     def __init__(self, cover: GroupTable, N: GroupTable):
         self.cover = cover
         self.normal_subgroup = N
-        inside = np.arange(cover.order) == cover.index_of(cover.identity)
+        inside = np.arange(cover.order) == cover._identity_row
         columns = [cover._right_column(j)
-                   for j in _grow(cover, inside, [], cover._rows(N.generators))]
+                   for j in _grow(cover, inside, [], _rows_in(cover, N, N._gens))]
         jumps, label = columns, np.arange(cover.order)
         while True:
             least = np.minimum.reduce([label, *(label[c] for c in columns + jumps)])
@@ -805,16 +885,20 @@ class QuotientGroup(GroupTable):
             label, jumps = least, [c[c] for c in jumps]
         first = label == np.arange(cover.order)
         self.coset_id = (first.cumsum() - 1)[label]
-        self._reps = first.nonzero()[0]
-        cosets = [Coset(cover.elements[i], self) for i in self._reps.tolist()]
-        # GroupTable.__init__ finds the identity through Coset.identity_like
-        self.identity = cosets[self.coset_id[cover.index_of(cover.identity)]]
-        super().__init__(cosets, [cosets[i] for i in self.coset_id[cover._generator_rows()]],
-                         p=cover.p)
+        reps = first.nonzero()[0]
+        self._root(reps, (), cover.elements[reps[self.coset_id[cover._identity_row]]],
+                   cover.p, [cover.elements[reps[i]] for i in self.coset_id[cover._gens]])
+
+    def _codes_of(self, xs: List[Element]) -> np.ndarray:
+        """The cover rows of cosets' representatives, and of cover elements."""
+        return self.cover._lookup([x.rep if isinstance(x, Coset) else x for x in xs])
+
+    def _make(self, row: int) -> Coset:
+        return Coset(self.cover.elements[self._codes[row]], self)
 
     def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The cosets of the products of the representatives, in the cover."""
-        reps = self._reps
+        reps = self._codes
         return self.coset_id[self.cover._products(reps[xs], reps[ys])]
 
     def project(self, x: Element) -> Coset:
@@ -826,7 +910,7 @@ class QuotientGroup(GroupTable):
         if not S.lies_in(self):
             raise ValueError("subgroup does not live in this quotient")
         ids = np.zeros(self.order, dtype=bool)
-        ids[self._rows(S.elements)] = True
+        ids[_rows_in(self, S)] = True
         return _subgroup_at(self.cover, ids[self.coset_id])
 
     def __repr__(self) -> str:

@@ -13,13 +13,8 @@ import numpy as np
 
 from .elements import _require_prime
 from .errors import NotPGroup, OddPrimeRequired
-from .groups import (
-    GroupTable,
-    center,
-    commutator_subgroup,
-    quotient,
-    subgroup_generated,
-)
+from .groups import (GroupTable, _inside, _seeds, center, commutator_subgroup, quotient,
+                     subgroup_generated)
 from .verdict import Verdict, conclude
 
 __all__ = [
@@ -101,7 +96,7 @@ def omega_set(G: GroupTable, i: int) -> Tuple:
     """All elements of order dividing p^i (as a sorted tuple, not a subgroup)."""
     p = G.require_p_group()
     bound = p ** i
-    return tuple(x for x, k in zip(G.elements, G._orders().tolist()) if bound % k == 0)
+    return tuple(map(G.elements.__getitem__, (bound % G._orders() == 0).nonzero()[0].tolist()))
 
 
 def omega_subgroup(G: GroupTable, i: int) -> GroupTable:
@@ -134,7 +129,7 @@ def agemo(G: GroupTable, n: int) -> GroupTable:
     key = ("agemo", n)
     if key not in G._cache:
         powers = G._powers(np.arange(G.order), p ** n)
-        G._cache[key] = subgroup_generated(G, [G.elements[i] for i in powers.tolist()])
+        G._cache[key] = subgroup_generated(G, _seeds(G, powers))
     return G._cache[key]
 
 
@@ -157,9 +152,7 @@ def xu_inequality(G: GroupTable, n: int) -> Verdict:
 
 def small_elements_lie_in(X: GroupTable, Z: GroupTable, p: int) -> bool:
     """Does every element of X of order dividing p (4 if p = 2) lie in Z?"""
-    bound = central_order_bound(p)
-    return all(x.key in Z.keys for x, k in zip(X.elements, X._orders().tolist())
-               if bound % k == 0)
+    return bool(_inside(Z, X)[central_order_bound(p) % X._orders() == 0].all())
 
 
 def is_p_central_of_height(G: GroupTable, k: int, p: Optional[int] = None) -> bool:

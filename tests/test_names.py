@@ -5,6 +5,8 @@ No module of the package imports a name it does not use, and every private
 module-level function or class is used somewhere outside its definition.
 No table writes an element's cached order or inverse: only an element's own
 methods assign ``_ord`` and ``_inv``, and only on ``self``.
+No module names a per-element key dict (`_index`, `_hold`) or reads a
+table's `keys`: tables find elements by their rows.
 The package calls none of numpy's sorting set routines (``np.unique`` and
 the ``*1d`` set operations built on it): on numpy 2.4.6 the first such call
 imports ``numpy.ma``, which costs about 18 ms and 1 MB of peak memory in
@@ -191,3 +193,26 @@ def test_element_caches_are_written_only_by_their_element(path):
     writes = [(attr.attr, line) for attr, line in _assigned_attributes(ast.parse(path.read_text()))
               if attr.attr in ELEMENT_CACHES and getattr(attr.value, "id", None) != "self"]
     assert not writes, f"{path.name} writes element caches of other objects {writes}"
+
+
+PER_ELEMENT_NAMES = ("_index", "_hold")
+
+
+def _reads_of_keys(tree):
+    """Lines that read an attribute `keys` other than to call it."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "keys"
+            and isinstance(node.ctx, ast.Load) and id(node) not in called]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_tables_keep_no_per_element_lookup(path):
+    tree = ast.parse(path.read_text())
+    named = [(name, line) for name, line in _uses(tree) if name in PER_ELEMENT_NAMES]
+    named += [(node.name, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name in PER_ELEMENT_NAMES]
+    assert not named, f"{path.name} names a per-element key lookup {named}"
+    reads = _reads_of_keys(tree)
+    assert not reads, f"{path.name} reads a table's keys at lines {reads}"

@@ -8,20 +8,56 @@ corpus runner that checks structural statements with explicit hypothesis and
 conclusion verdicts.
 """
 
-from .actions import (ActionPair, aut_as_perm_group, commutator_group_of_pair, gamma_term,
-                      induced_quotient_action, inner_action, is_p_central_action, mixed_commutator,
-                      mixed_lower_central_series, mixed_series_definitional, restrict_action,
-                      trivial_action)
+from .actions import (
+    ActionPair,
+    aut_as_perm_group,
+    commutator_group_of_pair,
+    gamma_term,
+    induced_quotient_action,
+    inner_action,
+    is_p_central_action,
+    mixed_commutator,
+    mixed_lower_central_series,
+    mixed_series_definitional,
+    restrict_action,
+    trivial_action,
+)
 from .autsearch import brute_force_aut, sylow_p_subgroup
 from .catalog import build_action, build_group, parse_family, paper_sigma_pair
-from .corpus import ExperimentConfig, default_config, replay_bundle, run_corpus
+from .corpus import (
+    ExperimentConfig,
+    default_config,
+    replay_bundle,
+    run_corpus,
+)
 from .elements import Element, FpMatrix, Permutation
-from .errors import BudgetExceeded, CapExceeded, ConfigError, NotPGroup, PcentralError
-from .groups import (Automorphism, GroupTable, automorphism_from_images, center, close,
-                     commutator_subgroup, quotient)
-from .series import (agemo, central_order_bound, is_omega_regular, is_p_central_of_height,
-                     lower_central_series, nilpotency_class, omega_set, omega_subgroup,
-                     upper_central_series)
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    ConfigError,
+    NotPGroup,
+    PcentralError,
+)
+from .groups import (
+    Automorphism,
+    GroupTable,
+    automorphism_from_images,
+    center,
+    close,
+    commutator_subgroup,
+    quotient,
+)
+from .series import (
+    agemo,
+    central_order_bound,
+    is_omega_regular,
+    is_p_central_of_height,
+    lower_central_series,
+    nilpotency_class,
+    omega_set,
+    omega_subgroup,
+    upper_central_series,
+)
 from .verdict import Verdict
 
 __version__ = "0.1.0"

@@ -22,9 +22,20 @@ import numpy as np
 
 from .elements import Element
 from .errors import BudgetExceeded, CapExceeded, NotInvariant, NotPGroup
-from .groups import (Automorphism, GroupTable, _inside, _rows_in, _seeds, close, conjugation_aut,
-                     identity_automorphism, normal_closure, quotient, restrict_automorphism,
-                     subgroup_generated)
+from .groups import (
+    Automorphism,
+    GroupTable,
+    _inside,
+    _rows_in,
+    _seeds,
+    close,
+    conjugation_aut,
+    identity_automorphism,
+    normal_closure,
+    quotient,
+    restrict_automorphism,
+    subgroup_generated,
+)
 from .series import SeriesRecord, central_order_bound, omega_subgroup
 from .verdict import Verdict, conclude
 
@@ -117,7 +128,7 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
         G, A = pair.G, pair.A_generators
 
         def step(T: GroupTable) -> GroupTable:
-            seeds = _mixed_commutators(G, _rows_in(G, T, T._gens), A)
+            seeds = _mixed_commutators(G, G._rows(T.generators), A)
             return normal_closure(G, _seeds(G, seeds), A)
         pair._cache["mixed_series"] = SeriesRecord.until_stable(G, step)
     return pair._cache["mixed_series"]
@@ -220,7 +231,7 @@ def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
     map ids[x] -> ids[a(x)], with ids = Q.coset_id, is one scatter, and one
     gather asserts that it is well defined."""
     G = pair.G
-    inside, gens = _inside(N, G), _rows_in(G, N, N._gens)
+    inside, gens = _inside(N, G), G._rows(N.generators)
     if not all(inside[a.images[gens]].all() for a in pair.A_generators):
         raise NotInvariant("kernel subgroup is not invariant under the action")
     Q = quotient(G, N)

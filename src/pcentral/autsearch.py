@@ -17,8 +17,18 @@ import numpy as np
 
 from .elements import Element, _p_split, _require_prime
 from .errors import BudgetExceeded
-from .groups import (_BLOCK_ROWS, GroupTable, _extend_block, _image_codes, _inside, _level_edges,
-                     _subgroup_at, _schreier_levels, identity_automorphism, subgroup_generated)
+from .groups import (
+    _BLOCK_ROWS,
+    GroupTable,
+    _extend_block,
+    _image_codes,
+    _inside,
+    _level_edges,
+    _subgroup_at,
+    _schreier_levels,
+    identity_automorphism,
+    subgroup_generated,
+)
 
 __all__ = ["AutGroupResult", "brute_force_aut", "sylow_p_subgroup", "normalizer"]
 

@@ -18,12 +18,28 @@ from typing import List, Optional
 
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import build_group
-from .corpus import (DEFAULT_CAPS, EXIT_BUDGET, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
-                     Entry, ExperimentConfig, default_config, replay_bundle, run_corpus, run_entry)
+from .corpus import (
+    DEFAULT_CAPS,
+    EXIT_BUDGET,
+    EXIT_CONFIG,
+    EXIT_COUNTEREXAMPLE,
+    EXIT_INTERNAL,
+    Entry,
+    ExperimentConfig,
+    default_config,
+    replay_bundle,
+    run_corpus,
+    run_entry,
+)
 from .elements import _is_prime
 from .errors import BudgetExceeded, CapExceeded, ConfigError, PcentralError
-from .series import (agemo, lower_central_series, nilpotency_class, omega_subgroup,
-                     upper_central_series)
+from .series import (
+    agemo,
+    lower_central_series,
+    nilpotency_class,
+    omega_subgroup,
+    upper_central_series,
+)
 from .groups import center
 from .verdict import FAIL
 

@@ -184,6 +184,9 @@ class Element:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Element) and self.key == other.key
 
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
     def __lt__(self, other: "Element") -> bool:
         return self.key < other.key
 
@@ -257,7 +260,8 @@ class FpMatrix(Element):
         self.p = p
         self.n = n
         self.key = key
-        self._inv = self._ord = None
+        self._inv = None
+        self._ord = None
 
     @classmethod
     def _wrap(cls, p: int, n: int, key: bytes) -> "FpMatrix":
@@ -374,7 +378,8 @@ class Permutation(Element):
 
     def _init(self, key: bytes) -> None:
         self.key = key
-        self._inv = self._ord = None
+        self._inv = None
+        self._ord = None
 
     @classmethod
     def _wrap(cls, key: bytes) -> "Permutation":

@@ -29,8 +29,15 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .elements import _TAG_AUT, Element, _key_bodies, _p_split, _require_prime
-from .errors import (BackendMismatch, CapExceeded, NotAHomomorphism, NotBijective, NotInvariant,
-                     NotNormal, NotPGroup)
+from .errors import (
+    BackendMismatch,
+    CapExceeded,
+    NotAHomomorphism,
+    NotBijective,
+    NotInvariant,
+    NotNormal,
+    NotPGroup,
+)
 
 __all__ = [
     "GroupTable",
@@ -393,11 +400,11 @@ class GroupTable:
 
 
 def _rows_in(G: GroupTable, H: GroupTable, rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """G's rows of H's elements at `rows` (all when None), read off the root
-    rows when H and G share a root; ValueError for one outside G."""
-    if H.root is not G.root:
-        return G._rows(H.elements if rows is None else map(H.elements.__getitem__, rows))
+    """G's rows of H's elements at `rows` (all when None), read off their
+    root rows; ValueError for one outside G or a table of another root."""
     try:
+        if H.root is not G.root:
+            raise KeyError("the tables are not cut from one root")
         return _find(G.root_rows, H.root_rows if rows is None else H.root_rows[rows]).astype(np.intp)
     except KeyError:
         raise ValueError("element does not belong to this group") from None
@@ -836,7 +843,8 @@ class Coset(Element):
         self.rep = rep
         self.quotient = quotient
         self.key = rep.key
-        self._inv = self._ord = None
+        self._inv = None
+        self._ord = None
 
     def __mul__(self, other: Element) -> "Coset":
         if not isinstance(other, Coset) or other.quotient is not self.quotient:

@@ -13,8 +13,15 @@ import numpy as np
 
 from .elements import _require_prime
 from .errors import NotPGroup, OddPrimeRequired
-from .groups import (GroupTable, _inside, _seeds, center, commutator_subgroup, quotient,
-                     subgroup_generated)
+from .groups import (
+    GroupTable,
+    _inside,
+    _seeds,
+    center,
+    commutator_subgroup,
+    quotient,
+    subgroup_generated,
+)
 from .verdict import Verdict, conclude
 
 __all__ = [

@@ -128,8 +128,7 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
                    identity_automorphism(G), None)
     if A.order != len(maps):
         raise AssertionError("automorphism search produced duplicate maps")
-    A._images = np.empty_like(maps)
-    A._images[rows] = maps
+    A._images = maps[np.argsort(rows)]
     A._images.setflags(write=False)
     chosen, _ = _greedy_levels(A._right_column, np.arange(A.order) == A._identity_row,
                                A._orders())

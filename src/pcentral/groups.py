@@ -108,7 +108,8 @@ class GroupTable:
         if p is not None:
             _require_prime(p)
         codes = _key_bodies(els)
-        if all(isinstance(x, Automorphism) and x.domain is els[0].domain for x in els):
+        if codes is None and all(isinstance(x, Automorphism) and x.domain is els[0].domain
+                                 for x in els):
             self._domain = els[0].domain
         self._root(self._codes_of(els) if codes is None else codes, els,
                    (generators[0] if generators else els[0]).identity_like(), p, generators)

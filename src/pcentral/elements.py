@@ -276,7 +276,7 @@ class FpMatrix(Element):
         _require_prime(p)
         count, n = len(arrays), arrays.shape[1]
         _require_encodable(p, n)
-        return np.mod(arrays.reshape(count, n * n), p).astype(np.uint8)
+        return np.mod(arrays.reshape(count, n * n), p).astype(np.uint8, copy=False)
 
     def _like(self, key: bytes) -> "FpMatrix":
         return FpMatrix._wrap(self.p, self.n, key)

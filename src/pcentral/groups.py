@@ -130,10 +130,11 @@ class GroupTable:
         and generators (else every other row) must have rows.  Returns each
         code's row."""
         rank = np.argsort(codes if codes.ndim == 1 else _opaque_rows(codes), kind="stable")
-        codes = codes[rank]
-        first, differ = np.ones(len(codes), dtype=bool), codes[1:] != codes[:-1]
-        first[1:] = differ.any(axis=1) if differ.ndim == 2 else differ
-        self._codes = codes[first]
+        if (rank[1:] < rank[:-1]).any():  # copied only when out of order
+            codes = codes[rank]
+        flat, first = codes if codes.ndim == 1 else _opaque_rows(codes), np.ones(len(codes), bool)
+        first[1:] = flat[1:] != flat[:-1]
+        self._codes = codes if first.all() else codes[first]
         self._codes.setflags(write=False)
         self._made = dict(enumerate(map(objects.__getitem__, rank[first].tolist()))
                           if objects else ())

@@ -199,7 +199,7 @@ class Element:
 
 def _key_bodies(elements: Sequence[Element]) -> Optional[np.ndarray]:
     """The key bodies of elements as one array, a row each, in their
-    backend's body dtype, copied in from joins of at most 4096 keys.  None
+    backend's body dtype, copied in from joins of at most 1024 keys.  None
     unless the backend has batched kernels and every key shares the first's
     header and length with a body that is not empty."""
     first = elements[0]
@@ -210,8 +210,8 @@ def _key_bodies(elements: Sequence[Element]) -> Optional[np.ndarray]:
     if size == head or set(map(type, elements)) != {type(first)}:
         return None
     bodies = np.empty((len(elements), size - head), dtype=np.uint8)
-    for start in range(0, len(elements), 4096):
-        keys = [x.key for x in elements[start:start + 4096]]
+    for start in range(0, len(elements), 1024):
+        keys = [x.key for x in elements[start:start + 1024]]
         if set(map(len, keys)) != {size} or not all(map(bytes.startswith, keys, repeat(header))):
             return None
         joined = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), size)

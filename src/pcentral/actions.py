@@ -27,7 +27,6 @@ from .groups import (
     GroupTable,
     _inside,
     _rows_in,
-    _seeds,
     close,
     conjugation_aut,
     identity_automorphism,
@@ -128,8 +127,7 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
         G, A = pair.G, pair.A_generators
 
         def step(T: GroupTable) -> GroupTable:
-            seeds = _mixed_commutators(G, G._rows(T.generators), A)
-            return normal_closure(G, _seeds(G, seeds), A)
+            return normal_closure(G, _mixed_commutators(G, _rows_in(G, T, T._gens), A), A)
         pair._cache["mixed_series"] = SeriesRecord.until_stable(G, step)
     return pair._cache["mixed_series"]
 
@@ -173,7 +171,7 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
         g_letters: Dict[bytes, Element] = {}
         for g in G.generators:
             g_letters[g.key] = g
-            g_letters[g.inverse().key] = G.canon(g.inverse())
+            g_letters[g.inverse().key] = g.inverse()
         g_alphabet = [g for g in g_letters.values() if not g.is_identity()]
         a_letters: Dict[bytes, Automorphism] = {}
         for a in pair.A_generators:
@@ -211,8 +209,7 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
         counts, values = np.divmod(states, N)
 
     collected = np.logical_or.accumulate(seen[::-1])[::-1]
-    return [G] + [subgroup_generated(G, [G.elements[i] for i in collected[k - 1].nonzero()[0]])
-                  for k in range(2, k_max + 1)]
+    return [G] + [subgroup_generated(G, collected[k - 1].nonzero()[0]) for k in range(2, k_max + 1)]
 
 
 def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> bool:
@@ -231,7 +228,7 @@ def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
     map ids[x] -> ids[a(x)], with ids = Q.coset_id, is one scatter, and one
     gather asserts that it is well defined."""
     G = pair.G
-    inside, gens = _inside(N, G), G._rows(N.generators)
+    inside, gens = _inside(N, G), _rows_in(G, N, N._gens)
     if not all(inside[a.images[gens]].all() for a in pair.A_generators):
         raise NotInvariant("kernel subgroup is not invariant under the action")
     Q = quotient(G, N)

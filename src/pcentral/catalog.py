@@ -376,7 +376,7 @@ def _jordan_images(G: GroupTable, m: int) -> List[Element]:
         for d in range(i + 1):
             e = math.comb(m, d) % p
             if e:
-                img = G.mul(img, gens[i - d] ** e)
+                img = img * gens[i - d] ** e
         images.append(img)
     return images
 

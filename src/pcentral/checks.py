@@ -10,7 +10,6 @@ out", recording the per-index detail in the witnesses.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -31,7 +30,15 @@ from .actions import (
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import paper_sigma_pair, sigma_matrix, sigma_power_closed_form
 from .elements import _p_split
-from .groups import GroupTable, _inside, center, commutator_subgroup, quotient, subgroup_generated
+from .groups import (
+    GroupTable,
+    _inside,
+    _rows_in,
+    center,
+    commutator_subgroup,
+    quotient,
+    subgroup_generated,
+)
 from .series import (
     is_omega_regular,
     is_p_central_of_height,
@@ -104,7 +111,7 @@ def _inner_gate(check: str, G: GroupTable) -> Optional[Verdict]:
 
 def _has_normal_p_complement(G: GroupTable, p: int) -> Dict[str, object]:
     """Do the p'-elements form a subgroup of full p'-order?"""
-    members = [x for x, k in zip(G.elements, G._orders().tolist()) if math.gcd(k, p) == 1]
+    members = (np.gcd(G._orders(), p) == 1).nonzero()[0]
     target = _p_split(G.order, p)[1]
     closed = subgroup_generated(G, members).order == len(members)
     return {
@@ -164,7 +171,7 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     alcs = lower_central_series(P)
     graded_bad: List[Dict[str, object]] = []
     for i in range(1, s.stabilized_at + 2):
-        cs = G._rows(s.term(i).generators)
+        cs = _rows_in(G, s.term(i), s.term(i)._gens)
         for j in range(1, alcs.stabilized_at + 2):
             target, maps = s.term(i + j), alcs.term(j).generators
             # witnesses a-major, c within a
@@ -374,7 +381,7 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
             qpair = induced_quotient_action(rpair, omL)
             central_above = is_p_central_action(qpair)
             steps_down = bool(_inside(prev, L)[_mixed_commutators(
-                L, L._rows(omL.generators), rpair.A_generators)].all())
+                L, _rows_in(L, omL, omL._gens), rpair.A_generators)].all())
             detail.append({"k": k, "i": i, "omega_order": omL.order,
                            "quotient_action_small_trivial": central_above,
                            "commutators_drop_a_level": steps_down})

@@ -127,8 +127,8 @@ class GroupTable:
               p: Optional[int], generators: Sequence[Element] = ()) -> np.ndarray:
         """Become a root on the distinct `codes` in ascending (byte) order,
         keeping objects[i], if given, as codes[i]'s row's object; the identity
-        and generators (else every other row) must have rows.  Returns each
-        code's row."""
+        and generators (else every other row), if given, must have rows.
+        Returns each code's row."""
         rank = np.argsort(codes if codes.ndim == 1 else _opaque_rows(codes), kind="stable")
         if (rank[1:] < rank[:-1]).any():  # copied only when out of order
             codes = codes[rank]
@@ -143,13 +143,14 @@ class GroupTable:
                                                        identity.key[:identity._BODY[0]])
         self.parent, self.root, self.root_rows = None, self, np.arange(len(self._codes))
         self.p, self._cache, self.elements = p, {}, _Elements(self)
-        try:
-            found = self._lookup([identity, *generators]).astype(np.intp)
-        except KeyError:
-            raise ValueError("element does not belong to this group" if identity in self
-                             else "element table does not contain the identity") from None
-        self._identity_row = int(found[0])
-        self._gens = found[1:] if generators else (self.root_rows != found[0]).nonzero()[0]
+        if identity is not None:  # else the caller sets the identity's and generators' rows
+            try:
+                found = self._lookup([identity, *generators]).astype(np.intp)
+            except KeyError:
+                raise ValueError("element does not belong to this group" if identity in self
+                                 else "element table does not contain the identity") from None
+            self._identity_row = int(found[0])
+            self._gens = found[1:] if generators else (self.root_rows != found[0]).nonzero()[0]
         return (first.cumsum() - 1)[np.argsort(rank)]
 
     # -- basic queries ---------------------------------------------------
@@ -232,7 +233,10 @@ class GroupTable:
         return self.elements[self._rows([x])[0]]
 
     def _rows(self, xs: Iterable[Element]) -> np.ndarray:
-        """The indices of the elements xs; ValueError for one outside the table."""
+        """The indices of the elements xs, or xs itself if it is an index
+        array; ValueError for an element outside the table."""
+        if isinstance(xs, np.ndarray):
+            return xs
         try:
             return self._lookup(list(xs)).astype(np.intp)
         except KeyError:
@@ -410,15 +414,6 @@ def _rows_in(G: GroupTable, H: GroupTable, rows: Optional[np.ndarray] = None) ->
         return _find(G.root_rows, H.root_rows if rows is None else H.root_rows[rows]).astype(np.intp)
     except KeyError:
         raise ValueError("element does not belong to this group") from None
-
-
-def _seeds(G: GroupTable, rows: np.ndarray) -> List[Element]:
-    """G's elements at the distinct non-identity rows: all that
-    subgroup_generated and normal_closure take from seeds."""
-    mask = np.zeros(G.order, dtype=bool)
-    mask[rows] = True
-    mask[G._identity_row] = False
-    return list(map(G.elements.__getitem__, mask.nonzero()[0].tolist()))
 
 
 def _inside(H: GroupTable, G: GroupTable) -> np.ndarray:
@@ -606,7 +601,7 @@ def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTab
     generator of [X, Y] lies in X ∩ Y, and that is asserted.
     """
     seeds = G._commutators(_rows_in(G, X, X._gens), _rows_in(G, Y, Y._gens))
-    H = normal_closure(G, _seeds(G, seeds))
+    H = normal_closure(G, seeds)
     if (not (_inside(X, H)[H._gens].all() and _inside(Y, H)[H._gens].all())
             and is_normal(G, X) and is_normal(G, Y)):
         raise AssertionError("[X, Y] left X ∩ Y for normal X, Y")
@@ -615,7 +610,7 @@ def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTab
 
 def center(G: GroupTable) -> GroupTable:
     if "center" not in G._cache:
-        G._cache["center"] = centralizer(G, G.generators)
+        G._cache["center"] = centralizer(G, G._gens)
     return G._cache["center"]
 
 
@@ -829,7 +824,7 @@ def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:
     ranked = np.argsort(-G._orders(), kind="stable")
     H = subgroup_generated(G, ())
     while H.order < G.order:
-        H = subgroup_generated(G, [G.elements[ranked[~_inside(H, G)[ranked]][0]]], H)
+        H = subgroup_generated(G, ranked[~_inside(H, G)[ranked]][:1], H)
     return H.generators
 
 
@@ -895,9 +890,9 @@ class QuotientGroup(GroupTable):
             label, jumps = least, [c[c] for c in jumps]
         first = label == np.arange(cover.order)
         self.coset_id = (first.cumsum() - 1)[label]
-        reps = first.nonzero()[0]
-        self._root(reps, (), cover.elements[reps[self.coset_id[cover._identity_row]]],
-                   cover.p, [cover.elements[reps[i]] for i in self.coset_id[cover._gens]])
+        self._root(first.nonzero()[0], (), None, cover.p)
+        self._identity_row = int(self.coset_id[cover._identity_row])
+        self._gens = self.coset_id[cover._gens]
 
     def _codes_of(self, xs: List[Element]) -> np.ndarray:
         """The cover rows of cosets' representatives, and of cover elements."""

@@ -16,7 +16,6 @@ from .errors import NotPGroup, OddPrimeRequired
 from .groups import (
     GroupTable,
     _inside,
-    _seeds,
     center,
     commutator_subgroup,
     quotient,
@@ -108,10 +107,10 @@ def omega_set(G: GroupTable, i: int) -> Tuple:
 
 def omega_subgroup(G: GroupTable, i: int) -> GroupTable:
     """Ω_i(G) = subgroup generated by the elements of order dividing p^i."""
-    G.require_p_group()
+    p = G.require_p_group()
     key = ("omega", i)
     if key not in G._cache:
-        G._cache[key] = subgroup_generated(G, omega_set(G, i))
+        G._cache[key] = subgroup_generated(G, (p ** i % G._orders() == 0).nonzero()[0])
     return G._cache[key]
 
 
@@ -136,7 +135,7 @@ def agemo(G: GroupTable, n: int) -> GroupTable:
     key = ("agemo", n)
     if key not in G._cache:
         powers = G._powers(np.arange(G.order), p ** n)
-        G._cache[key] = subgroup_generated(G, _seeds(G, powers))
+        G._cache[key] = subgroup_generated(G, powers)
     return G._cache[key]
 
 

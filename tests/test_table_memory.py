@@ -26,9 +26,9 @@ def test_the_sigma_pair_makes_matrices_only_when_read(monkeypatch):
     # E = E(5, 6) is built from its stacked bodies, which makes only the
     # identity passed in (1).  The Jordan images of its 6 generators take
     # 11 powers g ** 1, each an identity and two products (33), and 11
-    # products G.mul(img, g) (11).  The table makes the objects read: its
-    # identity, the 6 generators and the 5 images that are not a generator
-    # (12).  The 25 automorphisms of <sigma> take their keys from E's
+    # products img * g (11).  The table makes the objects read: its
+    # identity and the 6 generators (7); the images are found by their
+    # rows.  The 25 automorphisms of <sigma> take their keys from E's
     # bodies and make none.  Before, every one of the 15625 elements got an
     # object (15670 in all).
     made = []
@@ -41,7 +41,7 @@ def test_the_sigma_pair_makes_matrices_only_when_read(monkeypatch):
     monkeypatch.setattr(FpMatrix, "_wrap", classmethod(counting))
     pair = paper_sigma_pair(5)
     assert (pair.G.order, pair.A.order) == (15625, 25)
-    assert len(made) <= 1 + 33 + 11 + 12
+    assert len(made) <= 1 + 33 + 11 + 7
 
 
 def test_the_sigma_check_peak_stays_bounded():

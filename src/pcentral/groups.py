@@ -557,10 +557,9 @@ def _subgroup_at(G: GroupTable, inside: np.ndarray, gen_rows: Sequence[int] = ()
 def subgroup_generated(G: GroupTable, seeds: Iterable[Element],
                        H: Optional[GroupTable] = None) -> GroupTable:
     """<H, seeds> inside G, grown from its subgroup H (from the identity when
-    H is None) as a membership mask.  Seeds are taken in key order and
-    dropped when already in the group grown so far, so the generators are
-    H's, then the seeds kept.
-    """
+    H is None) as a membership mask.  Seeds, elements of G or an array of
+    their rows, are taken in key order and dropped when already in the
+    group grown so far, so the generators are H's, then the seeds kept."""
     seeds = G._rows(seeds)
     inside = np.zeros(G.order, dtype=bool)
     held = _rows_in(G, H, H._gens).tolist() if H is not None else []
@@ -580,7 +579,7 @@ def normal_closure(G: GroupTable, seeds: Iterable[Element],
     generators by G's generators and their images under the maps.  Generators
     suffice: H = <S> is normal and invariant exactly when S^g and a(S) lie in H
     for the generators g of G and the maps a.  H stays a mask until the
-    fixpoint, and grows as subgroup_generated grows it."""
+    fixpoint, and grows as subgroup_generated grows it (seeds as there)."""
     seeds = G._rows(seeds)
     if any(a.domain is not G for a in maps):
         raise ValueError("acting automorphism is not defined on the given group")
@@ -615,8 +614,8 @@ def center(G: GroupTable) -> GroupTable:
 
 
 def centralizer(G: GroupTable, S: Iterable[Element]) -> GroupTable:
-    """The elements x with xs = sx for every s in S, by one kernel call over
-    both sides of every pair."""
+    """The elements x with xs = sx for every s in S (elements or an array of
+    rows), by one kernel call over both sides of every pair."""
     S, every = G._rows(S), np.arange(G.order)
     xs, ss = np.tile(every, len(S)), np.repeat(S, G.order)
     left, right = G._products(np.concatenate([xs, ss]),

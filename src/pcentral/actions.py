@@ -260,20 +260,21 @@ def aut_as_perm_group(pair: ActionPair) -> GroupTable:
 
 
 def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
-                                      n: int) -> Verdict:
+                                      n: int, row: Optional[int] = None) -> Verdict:
     """Compare "sigma^(p^n) = 1" with "sigma trivial modulo the n-th omega
     term of [G,A]" for an automorphism sigma of G, and report the
     biconditional.  G's generators suffice, as omega_n([G,A]) is
     characteristic in [G,A], so normal in G.  Their commutators with every
-    element of A come from one kernel call, kept on the pair; a sigma
-    outside A takes a call of its own."""
+    element of A come from one kernel call, kept on the pair and read at
+    sigma's row of A (looked up unless given); a sigma outside A takes a
+    call of its own."""
     G = pair.G
     p = G.require_p_group()
     left = (p ** n) % sigma.order() == 0
     om = omega_subgroup(commutator_group_of_pair(pair), n)
     gens = G._gens
     try:
-        row = pair.A.index_of(sigma)
+        row = pair.A.index_of(sigma) if row is None else row
     except KeyError:
         ws = _mixed_commutators(G, gens, [sigma])
     else:

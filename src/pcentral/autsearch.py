@@ -137,14 +137,15 @@ def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
     return A
 
 
-def _normalizes(G: GroupTable, y: Element, P: GroupTable) -> bool:
-    inside = _inside(P, G)
+def _normalizes(G: GroupTable, y: Element, P: GroupTable, inside: np.ndarray) -> bool:
+    """Does y conjugate P's generators into P, whose rows of G are `inside`?"""
     return all(inside[G.index_of(y.inverse() * h * y)] for h in P.generators)
 
 
 def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
     """N_G(P); conjugating P's generators into P suffices by finiteness."""
-    return _subgroup_at(G, np.array([_normalizes(G, g, P) for g in G.elements]))
+    inside = _inside(P, G)
+    return _subgroup_at(G, np.array([_normalizes(G, g, P, inside) for g in G.elements]))
 
 
 def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
@@ -160,7 +161,7 @@ def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     orders = G._orders().tolist()
     while (G.order // P.order) % p == 0:
         i = next((i for i in range(G.order) if not inside[i] and _p_split(orders[i], p)[1] == 1
-                  and _normalizes(G, G.elements[i], P)), None)
+                  and _normalizes(G, G.elements[i], P, inside)), None)
         if i is None:
             raise AssertionError("Sylow extension stalled below the p-part")
         gens.append(i)

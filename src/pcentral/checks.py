@@ -430,10 +430,10 @@ def check_power_order_criterion(pair: ActionPair) -> Verdict:
                          "reason": "acting exponent is not a p-power"})
     failures = []
     count = 0
-    for sigma in pair.A.elements:
+    for row, sigma in enumerate(pair.A.elements):
         for n in range(1, m + 2):
             count += 1
-            v = order_matches_quotient_triviality(pair, sigma, n)
+            v = order_matches_quotient_triviality(pair, sigma, n, row)
             if v.conclusion != PASS:
                 failures.append({"n": n, "sigma_order": sigma.order(),
                                  "detail": v.witnesses})

@@ -209,8 +209,6 @@ def _key_bodies(elements: Sequence[Element]) -> Optional[np.ndarray]:
     size, header = len(first.key), first.key[:head]
     if size == head or set(map(type, elements)) != {type(first)}:
         return None
-    if len(elements) == 1:  # a lookup's one key: its body, read in place
-        return np.frombuffer(first.key, dtype, offset=head).reshape(1, -1)
     bodies = np.empty((len(elements), size - head), dtype=np.uint8)
     for start in range(0, len(elements), 1024):
         keys = [x.key for x in elements[start:start + 1024]]

@@ -407,19 +407,21 @@ class GroupTable:
 
 def _rows_in(G: GroupTable, H: GroupTable, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """G's rows of H's elements at `rows` (all when None), read off their
-    root rows; ValueError for one outside G or a table of another root."""
+    root rows, or looked up when H has another root; ValueError for one
+    outside G."""
+    if H.root is not G.root:
+        return G._rows(H.elements if rows is None else map(H.elements.__getitem__, rows))
     try:
-        if H.root is not G.root:
-            raise KeyError("the tables are not cut from one root")
         return _find(G.root_rows, H.root_rows if rows is None else H.root_rows[rows]).astype(np.intp)
     except KeyError:
         raise ValueError("element does not belong to this group") from None
 
 
 def _inside(H: GroupTable, G: GroupTable) -> np.ndarray:
-    """Which of G's rows lie in H, a table cut from G's root, as a mask."""
+    """Which of G's rows lie in H, as a mask, read off their root rows, or
+    looked up in H when H has another root."""
     if H.root is not G.root:
-        raise ValueError("the tables are not cut from one root")
+        return np.fromiter(map(H.__contains__, G.elements), bool, G.order)
     mask = np.zeros(H.root.order, dtype=bool)
     mask[H.root_rows] = True
     return mask[G.root_rows]
@@ -815,7 +817,7 @@ def restrict_automorphism(a: Automorphism, H: GroupTable) -> Automorphism:
     rows = _rows_in(G, H)
     if not _inside(H, G)[a.images[rows[H._gens]]].all():
         raise NotInvariant("subgroup is not invariant under the automorphism")
-    return Automorphism(H, _find(H.root_rows, G.root_rows[a.images[rows]]))
+    return Automorphism(H, _rows_in(H, G, a.images[rows]))
 
 
 def minimal_generating_sequence(G: GroupTable) -> Tuple[Element, ...]:

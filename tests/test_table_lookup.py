@@ -8,7 +8,9 @@ relabeled and decoded roots, and the trivial groups of a 0-point permutation
 and a 0x0 matrix.  Equal-key copies find the stored object.  Elements outside
 the table (of the same backend, of another prime, size or degree, or of
 another backend) are not found: `index_of` raises KeyError, `canon` and
-`_rows` raise ValueError, and `in` is False.
+`_rows` raise ValueError, and `in` is False.  The functions that take a
+subgroup give the same answer for a table closed from G's own elements as
+for the subgroup cut from G.
 """
 
 import functools
@@ -18,7 +20,7 @@ import pytest
 
 from test_relabeling import _relabeled
 
-from pcentral.actions import inner_action
+from pcentral.actions import inner_action, is_p_central_action, restrict_action
 from pcentral.autsearch import brute_force_aut
 from pcentral.catalog import build_group
 from pcentral.elements import FpMatrix, Permutation, decode_element
@@ -28,8 +30,11 @@ from pcentral.groups import (
     center,
     close,
     commutator_subgroup,
+    conjugation_aut,
     identity_automorphism,
+    is_normal,
     quotient,
+    restrict_automorphism,
     subgroup_generated,
 )
 
@@ -151,3 +156,27 @@ def test_lookups_match_a_key_dict(kind):
             missing += 1
     assert missing >= 2
     assert 3 not in T and None not in T
+
+
+@pytest.mark.parametrize("spec", ["heisenberg(3)", "dihedral(16)"])
+def test_a_table_closed_from_elements_of_g_acts_as_its_subgroup(spec):
+    G = build_group(spec)
+    pair = inner_action(G)
+    D = commutator_subgroup(G, G, G)
+    X = subgroup_generated(G, [G.generators[0], *D.generators])
+    seeds = [G.generators[-1]]
+    for H in (D, X):
+        other = close(H.generators, p=G.p)
+        assert other.root is not G.root and other.keys == H.keys
+        assert commutator_subgroup(G, other, G).keys == commutator_subgroup(G, H, G).keys
+        assert commutator_subgroup(G, G, other).keys == commutator_subgroup(G, G, H).keys
+        assert is_normal(G, other) == is_normal(G, H)
+        assert subgroup_generated(G, seeds, other).keys == subgroup_generated(G, seeds, H).keys
+        assert is_p_central_action(pair, other) == is_p_central_action(pair, H)
+    other = close(D.generators, p=G.p)
+    a = conjugation_aut(G, G.generators[-1])
+    b = restrict_automorphism(a, other)
+    assert all(b(x).key == a(x).key for x in other.elements)
+    assert restrict_action(pair, other).A_order == restrict_action(pair, D).A_order
+    with pytest.raises(ValueError, match="does not belong"):
+        subgroup_generated(G, [], build_group("cyclic(3,2)"))

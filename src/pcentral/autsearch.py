@@ -75,8 +75,10 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     Every tuple is tried that the one-tuple-at-a-time search tries, in the
     same order, so `tuples_tried`, the budget outcome and the automorphisms
     found do not depend on the blocks; the budget is tested before a block
-    is extended.  The automorphisms found are rows of a table, and their
-    objects are made only when read.
+    is extended.  The blocks of automorphisms found go to _aut_table, which
+    empties the list, so that they are not held after the search; the
+    automorphisms are rows of a table, and their objects are made only
+    when read.
     """
     orders = G._orders()
     e = G._identity_row
@@ -111,24 +113,31 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
 
     root = np.full((1, G.order), e, dtype=np.int32)
     descend(0, root, np.empty((1, 0), dtype=np.int32))
-    return AutGroupResult(G, _aut_table(G, np.concatenate(found)), tuples_tried)
+    return AutGroupResult(G, _aut_table(G, found), tuples_tried)
 
 
-def _aut_table(G: GroupTable, maps: np.ndarray) -> GroupTable:
-    """The automorphisms whose index arrays are the rows of `maps`, as a
-    table generated by minimal_generating_sequence's greedy rule: highest
+def _aut_table(G: GroupTable, blocks: List[np.ndarray]) -> GroupTable:
+    """The automorphisms whose index arrays are the rows of the `blocks`, as
+    a table generated by minimal_generating_sequence's greedy rule: highest
     order first, ties by key.  Its rows are coded by the images of G's
-    generators, in key order, and `maps` in that order are its stacked
+    generators, in key order, and the maps in that order are its stacked
     images (GroupTable._aut_images), from which its automorphisms are made
-    when read; _greedy_levels then picks the generators.
+    when read; _greedy_levels then picks the generators.  Each block is
+    popped from the list into its rows of the stack, so the maps are held
+    at most twice; the list is left empty.
     """
     A = GroupTable.__new__(GroupTable)
     A._domain = G
-    rows = A._root(_image_codes(G, maps[:, G._gens]), (),
-                   identity_automorphism(G), None)
-    if A.order != len(maps):
+    codes = [_image_codes(G, block[:, G._gens]) for block in blocks]
+    rows = A._root(np.concatenate(codes), (), identity_automorphism(G), None)
+    if A.order != len(rows):
         raise AssertionError("automorphism search produced duplicate maps")
-    A._images = maps[np.argsort(rows)]
+    A._images = np.empty((A.order, G.order), dtype=np.int32)
+    blocks.reverse()
+    start = 0
+    for code in codes:
+        A._images[rows[start:start + len(code)]] = blocks.pop()
+        start += len(code)
     A._images.setflags(write=False)
     chosen, _ = _greedy_levels(A._right_column, np.arange(A.order) == A._identity_row,
                                A._orders())

@@ -26,12 +26,12 @@ the counterexample path end to end.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -525,12 +525,15 @@ def _entry_worker(entry_dict: Dict[str, object], caps: Dict[str, int]
 def _task_worker(entry_dicts: List[Dict[str, object]], caps: Dict[str, int]
                  ) -> List[Tuple[List[Dict[str, object]], Optional[Dict[str, str]], int]]:
     """The outcomes of a task's entries, in order, run with the group and
-    actions they build shared among them and dropped when the task ends."""
+    actions they build shared among them.  When the task ends they are
+    dropped and freed by a collection, as tables sit in reference cycles;
+    under run_corpus's freeze it traverses only what the run has made."""
     token = _task_builds.set({})
     try:
         return [_entry_worker(d, caps) for d in entry_dicts]
     finally:
         _task_builds.reset(token)
+        gc.collect()
 
 
 def _tasks(entries: List[Entry], workers: int) -> List[List[int]]:
@@ -590,9 +593,28 @@ def _write_bundle(out_dir: Path, entry: Entry, caps: Dict[str, int],
     return bundle
 
 
+@contextmanager
+def _frozen() -> Iterator[None]:
+    """Freeze the objects alive now (gc.freeze) until the block ends, so
+    that the tasks' collections traverse only what they made; a caller's
+    own freeze is left as it is."""
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
                progress: Optional[Callable[[str], None]] = None) -> CorpusResult:
-    """Run every entry; write report.ndjson, summary.json and bundles."""
+    """Run every entry; write report.ndjson, summary.json and bundles.
+
+    The run holds a freeze (_frozen) from before the pool forks, so each
+    worker inherits the frozen set; the pool is imported only for
+    parallelism > 1."""
     say = progress or (lambda s: None)
     caps = dict(config.caps)
     records: List[Dict[str, object]] = []
@@ -607,8 +629,10 @@ def run_corpus(config: ExperimentConfig, out_dir: Optional[os.PathLike] = None,
     serial = config.parallelism <= 1
     entries = config.entries
     tasks = _tasks(entries, config.parallelism)
-    with (nullcontext() if serial else
-          ProcessPoolExecutor(max_workers=config.parallelism)) as pool:
+    if not serial:
+        from concurrent.futures import ProcessPoolExecutor
+    with _frozen(), (nullcontext() if serial else
+                      ProcessPoolExecutor(max_workers=config.parallelism)) as pool:
         outcomes = (map if serial else pool.map)(
             _task_worker, [[entries[i].to_dict() for i in task] for task in tasks],
             [caps] * len(tasks))

@@ -1,11 +1,13 @@
 """Corpus runner, report artifacts, reproducer bundles, and the CLI."""
 
 import contextlib
+import gc
 import json
 import random
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -266,6 +268,65 @@ def test_a_failed_build_is_not_shared(tmp_path, monkeypatch):
     assert [(r["entry"], r["error"]["type"]) for r in result.records] == [
         ("ut43-1", "CapExceeded"), ("ut43-2", "CapExceeded")]
     assert len(groups) == 2
+
+
+# runs one entry serially and prints whether the process pool was imported
+_POOL_IMPORTED = """
+import json, sys
+from pcentral.corpus import ExperimentConfig, run_corpus
+run_corpus(ExperimentConfig.from_dict({"entries": [
+    {"id": "q8", "group": "quaternion(8)", "checks": ["xu_regularity"]}]}))
+print(json.dumps([m in sys.modules for m in ("concurrent.futures.process",
+                                             "multiprocessing")]))
+"""
+
+
+def test_a_serial_run_does_not_import_the_process_pool():
+    proc = subprocess.run([sys.executable, "-c", _POOL_IMPORTED],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [False, False]
+
+
+def _ut43_inner_config():
+    (entry,) = [e for e in default_config().entries if e.entry_id == "ut-4-3--inner"]
+    return ExperimentConfig(entries=[entry])
+
+
+def _weak_builds(monkeypatch):
+    refs = []
+    real = corpus.build_group
+
+    def spied(*args, **kwargs):
+        G = real(*args, **kwargs)
+        refs.append(weakref.ref(G))
+        return G
+
+    monkeypatch.setattr(corpus, "build_group", spied)
+    return refs
+
+
+def test_a_task_frees_its_builds_when_it_ends(monkeypatch):
+    # tables sit in reference cycles, which only a collection frees
+    refs = _weak_builds(monkeypatch)
+    frozen = gc.get_freeze_count()
+    result = run_corpus(_ut43_inner_config())
+    assert result.exit_code == EXIT_OK
+    assert len(refs) == 1 and refs[0]() is None
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_run_keeps_its_callers_freeze(monkeypatch):
+    refs = _weak_builds(monkeypatch)
+    held = [object()]
+    gc.freeze()
+    try:
+        run_corpus(_ut43_inner_config())
+        assert gc.get_freeze_count() > 0
+        assert not any(x is held for x in gc.get_objects())  # still frozen
+    finally:
+        gc.unfreeze()
+    assert refs[0]() is None
+    assert any(x is held for x in gc.get_objects())
 
 
 def test_tasks_follow_group_specs_and_split_for_the_workers():

@@ -65,7 +65,7 @@ def test_the_aut_search_peak_stays_bounded():
     # tracemalloc's peak over Aut(E(3,3)), 11232 maps of 27 indices (1.2 MB
     # a copy), after a small search has loaded every module and cache:
     # 4.8 MiB when the found blocks, their concatenation and its sorted copy
-    # were held at once, 2.7 MiB with the blocks popped into one stack
+    # were held at once, 2.8 MiB with the blocks popped into one stack
     brute_force_aut(build_group("elementary_abelian(3,2)"))
     gc.collect()
     tracemalloc.start()

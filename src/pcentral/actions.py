@@ -16,7 +16,7 @@ breadth-first search over left-normed commutator values
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .groups import (
     _inside,
     _rows_in,
     close,
-    conjugation_aut,
     identity_automorphism,
     normal_closure,
     quotient,
@@ -93,7 +92,9 @@ def trivial_action(G: GroupTable) -> ActionPair:
 
 
 def inner_action(G: GroupTable, *, cap: int = DEFAULT_ACTION_CAP) -> ActionPair:
-    return ActionPair.build(G, [conjugation_aut(G, g) for g in G.generators], cap=cap)
+    """Conjugation by G's generators, each map a column of one _conjugates call."""
+    images = G._conjugates(np.arange(G.order), G._gens).reshape(G.order, -1).T
+    return ActionPair.build(G, [Automorphism(G, m) for m in images], cap=cap)
 
 
 def mixed_commutator(g: Element, a: Automorphism) -> Element:
@@ -112,11 +113,11 @@ def commutator_group_of_pair(pair: ActionPair) -> GroupTable:
     return mixed_commutator_subgroup(pair)
 
 
-def _mixed_commutators(G: GroupTable, cs: np.ndarray,
-                       maps: Sequence[Automorphism]) -> np.ndarray:
-    """The indices of [c, a] = c^-1 a(c) for every c in cs and a in maps,
-    c-major, by one kernel call; none when there are no maps."""
-    images = np.array([a.images[cs] for a in maps], dtype=np.intp).reshape(len(maps), len(cs))
+def _mixed_commutators(G: GroupTable, cs: np.ndarray, maps: Sequence[np.ndarray]) -> np.ndarray:
+    """The indices of [c, a] = c^-1 a(c) for every c in cs and every map a,
+    given as its index array (a row of a stack, or an automorphism's
+    images), c-major, by one kernel call; none when there are no maps."""
+    images = np.array([m[cs] for m in maps], dtype=np.intp).reshape(len(maps), len(cs))
     return G._products(np.repeat(G._inverses(cs), len(maps)), images.T.ravel())
 
 
@@ -125,9 +126,10 @@ def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
     seeding each term by [c, a] for generators c of the last (see above)."""
     if "mixed_series" not in pair._cache:
         G, A = pair.G, pair.A_generators
+        maps = [a.images for a in A]
 
         def step(T: GroupTable) -> GroupTable:
-            return normal_closure(G, _mixed_commutators(G, _rows_in(G, T, T._gens), A), A)
+            return normal_closure(G, _mixed_commutators(G, _rows_in(G, T, T._gens), maps), A)
         pair._cache["mixed_series"] = SeriesRecord.until_stable(G, step)
     return pair._cache["mixed_series"]
 
@@ -154,6 +156,8 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     "generators" alphabet uses G's generators and A's generators with their
     inverses, which generates the same subgroups by the standard commutator
     expansions [x, uv] = [x,v]*([x,u] conj v) and a([x,b]) = [x,b]*[[x,b],a].
+    Letters are rows of G and maps' index arrays (A's stacked rows, or its
+    generators' images and their inverses'), each once, the identity left out.
 
     The states seen are a mask over (A-entries, value), and each
     breadth-first level extends all its states by all letters in one kernel
@@ -163,32 +167,24 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     G = pair.G
-    cap = k_max - 1
+    N, cap, every = G.order, k_max - 1, np.arange(G.order)
     if entries == "all":
-        g_alphabet: List[Element] = [g for g in G.elements if not g.is_identity()]
-        a_alphabet: List[Automorphism] = [a for a in pair.A.elements if not a.is_identity()]
+        letters, maps = every, pair.A._aut_images()
     elif entries == "generators":
-        g_letters: Dict[bytes, Element] = {}
-        for g in G.generators:
-            g_letters[g.key] = g
-            g_letters[g.inverse().key] = g.inverse()
-        g_alphabet = [g for g in g_letters.values() if not g.is_identity()]
-        a_letters: Dict[bytes, Automorphism] = {}
-        for a in pair.A_generators:
-            a_letters[a.key] = a
-            a_letters[a.inverse().key] = a.inverse()
-        a_alphabet = [a for a in a_letters.values() if not a.is_identity()]
+        letters = np.concatenate([G._gens, G._inverses(G._gens)])
+        maps = [m for a in pair.A_generators for m in (a.images, a.inverse().images)]
     else:
         raise ValueError(f"unknown entry mode {entries!r}")
+    letters = np.bincount(letters, minlength=N).nonzero()[0]
+    letters = letters[letters != G._identity_row]
+    maps = list({m.tobytes(): m for m in maps if (m != every).any()}.values())
 
     # [v, g] = v^-1 (g^-1 v g) and [v, a] = v^-1 a(v): row l of `right`
     # holds the right factor for letter l at every v, and `shift` the
     # A-entries the letter adds
-    N = G.order
-    letters = G._rows(g_alphabet)
-    images = np.array([a.images for a in a_alphabet], dtype=np.intp).reshape(-1, N)
-    right = np.concatenate([G._conjugates(np.arange(N), letters).reshape(N, -1).T, images])
-    shift = np.repeat([0, 1], [len(g_alphabet), len(a_alphabet)])[:, None]
+    images = np.array(maps, dtype=np.intp).reshape(-1, N)
+    right = np.concatenate([G._conjugates(every, letters).reshape(N, -1).T, images])
+    shift = np.repeat([0, 1], [len(letters), len(maps)])[:, None]
     seen = np.zeros((cap + 1, N), dtype=bool)  # seen[c, v]: the state (v, c)
     seen[0] = True
     flat, slot = seen.reshape(-1), np.empty(seen.size, dtype=np.intp)
@@ -260,29 +256,17 @@ def aut_as_perm_group(pair: ActionPair) -> GroupTable:
 
 
 def order_matches_quotient_triviality(pair: ActionPair, sigma: Automorphism,
-                                      n: int, row: Optional[int] = None) -> Verdict:
+                                      n: int) -> Verdict:
     """Compare "sigma^(p^n) = 1" with "sigma trivial modulo the n-th omega
-    term of [G,A]" for an automorphism sigma of G, and report the
-    biconditional.  G's generators suffice, as omega_n([G,A]) is
-    characteristic in [G,A], so normal in G.  Their commutators with every
-    element of A come from one kernel call, kept on the pair and read at
-    sigma's row of A (looked up unless given); a sigma outside A takes a
-    call of its own."""
+    term of [G,A]" for an automorphism sigma of G, in A or not, and report
+    the biconditional.  G's generators suffice, as omega_n([G,A]) is
+    characteristic in [G,A], so normal in G; their commutators with sigma
+    are one kernel call."""
     G = pair.G
     p = G.require_p_group()
     left = (p ** n) % sigma.order() == 0
     om = omega_subgroup(commutator_group_of_pair(pair), n)
-    gens = G._gens
-    try:
-        row = pair.A.index_of(sigma) if row is None else row
-    except KeyError:
-        ws = _mixed_commutators(G, gens, [sigma])
-    else:
-        if "generator_commutators" not in pair._cache:
-            pair._cache["generator_commutators"] = _mixed_commutators(
-                G, gens, pair.A.elements).reshape(len(gens), pair.A.order)
-        ws = pair._cache["generator_commutators"][:, row]
-    right = bool(_inside(om, G)[ws].all())
+    right = bool(_inside(om, G)[_mixed_commutators(G, G._gens, [sigma.images])].all())
     return conclude("order_matches_quotient_triviality", True, left == right,
                     {"n": n, "sigma_order": sigma.order(),
                      "power_is_trivial": left, "trivial_mod_omega": right})

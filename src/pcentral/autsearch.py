@@ -15,7 +15,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .elements import Element, _p_split, _require_prime
+from .elements import _p_split, _require_prime
 from .errors import BudgetExceeded
 from .groups import (
     _BLOCK_ROWS,
@@ -24,6 +24,7 @@ from .groups import (
     _image_codes,
     _inside,
     _level_edges,
+    _rows_in,
     _subgroup_at,
     _schreier_levels,
     identity_automorphism,
@@ -146,33 +147,37 @@ def _aut_table(G: GroupTable, blocks: List[np.ndarray]) -> GroupTable:
     return A
 
 
-def _normalizes(G: GroupTable, y: Element, P: GroupTable, inside: np.ndarray) -> bool:
-    """Does y conjugate P's generators into P, whose rows of G are `inside`?"""
-    return all(inside[G.index_of(y.inverse() * h * y)] for h in P.generators)
+def _normalizes(G: GroupTable, ys: np.ndarray, P: GroupTable, inside: np.ndarray) -> np.ndarray:
+    """Which of the elements at rows ys conjugate P's generators into P,
+    whose rows of G are `inside`: one _conjugates call over every pair."""
+    hs = _rows_in(G, P, P._gens)
+    return inside[G._conjugates(hs, ys)].reshape(len(hs), len(ys)).all(axis=0)
 
 
 def normalizer(G: GroupTable, P: GroupTable) -> GroupTable:
     """N_G(P); conjugating P's generators into P suffices by finiteness."""
-    inside = _inside(P, G)
-    return _subgroup_at(G, np.array([_normalizes(G, g, P, inside) for g in G.elements]))
+    return _subgroup_at(G, _normalizes(G, np.arange(G.order), P, _inside(P, G)))
 
 
 def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     """A Sylow p-subgroup: P gains the first y of G, in key order, outside P
     that is a p-element and normalizes P, so P<y> is a p-group.  While p
     divides |G:P| one exists, as P < N_S(P) for a Sylow S containing P.
+    Each step tests every p-element outside P at once (_normalizes).
     As y normalizes P, <P, y> is the union of the cosets P y^i, one kernel
     call over P and the powers of y, with P's generators and then y."""
     _require_prime(p)
     inside = np.arange(G.order) == G._identity_row
     gens: List[int] = []
     P = subgroup_generated(G, ())
-    orders = G._orders().tolist()
+    orders = G._orders()
+    p_elements = p ** _p_split(G.order, p)[0] % orders == 0  # orders divide |G|
     while (G.order // P.order) % p == 0:
-        i = next((i for i in range(G.order) if not inside[i] and _p_split(orders[i], p)[1] == 1
-                  and _normalizes(G, G.elements[i], P, inside)), None)
-        if i is None:
+        ys = (p_elements & ~inside).nonzero()[0]
+        found = _normalizes(G, ys, P, inside)
+        if not found.any():
             raise AssertionError("Sylow extension stalled below the p-part")
+        i = int(ys[found.argmax()])
         gens.append(i)
         powers = G._powers(np.full(orders[i], i), np.arange(orders[i]))
         held = inside.nonzero()[0]

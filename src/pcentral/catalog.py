@@ -21,7 +21,7 @@ import numpy as np
 
 from .actions import DEFAULT_ACTION_CAP, ActionPair, inner_action, trivial_action
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut
-from .elements import Element, FpMatrix, Permutation, _is_prime, _p_split, _require_degree
+from .elements import FpMatrix, Permutation, _is_prime, _p_split, _require_degree
 from .errors import CapExceeded, ConfigError, UnknownFamily
 from .groups import DEFAULT_CLOSURE_CAP, GroupTable, automorphism_from_images, close
 
@@ -158,6 +158,12 @@ def _unitriangular(n: int, p: int, cap: int) -> GroupTable:
         arr[i, i + 1] = 1
         gens.append(FpMatrix(p, arr))
     return close(gens, cap=cap, p=p)
+
+
+def _heisenberg(p: int, cap: int) -> GroupTable:
+    if not _is_prime(p):
+        raise ConfigError(f"heisenberg needs a prime, got {p}")
+    return _unitriangular(3, p, cap)
 
 
 # -- permutation-backed families -----------------------------------------
@@ -301,7 +307,7 @@ def _direct_product(g1: GroupTable, g2: GroupTable, cap: int) -> GroupTable:
 _FAMILIES: Dict[str, Tuple[int, Callable[..., GroupTable]]] = {
     "elementary_abelian": (2, _elementary_abelian),
     "cyclic": (2, _cyclic),
-    "heisenberg": (1, lambda p, cap: _unitriangular(3, p, cap)),
+    "heisenberg": (1, _heisenberg),
     "ut": (2, _unitriangular),
     "dihedral": (1, _dihedral),
     "quaternion": (1, _quaternion),
@@ -358,26 +364,25 @@ def sigma_power_closed_form(p: int, n: int) -> FpMatrix:
     return FpMatrix(p, arr)
 
 
-def _jordan_images(G: GroupTable, m: int) -> List[Element]:
-    """Generator images under the m-th power of the Jordan automorphism.
+def _jordan_images(G: GroupTable, m: int) -> np.ndarray:
+    """The rows of the generator images under the m-th power of the Jordan
+    automorphism.
 
     Writing the generators as an ordered basis e_1..e_r of an elementary
     abelian group, the map sends e_i to sum_d binom(m,d) e_{i-d} (the i-th
-    column of the Jordan block's m-th power).  Validity on the actual group is
-    left to automorphism_from_images.
+    column of the Jordan block's m-th power), the product taken in the order
+    of d, for every i at once: a _powers and a _products call per d.
+    Validity on the actual group is left to automorphism_from_images.
     """
     p = G.p
     if p is None:
         raise ConfigError("the jordan action needs a group with a designated prime")
-    gens = G.generators
-    images: List[Element] = []
-    for i in range(len(gens)):
-        img = G.identity
-        for d in range(i + 1):
-            e = math.comb(m, d) % p
-            if e:
-                img = img * gens[i - d] ** e
-        images.append(img)
+    gens = G._gens
+    images = np.full(len(gens), G._identity_row, dtype=np.intp)
+    for d in range(len(gens)):
+        e = math.comb(m, d) % p
+        if e:  # e_i gains e_{i-d}^e for every i >= d
+            images[d:] = G._products(images[d:], G._powers(gens[:len(gens) - d], e))
     return images
 
 
@@ -407,14 +412,16 @@ def build_action(G: GroupTable, spec: Union[str, FamilySpec], *,
         return ActionPair.build(G, result.perm_group.generators, cap=action_cap)
     else:
         raise UnknownFamily(f"unknown action {name!r}")
-    sigma = automorphism_from_images(G, G.generators, _jordan_images(G, m))
+    sigma = automorphism_from_images(G, G._gens, _jordan_images(G, m))
     return ActionPair.build(G, [sigma], cap=action_cap)
 
 
-def paper_sigma_pair(p: int, *, cap: int = DEFAULT_CLOSURE_CAP) -> ActionPair:
+def paper_sigma_pair(p: int, *, cap: int = DEFAULT_CLOSURE_CAP,
+                     action_cap: int = DEFAULT_ACTION_CAP) -> ActionPair:
     """Rank-(p+1) elementary abelian group under its Jordan-block cyclic
-    action: the explicit tightness example."""
+    action: the explicit tightness example, |G| bounded by `cap` and |A| by
+    `action_cap`."""
     if not _is_prime(p):
         raise ConfigError(f"sigma needs a prime p, got {p!r}")
     E = _elementary_abelian(p, p + 1, cap)
-    return build_action(E, FamilySpec("jordan"))
+    return build_action(E, FamilySpec("jordan"), action_cap=action_cap)

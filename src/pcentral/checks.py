@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .actions import (
+    DEFAULT_ACTION_CAP,
     ActionPair,
     _mixed_commutators,
     aut_as_perm_group,
@@ -25,12 +26,12 @@ from .actions import (
     mixed_lower_central_series,
     mixed_series_definitional,
     restrict_action,
-    order_matches_quotient_triviality,
 )
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut, sylow_p_subgroup
 from .catalog import paper_sigma_pair, sigma_matrix, sigma_power_closed_form
 from .elements import _p_split
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     GroupTable,
     _inside,
     _rows_in,
@@ -173,7 +174,7 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     for i in range(1, s.stabilized_at + 2):
         cs = _rows_in(G, s.term(i), s.term(i)._gens)
         for j in range(1, alcs.stabilized_at + 2):
-            target, maps = s.term(i + j), alcs.term(j).generators
+            target, maps = s.term(i + j), [a.images for a in alcs.term(j).generators]
             # witnesses a-major, c within a
             ws = _mixed_commutators(G, cs, maps).reshape(len(cs), len(maps)).T.ravel()
             graded_bad += [{"i": i, "j": j, "witness": G._row_key(w).hex()}
@@ -215,8 +216,6 @@ def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
     G = pair.G
     base = G.is_p_group
     results: List[Dict[str, object]] = []
-    any_hyp = False
-    all_ok = True
     if base:
         Hgrp = commutator_group_of_pair(pair)
         lcsH = lower_central_series(Hgrp)
@@ -227,16 +226,14 @@ def check_omega_center_sandwich(pair: ActionPair) -> Verdict:
             hyp_k = _p_central_on_term(pair, k)
             row: Dict[str, object] = {"k": k, "hypothesis": hyp_k}
             if hyp_k:
-                any_hyp = True
                 left = omega_conv(lcsH.term(k - 1))
                 mid = omega_conv(gamma_term(pair, k))
                 ok = bool(_inside(mid, left).all() and _inside(Z, mid).all())
-                row.update(lower_omega=left.order, mid_omega=mid.order,
-                           ok=ok)
-                all_ok &= ok
+                row.update(lower_omega=left.order, mid_omega=mid.order, ok=ok)
             results.append(row)
-    return conclude("omega_center_sandwich", base and any_hyp,
-                    all_ok, {"group_is_p_group": base, "per_k": results})
+    return conclude("omega_center_sandwich", any(r["hypothesis"] for r in results),
+                    all(r.get("ok", True) for r in results),
+                    {"group_is_p_group": base, "per_k": results})
 
 
 # -- regularity ----------------------------------------------------------
@@ -381,7 +378,7 @@ def check_omega_ladder(pair: ActionPair) -> Verdict:
             qpair = induced_quotient_action(rpair, omL)
             central_above = is_p_central_action(qpair)
             steps_down = bool(_inside(prev, L)[_mixed_commutators(
-                L, _rows_in(L, omL, omL._gens), rpair.A_generators)].all())
+                L, _rows_in(L, omL, omL._gens), [a.images for a in rpair.A_generators])].all())
             detail.append({"k": k, "i": i, "omega_order": omL.order,
                            "quotient_action_small_trivial": central_above,
                            "commutators_drop_a_level": steps_down})
@@ -399,15 +396,9 @@ def check_faithful_p_group(pair: ActionPair) -> Verdict:
     faithful, automorphism-realized) acting group must be a p-group."""
     G = pair.G
     base = G.is_p_group
-    per_i = []
-    any_hyp = False
-    if base:
-        s = mixed_lower_central_series(pair)
-        for i in range(1, s.stabilized_at + 3):
-            h = _p_central_on_term(pair, i)
-            per_i.append({"i": i, "hypothesis": h})
-            any_hyp |= h
-    if not (base and any_hyp):
+    per_i = [{"i": i, "hypothesis": _p_central_on_term(pair, i)}
+             for i in range(1, mixed_lower_central_series(pair).stabilized_at + 3)] if base else []
+    if not any(row["hypothesis"] for row in per_i):
         return conclude("faithful_p_group", False, None,
                         {"group_is_p_group": base, "per_i": per_i})
     is_pg = _p_split(pair.A_order, G.p)[1] == 1
@@ -418,27 +409,30 @@ def check_faithful_p_group(pair: ActionPair) -> Verdict:
 def check_power_order_criterion(pair: ActionPair) -> Verdict:
     """Under the p-central hypothesis on the p-th mixed term: each acting
     element has order dividing p^n exactly when its mixed commutators with G's
-    generators (which suffice) land in omega_n of H = [G,A], for every n."""
+    generators (which suffice) land in omega_n of H = [G,A], for every n: one
+    pass over A's orders and stacked rows, with one kernel call for all the
+    commutators, failures as order_matches_quotient_triviality reports them."""
     if skipped := _p_central_gate("power_order_criterion", pair):
         return skipped
-    p = pair.G.p
-    exp_a = aut_as_perm_group(pair).exponent()
+    G, A = pair.G, aut_as_perm_group(pair)
+    p, exp_a = G.p, A.exponent()
     m, r = _p_split(exp_a, p)
     if r != 1:
         return conclude("power_order_criterion", True, False,
                         {"acting_exponent": exp_a,
                          "reason": "acting exponent is not a p-power"})
+    H, ns, orders = commutator_group_of_pair(pair), range(1, m + 2), A._orders()
+    ws = _mixed_commutators(G, G._gens, A._aut_images()).reshape(len(G._gens), A.order)
+    # [row of sigma, n - 1]: sigma^(p^n) = 1, and sigma trivial mod omega_n(H)
+    power = np.array([p ** n % orders == 0 for n in ns]).T
+    inside = np.array([_inside(omega_subgroup(H, n), G)[ws].all(axis=0) for n in ns]).T
     failures = []
-    count = 0
-    for row, sigma in enumerate(pair.A.elements):
-        for n in range(1, m + 2):
-            count += 1
-            v = order_matches_quotient_triviality(pair, sigma, n, row)
-            if v.conclusion != PASS:
-                failures.append({"n": n, "sigma_order": sigma.order(),
-                                 "detail": v.witnesses})
+    for row, i in np.argwhere(power != inside).tolist():  # sigma-major
+        k, left = int(orders[row]), bool(power[row, i])
+        failures.append({"n": i + 1, "sigma_order": k, "detail": {
+            "n": i + 1, "sigma_order": k, "power_is_trivial": left, "trivial_mod_omega": not left}})
     return conclude("power_order_criterion", True, not failures,
-                    {"pairs_checked": count, "n_max": m + 1,
+                    {"pairs_checked": A.order * len(ns), "n_max": m + 1,
                      "failures": failures})
 
 
@@ -561,11 +555,13 @@ def check_height_p_complement(G: GroupTable, p: int) -> Verdict:
 # -- the explicit example ------------------------------------------------
 
 
-def check_sigma_example_tightness(p: int) -> Verdict:
-    """Report on the explicit rank-(p+1) example: both readings of its p-th
-    mixed term, the p-squared acting order against the exponent-p commutator
-    subgroup, and the binomial closed form for the acting matrix's powers."""
-    pair = paper_sigma_pair(p)
+def check_sigma_example_tightness(p: int, *, cap: int = DEFAULT_CLOSURE_CAP,
+                                  action_cap: int = DEFAULT_ACTION_CAP) -> Verdict:
+    """Report on the explicit rank-(p+1) example, built under the closure and
+    action caps: both readings of its p-th mixed term, the p-squared acting
+    order against the exponent-p commutator subgroup, and the binomial
+    closed form for the acting matrix's powers."""
+    pair = paper_sigma_pair(p, cap=cap, action_cap=action_cap)
     sig = pair.A_generators[0]
     H = commutator_group_of_pair(pair)
     term_def = gamma_term(pair, p)        # reading: >= p-1 acting entries
@@ -659,4 +655,5 @@ CHECK_CAPS: Dict[str, Dict[str, str]] = {
     "mixed_series_oracle": {"k_max": "oracle_k_max",
                             "size_limit": "oracle_size_limit"},
     "sylow_aut_exponent": {"budget": "aut_budget"},
+    "sigma_example_tightness": {"cap": "closure_cap", "action_cap": "action_cap"},
 }

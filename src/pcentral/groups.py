@@ -781,7 +781,8 @@ def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
 def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
                              images: Sequence[Element]) -> Automorphism:
     """Extend generator images over a Schreier tree of <gens>, verifying both
-    well-definedness (every edge consistent) and bijectivity."""
+    well-definedness (every edge consistent) and bijectivity.  The generators
+    and their images are elements of G, or arrays of their rows."""
     if len(gens) != len(images):
         raise ValueError(f"{len(gens)} generators but {len(images)} images")
     gen_idx = G._rows(gens).tolist()
@@ -789,7 +790,7 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
     F = np.full((1, G.order), G._identity_row, dtype=np.int32)
     hom = injective = np.ones(1, dtype=bool)
     size = 1  # <> is the trivial group
-    if gens:  # one level, with every generator, grown from the identity
+    if len(gen_idx):  # one level, with every generator, grown from the identity
         inside = np.arange(G.order) == G._identity_row
         (level,) = _schreier_levels(G._right_column, inside, [gen_idx], [])
         (hom, injective), size = _extend_block(G, F, row, _level_edges(level)), level[-1]
@@ -901,6 +902,9 @@ class QuotientGroup(GroupTable):
 
     def _make(self, row: int) -> Coset:
         return Coset(self.cover.elements[self._codes[row]], self)
+
+    def _row_key(self, row: int) -> bytes:  # a coset's key is its representative's
+        return self.cover._row_key(self._codes[row])
 
     def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The cosets of the products of the representatives, in the cover."""

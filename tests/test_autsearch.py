@@ -196,21 +196,29 @@ def test_sylow_matches_growth_inside_normalizers(spec, aut, p):
 
 
 def test_sylow_product_counts(arithmetic):
-    # two products per conjugation of P's generators by a scanned
-    # p-element; for each y that P gains, one kernel row for y^2 (y^0 and
-    # y^1 take none) and one per element of P y^i (P of order 1, 3, then
-    # 9), not a column of the whole Aut table; the Aut tables are built
-    # outside the count
+    # no element products: each step conjugates P's generators by every
+    # 3-element y outside P at once, two kernel rows per pair, after one row
+    # for each y's inverse y^2 not yet kept (all n3 - 2 of them at the
+    # second step, none at the third); for each y that P gains, one row for
+    # y^2 (y^0 and y^1 take none) and one per element of P y^i (P of order
+    # 1, 3, then 9), not a column of the whole Aut table.  Both tables have
+    # exponent 3, with n3 elements of order 3.  The Aut tables are built
+    # outside the count, and their kept inverses dropped.
     tables = {spec: _aut(spec).perm_group
               for spec in ("heisenberg(3)", "elementary_abelian(3,3)")}
 
     def count(A):
+        A._cache.pop("inverses", None)
         arithmetic.update(products=0, rows=0)
         sylow_p_subgroup(A, 3)
         return arithmetic["products"], arithmetic["rows"]
 
-    assert count(tables["heisenberg(3)"]) == (18, 3 * 1 + 3 * (1 + 3 + 9))
-    assert count(tables["elementary_abelian(3,3)"]) == (36, 3 * 1 + 3 * (1 + 3 + 9))
+    def rows(n3):
+        gains = 3 * 1 + 3 * (1 + 3 + 9)
+        return gains + (n3 - 2) + 2 * 1 * (n3 - 2) + 2 * 2 * (n3 - 3 * 3 + 1)
+
+    assert count(tables["heisenberg(3)"]) == (0, rows(80))
+    assert count(tables["elementary_abelian(3,3)"]) == (0, rows(728))
 
 
 def _reference_extend(G, gens, images):

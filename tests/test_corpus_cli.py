@@ -30,7 +30,7 @@ from pcentral.corpus import (
     run_corpus,
     run_entry,
 )
-from pcentral.errors import ConfigError
+from pcentral.errors import CapExceeded, ConfigError
 from pcentral.groups import GroupTable
 from pcentral.store import save_group
 
@@ -789,6 +789,44 @@ def test_cli_sigma_non_prime_names_sigma(capsys):
     err = capsys.readouterr().err
     assert "sigma needs a prime p, got 4" in err
     assert "elementary_abelian" not in err
+
+
+SIGMA_5 = Entry("sigma--5", ("sigma_example_tightness",), sigma=5)
+
+
+@pytest.mark.parametrize("cap,value,message", [
+    ("closure_cap", 15624, r"\|G\| = 5\^6 exceeds cap 15624$"),
+    ("action_cap", 24, r"action closure exceeded cap of 24$"),
+])
+def test_sigma_entries_obey_the_caps(cap, value, message):
+    # the p = 5 example has |G| = 5^6 = 15625 and |A| = 25, like
+    # elementary_abelian(5,6) under jordan
+    with pytest.raises(CapExceeded, match=message):
+        run_entry(SIGMA_5, {**DEFAULT_CAPS, cap: value})
+
+
+def test_sigma_entries_pass_at_the_caps():
+    caps = {**DEFAULT_CAPS, "closure_cap": 15625, "action_cap": 25}
+    (v,) = run_entry(SIGMA_5, caps)
+    assert v.conclusion == "pass"
+
+
+def test_a_sigma_entry_under_small_caps_exits_3(tmp_path):
+    data = {"caps": {"closure_cap": 1000, "action_cap": 2},
+            "entries": [{"id": "sigma--5", "sigma": 5, "checks": ["sigma_example_tightness"]},
+                        {"id": "e56--jordan", "group": "elementary_abelian(5,6)",
+                         "action": "jordan", "checks": ["power_order_criterion"]}]}
+    result = run_corpus(ExperimentConfig.from_dict(data), tmp_path)
+    assert result.exit_code == EXIT_BUDGET
+    assert [r["error"]["message"] for r in result.records] == [
+        "|G| = 5^6 exceeds cap 1000"] * 2
+
+
+def test_cli_show_heisenberg_names_its_family(capsys):
+    assert main(["show", "heisenberg(4)"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "heisenberg needs a prime, got 4" in err
+    assert "ut needs" not in err
 
 
 def test_cli_sigma(capsys):

@@ -90,12 +90,14 @@ def test_closure_product_counts(arithmetic):
         return arithmetic["products"], arithmetic["rows"]
 
     assert count(lambda: build_group("ut(4,3)")) == (788, 0)
-    # the Jordan maps and A's closure take products; [G, A] is closed in
-    # the table: its seeds are one kernel call, each closure step a call
-    # for its conjugates and a right column per generator kept, and the
-    # inverses of G's 6 generators two rows each for their orders (x^3)
+    # only A's closure takes products, one per power sigma^2..sigma^9 of the
+    # order-9 Jordan map (8); its generator images take 6 + 5 kernel rows
+    # (e_i * e_{i-d} for d = 0, 1; the powers e^1 take none); [G, A] is
+    # closed in the table: its seeds are one kernel call, each closure step
+    # a call for its conjugates and a right column per generator kept, and
+    # the inverses of G's 6 generators two rows each for their orders (x^3)
     # and one for x^2
-    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (41, 8238)
+    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (8, 8238 + 11)
     # the search takes right columns of G and finds G's orders through the
     # kernel (two rows per non-identity element, 52), and the Aut table
     # picks its generators through its own right columns (3 * 432 rows):

@@ -6,7 +6,9 @@ module-level function or class is used somewhere outside its definition.
 No table writes an element's cached order or inverse: only an element's own
 methods assign ``_ord`` and ``_inv``, and only on ``self``.
 No module names a per-element key dict (`_index`, `_hold`) or reads a
-table's `keys`: tables find elements by their rows.
+table's `keys`: tables find elements by their rows.  No module but
+``groups.py`` looks an element object up (``index_of``, ``canon``), apart
+from the test-facing object helper ``actions.mixed_commutator``.
 The package calls none of numpy's sorting set routines (``np.unique`` and
 the ``*1d`` set operations built on it): on numpy 2.4.6 the first such call
 imports ``numpy.ma``, which costs about 18 ms and 1 MB of peak memory in
@@ -216,3 +218,19 @@ def test_tables_keep_no_per_element_lookup(path):
     assert not named, f"{path.name} names a per-element key lookup {named}"
     reads = _reads_of_keys(tree)
     assert not reads, f"{path.name} reads a table's keys at lines {reads}"
+
+
+LOOKUPS = ("index_of", "canon")
+# (module, top-level function) that may look an element object up
+LOOKUPS_ALLOWED = {("actions.py", "mixed_commutator")}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "groups.py"],
+                         ids=lambda p: p.name)
+def test_only_the_group_core_looks_elements_up(path):
+    calls = [(getattr(top, "name", None), node.lineno)
+             for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in LOOKUPS and (path.name, getattr(top, "name", None))
+             not in LOOKUPS_ALLOWED]
+    assert not calls, f"{path.name} looks element objects up in {calls}"

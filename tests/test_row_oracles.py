@@ -14,9 +14,14 @@ element-at-a-time oracle kept here.
 
 Both run over every built-in pair spec, the sigma pairs at p = 2 and 3, a
 trivial group, and relabeled tables (`tests/test_relabeling.py`).
+
+A serial built-in run, counted, looks up no element outside a table's
+construction, multiplies element objects only where the statement checked
+is about them, and makes a handful of element objects.
 """
 
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -33,10 +38,10 @@ from pcentral.actions import (
 )
 from pcentral.catalog import build_action, build_group, paper_sigma_pair
 from pcentral.checks import check_power_order_criterion
-from pcentral.corpus import _DEFAULT_PAIRS
-from pcentral.elements import _p_split
+from pcentral.corpus import _DEFAULT_PAIRS, default_config, run_corpus
+from pcentral.elements import FpMatrix, Permutation, _p_split
 from pcentral.errors import BudgetExceeded
-from pcentral.groups import subgroup_generated
+from pcentral.groups import Automorphism, GroupTable, QuotientGroup, subgroup_generated
 from pcentral.verdict import PASS
 
 SPECS = sorted(set(_DEFAULT_PAIRS)) + [("sigma(2)", None), ("sigma(3)", None)]
@@ -197,3 +202,55 @@ def test_row_paths_match_their_oracles_on_relabeled_tables(data):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_criterion_matches(pair, monkeypatch)
     _assert_definitional_matches(pair, k_max=4)
+
+
+# -- what a built-in run looks up, multiplies and makes ------------------------
+
+
+def _called_inside(name):
+    """Is a function of this name on the stack above the caller's caller?"""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_name != name:
+        frame = frame.f_back
+    return frame is not None
+
+
+def test_a_builtin_run_reads_rows(monkeypatch, tmp_path):
+    counts = {"lookups": 0, "products": 0, "made": 0}
+    lookup = GroupTable._lookup
+
+    def counted_lookup(table, xs):
+        # a subgroup's lookup reaches its root's, counted once
+        if len(xs) and sys._getframe(1).f_code.co_name not in ("_root", "_lookup"):
+            counts["lookups"] += 1
+        return lookup(table, xs)
+    monkeypatch.setattr(GroupTable, "_lookup", counted_lookup)
+    for cls in (FpMatrix, Permutation, Automorphism):
+        def product(x, y, real=cls.__mul__):
+            counts["products"] += not _called_inside("close")
+            return real(x, y)
+        monkeypatch.setattr(cls, "__mul__", product)
+    for cls in (GroupTable, QuotientGroup):
+        def make(table, row, real=cls._make):
+            counts["made"] += 1
+            return real(table, row)
+        monkeypatch.setattr(cls, "_make", make)
+    assert run_corpus(default_config(), tmp_path).exit_code == 0
+    assert counts == {
+        # every table built is found by its rows: no lookup outside _root
+        # (before, 103: 28 conjugation maps of inner actions, 27 conjugates
+        # in the Sylow search, 24 definitional alphabets and 24 Jordan maps
+        # of automorphism_from_images)
+        "lookups": 0,
+        # only sigma_example_tightness's comparison of sig ** n with its
+        # closed form, n = 0..p^2 for p = 2, 3, 5; sig ** n takes a product
+        # per bit and per set bit of n: 13 + 40 + 156 (before, 512: also
+        # 249 for the Jordan images and 54 for the Sylow search)
+        "products": sum(bin(n).count("1") + n.bit_length()
+                        for p in (2, 3, 5) for n in range(p * p + 1)),
+        # the generators of the two Aut tables that act (Aut(E(2,2)) and
+        # Aut(E(3,2)), two each), and the identities of the cyclic factors
+        # of the three direct products (1 + 2 + 1) (before, 300 tables'
+        # objects: 205 of them omega sets, and 72 quotient keys as cosets)
+        "made": 2 * 2 + 4,
+    }

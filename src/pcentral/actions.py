@@ -1,7 +1,9 @@
 """Automorphism actions on groups and the mixed commutator machinery.
 
 An ActionPair bundles a group G with a finite automorphism group A, held as a
-GroupTable of automorphisms (closed under composition, identity included).
+GroupTable of automorphisms (closed under composition, identity included);
+an A of one generator is sized by that generator's order and closed only when
+first read.
 The mixed commutator [g, a] = g^-1 a(g) matches the semidirect-product
 commutator, so with A = Inn(G) everything here degenerates to the ordinary
 commutator calculus — that consistency is pinned by tests.
@@ -58,30 +60,45 @@ DEFAULT_DEFINITIONAL_BUDGET = 5_000_000
 
 
 class ActionPair:
-    """A group together with a closed group of automorphisms acting on it."""
+    """A group together with a finite group of automorphisms acting on it,
+    A = <A_generators>, of order A_order.  With one generator (or none, for
+    the identity) |A| is the generator's order, and A is closed when first
+    read; with more, A is closed at build."""
 
     def __init__(self, G: GroupTable, A_generators: Sequence[Automorphism],
-                 A: GroupTable):
+                 A_order: int, A: Optional[GroupTable] = None):
         self.G = G
         self.A_generators = tuple(A_generators)
-        self.A = A
+        self.A_order = A_order
+        self._A = A
         self._cache: dict = {}
 
     @classmethod
     def build(cls, G: GroupTable, A_generators: Sequence[Automorphism],
               *, cap: int = DEFAULT_ACTION_CAP) -> "ActionPair":
+        """The pair, or CapExceeded when |A| is above `cap`."""
         for a in A_generators:
             if a.domain is not G:
                 raise ValueError("acting automorphism is not defined on the given group")
-        try:
-            A = close(list(A_generators) or [identity_automorphism(G)], cap=cap, p=G.p)
-        except CapExceeded:
-            raise CapExceeded(f"action closure exceeded cap of {cap}") from None
-        return cls(G, A_generators, A)
+        if len(A_generators) > 1:
+            try:
+                A = close(list(A_generators), cap=cap, p=G.p)
+            except CapExceeded:
+                raise CapExceeded(f"action closure exceeded cap of {cap}") from None
+            return cls(G, A_generators, A.order, A)
+        order = A_generators[0].order() if A_generators else 1
+        if order > cap:
+            raise CapExceeded(f"action closure exceeded cap of {cap}")
+        return cls(G, A_generators, order)
 
     @property
-    def A_order(self) -> int:
-        return self.A.order
+    def A(self) -> GroupTable:
+        """The acting group as a table, closed on first read when not at
+        build; its order is A_order, which is its closure's cap."""
+        if self._A is None:
+            self._A = close(list(self.A_generators) or [identity_automorphism(self.G)],
+                            cap=self.A_order, p=self.G.p)
+        return self._A
 
     def __repr__(self) -> str:
         return f"ActionPair(|G|={self.G.order}, |A|={self.A_order})"

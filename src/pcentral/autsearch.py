@@ -23,7 +23,6 @@ from .groups import (
     _extend_block,
     _image_codes,
     _inside,
-    _level_edges,
     _rows_in,
     _subgroup_at,
     _schreier_levels,
@@ -84,7 +83,6 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     orders = G._orders()
     e = G._identity_row
     gens, levels = _greedy_levels(G._right_column, np.arange(G.order) == e, orders)
-    levels = list(map(_level_edges, levels))
     if not gens:  # trivial group
         ident = identity_automorphism(G)
         return AutGroupResult(G, GroupTable([ident], [ident]), 0)
@@ -163,7 +161,8 @@ def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     """A Sylow p-subgroup: P gains the first y of G, in key order, outside P
     that is a p-element and normalizes P, so P<y> is a p-group.  While p
     divides |G:P| one exists, as P < N_S(P) for a Sylow S containing P.
-    Each step tests every p-element outside P at once (_normalizes).
+    Each step tests the p-elements outside P in key-order blocks of
+    _BLOCK_ROWS (_normalizes), and stops at the first block that holds one.
     As y normalizes P, <P, y> is the union of the cosets P y^i, one kernel
     call over P and the powers of y, with P's generators and then y."""
     _require_prime(p)
@@ -174,10 +173,14 @@ def sylow_p_subgroup(G: GroupTable, p: int) -> GroupTable:
     p_elements = p ** _p_split(G.order, p)[0] % orders == 0  # orders divide |G|
     while (G.order // P.order) % p == 0:
         ys = (p_elements & ~inside).nonzero()[0]
-        found = _normalizes(G, ys, P, inside)
-        if not found.any():
+        for start in range(0, len(ys), _BLOCK_ROWS):
+            block = ys[start:start + _BLOCK_ROWS]
+            found = _normalizes(G, block, P, inside)
+            if found.any():
+                break
+        else:
             raise AssertionError("Sylow extension stalled below the p-part")
-        i = int(ys[found.argmax()])
+        i = int(block[found.argmax()])
         gens.append(i)
         powers = G._powers(np.full(orders[i], i), np.arange(orders[i]))
         held = inside.nonzero()[0]

@@ -136,16 +136,21 @@ def _prime_power_base(n: int):
 
 def _elementary_abelian(p: int, n: int, cap: int) -> GroupTable:
     """The affine row matrices [[1, v], [0, I]], which multiply by adding
-    their rows v, built as a table of the key bodies of one stacked array,
-    with v in key order."""
+    their rows v, built as a table of the key bodies of one uint8 array,
+    written in place, with v in key order: v's entry i is digit i of its
+    row in base p, most significant first."""
     if not _is_prime(p) or n < 1:
         raise ConfigError(f"elementary_abelian needs a prime and a rank >= 1, got ({p},{n})")
     if p ** n > cap:
         raise CapExceeded(f"|G| = {p}^{n} exceeds cap {cap}")
-    stack = np.tile(np.eye(n + 1, dtype=np.uint8), (p ** n, 1, 1))
-    stack[:, 0, 1:] = np.indices((p,) * n).reshape(n, -1).T
+    identity = FpMatrix.identity(p, n + 1)
+    stack = np.zeros((p ** n, n + 1, n + 1), dtype=np.uint8)
+    stack[:, range(n + 1), range(n + 1)] = 1
+    for i in range(n):
+        stack.reshape(p ** i, p, -1, n + 1, n + 1)[:, :, :, 0, 1 + i] = np.arange(
+            p, dtype=np.uint8)[:, None]
     # generated by the unit vectors e_1, ..., e_n
-    return GroupTable._of_bodies(FpMatrix._stack(p, stack), FpMatrix.identity(p, n + 1),
+    return GroupTable._of_bodies(stack.reshape(p ** n, -1), identity,
                                  [p ** (n - 1 - i) for i in range(n)], p)
 
 

@@ -130,7 +130,8 @@ class GroupTable:
         and generators (else every other row), if given, must have rows.
         Returns each code's row."""
         rank = np.argsort(codes if codes.ndim == 1 else _opaque_rows(codes), kind="stable")
-        if (rank[1:] < rank[:-1]).any():  # copied only when out of order
+        moved = bool((rank[1:] < rank[:-1]).any())
+        if moved:  # copied only when out of order
             codes = codes[rank]
         flat, first = codes if codes.ndim == 1 else _opaque_rows(codes), np.ones(len(codes), bool)
         first[1:] = flat[1:] != flat[:-1]
@@ -151,7 +152,9 @@ class GroupTable:
                                  else "element table does not contain the identity") from None
             self._identity_row = int(found[0])
             self._gens = found[1:] if generators else (self.root_rows != found[0]).nonzero()[0]
-        return (first.cumsum() - 1)[np.argsort(rank)]
+        rows = first.cumsum()
+        rows -= 1
+        return rows[np.argsort(rank)] if moved else rows
 
     # -- basic queries ---------------------------------------------------
 
@@ -249,13 +252,52 @@ class GroupTable:
         return self._bodies
 
     def _right_column(self, j: int) -> np.ndarray:
-        """[index(x * e_j) for x in elements] as C ints, one _products call,
-        built on first use and kept; KeyError if a product lies outside the
-        table."""
+        """[index(x * e_j) for x in elements] as C ints, built on first use
+        and kept; KeyError if a product lies outside the table.  A subgroup's
+        columns and a root's generators' columns are one _products call each;
+        a root's other columns are gathers through its generators' columns
+        (_tree_column)."""
         columns = self._cache.setdefault("right_columns", {})
         if j not in columns:
-            columns[j] = self._products(np.arange(self.order), np.full(self.order, j))
+            columns[j] = (self._products(np.arange(self.order), np.full(self.order, j))
+                          if self.parent is not None or j in self._gens else self._tree_column(j))
         return columns[j]
+
+    def _tree_column(self, j: int) -> np.ndarray:
+        """A root's right column of a non-generator j: x * e_j = (x * e_u) * g
+        for the parent u = j * g^-1 of j in a breadth-first Schreier tree of
+        the generators (_schreier_tree), walked up from j to the nearest kept
+        column, or the identity, and gathered back down through the
+        generators' columns.  The columns passed on the way are not kept."""
+        parent, via = self._schreier_tree()
+        columns, path = self._cache["right_columns"], []
+        while j not in columns and j != self._identity_row:
+            if parent[j] < 0:  # not reached: the generators generate less
+                return self._products(np.arange(self.order), np.full(self.order, j))
+            path.append(int(via[j]))
+            j = int(parent[j])
+        column = columns[j] if j in columns else np.arange(self.order, dtype=np.intc)
+        for g in reversed(path):
+            column = self._right_column(g)[column]
+        return column
+
+    def _schreier_tree(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Int32 arrays (parent, via) over a root's rows, built on first use
+        and kept: y = parent[y] * e_{via[y]}, via[y] a generator's row, along
+        the tree edges of one _schreier_levels step of every generator from
+        the identity; -1 at the identity and at rows not reached."""
+        if "schreier_tree" not in self._cache:
+            gens = list(dict.fromkeys(self._gens.tolist()))
+            tree = np.full((2, self.order), -1, dtype=np.int32)
+            inside = np.arange(self.order) == self._identity_row
+            ((layers, cols, _, _),) = _schreier_levels(self._right_column, inside, [gens], [])
+            for xs, _, reach in layers:  # j0 is 0 in a level grown from the identity
+                js, at = np.divmod(reach, len(xs))
+                for j, col in enumerate(cols):
+                    x = xs[at[js == j]]
+                    tree[0, col[x]], tree[1, col[x]] = x, gens[j]
+            self._cache["schreier_tree"] = tree
+        return self._cache["schreier_tree"]
 
     def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[index(elements[x] * elements[y]) for x, y in zip(xs, ys)] as C
@@ -263,8 +305,8 @@ class GroupTable:
         a product lies outside the table.
 
         A matrix or permutation root multiplies the paired key bodies in
-        blocks of a bounded number of entries (one float32 matmul mod p, or
-        one gather per row) and finds the products among its bodies.  A
+        blocks of _BLOCK_ROWS pairs (one float32 matmul mod p, or one gather
+        per row) and finds the products among its bodies.  A
         subgroup multiplies in its root and maps back through its sorted
         root_rows.  A quotient multiplies the representatives in its
         cover (QuotientGroup._products).  An automorphism table gathers its
@@ -279,11 +321,10 @@ class GroupTable:
             return np.empty(0, dtype=np.intc)
         bodies = self._bodies
         if bodies is not None:
-            step = max(_BLOCK_ROWS, (1 << 16) // bodies.shape[1])
             return np.concatenate([
-                _find(bodies, self._proto._pair_products(bodies[xs[start:start + step]],
-                                                         bodies[ys[start:start + step]]))
-                for start in range(0, len(xs), step)])
+                _find(bodies, self._proto._pair_products(bodies[xs[start:start + _BLOCK_ROWS]],
+                                                         bodies[ys[start:start + _BLOCK_ROWS]]))
+                for start in range(0, len(xs), _BLOCK_ROWS)])
         if self._domain is not None:
             images, gen_idx = self._aut_images(), self._domain._gens
             return _find(self._codes, _image_codes(self._domain, images[xs[:, None],
@@ -727,54 +768,60 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
         yield layers, cols[:], np.concatenate(new), size
 
 
-def _level_edges(level: tuple) -> tuple:
-    """A level of _schreier_levels as (grow, check, new, size): its edges
-    x -> x*g_j = y as (xs, js, ys) arrays, j indexing gens, read off their
-    positions, with the products gathered again from the columns (holding
-    them through every subgroup closure raised peak memory).  `grow`
-    holds the tree edges, a triple per layer, so every x lies in H_{d-1} or
-    an earlier layer, and `check` every other edge, with x new or g_j new
-    (one inside H_{d-1} was checked at a lower level).  A map of H_d that
-    agrees with f(x*g_j) = f(x)*f(g_j) on the edges of every level up to d,
-    with H_0 trivial, is a homomorphism (Holt–Eick–O'Brien, *Handbook of
-    Computational Group Theory*, 2005, on Schreier trees).
-    """
-    grow, check = [], []
-    for xs, j0, reach in level[0]:
-        ys = np.concatenate([c[xs] for c in level[1][j0:]])
-        other = np.delete(np.arange(len(ys), dtype=np.intc), reach)
-        for pos, edges in ((reach, grow), (other, check)):
-            js, at = np.divmod(pos, len(xs))
-            edges.append((xs[at], js + j0, ys[pos]))
-    return (grow, tuple(map(np.concatenate, zip(*check))), *level[2:])
-
-
 def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
                   level: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """Extend each row of F over one level's edges (_level_edges), in place.
+    """Extend each row of F over one level of _schreier_levels, in place, a
+    breadth-first layer at a time.
 
     Row r of the int32 array F maps H_{d-1} by index; images[r, j] is the
-    index of its image of g_j, for each generator g_j of H_d.  Each layer of
-    tree edges sets
-    f(x*g_j) = f(x)*images[r, j] for every row by one gather through the
-    right columns of the images that occur in the block.  Returns two row
-    masks: every check edge agrees (f is a homomorphism on H_d), and
-    no new element maps to the identity (so a homomorphism injective on the
-    old subgroup is injective).
+    index of its image of g_j, for each generator g_j of H_d.  A layer's
+    edges are x -> x*g_j = y for its xs and its generators j >= j0, the
+    products read again from the level's columns.  Its tree edges set
+    f(y) = f(x)*images[r, j] for every row by one gather through the right
+    columns of the images that occur, stacked (one map reads each image's
+    column in place instead, a gather per generator); then every y of the
+    layer has its image, and the layer's other edges are checked (edges of
+    old generators inside H_{d-1} were checked one level down).  No list of
+    a level's edges is held.
+    A map of H_d that agrees with f(x*g_j) = f(x)*f(g_j) on the edges of
+    every level up to d, with H_0 trivial, is a homomorphism (Holt–Eick–
+    O'Brien, *Handbook of Computational Group Theory*, 2005, on Schreier
+    trees).  Returns two row masks: every edge agrees (f is a homomorphism
+    on H_d), and no new element maps to the identity (so a homomorphism
+    injective on the old subgroup is injective).
     """
-    grow, (xs, js, ys), new, _ = level
-    occurs = np.bincount(images.ravel(), minlength=G.order).astype(bool)
-    offsets = (occurs.cumsum() - 1)[images] * G.order
-    table = np.concatenate([G._right_column(m) for m in occurs.nonzero()[0].tolist()])
-    for gx, gj, gy in grow:
-        F[:, gy] = table[offsets[:, gj] + F[:, gx]]
+    layers, cols, new, _ = level
+    if len(F) > 1:
+        occurs = np.bincount(images.ravel(), minlength=G.order).astype(bool)
+        table = np.concatenate([G._right_column(m) for m in occurs.nonzero()[0].tolist()])
+        offsets = (occurs.cumsum() - 1)[images] * G.order
+    else:
+        columns = [G._right_column(m) for m in images[0].tolist()]
+
+    def image(xs: np.ndarray, js: np.ndarray) -> np.ndarray:
+        """f(x)*images[r, j] for each row r and each edge (x, j)."""
+        if len(F) > 1:
+            return table[offsets[:, js] + F[:, xs]]
+        out = np.empty((1, len(xs)), dtype=F.dtype)
+        for j in np.bincount(js).nonzero()[0].tolist():
+            at = js == j
+            out[0, at] = columns[j][F[0, xs[at]]]
+        return out
+
     hom = np.ones(len(F), dtype=bool)
     # at most |G| edges and _BLOCK_ROWS^2 cells per comparison, so that its
     # temporaries stay near the size of the maps
     step = max(1, min(G.order, _BLOCK_ROWS * _BLOCK_ROWS // len(F)))
-    for start in range(0, len(xs), step):
-        part = slice(start, start + step)
-        hom &= (table[offsets[:, js[part]] + F[:, xs[part]]] == F[:, ys[part]]).all(axis=1)
+    for xs, j0, reach in layers:
+        ys = np.concatenate([c[xs] for c in cols[j0:]])
+        js, at = np.divmod(reach, len(xs))
+        F[:, ys[reach]] = image(xs[at], js + j0)
+        other = np.ones(len(ys), dtype=bool)
+        other[reach] = False
+        (js, at), ys = np.divmod(other.nonzero()[0], len(xs)), ys[other]
+        for start in range(0, len(ys), step):
+            part = slice(start, start + step)
+            hom &= (image(xs[at[part]], js[part] + j0) == F[:, ys[part]]).all(axis=1)
     return hom, (F[:, new] != G._identity_row).all(axis=1)
 
 
@@ -793,7 +840,7 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
     if len(gen_idx):  # one level, with every generator, grown from the identity
         inside = np.arange(G.order) == G._identity_row
         (level,) = _schreier_levels(G._right_column, inside, [gen_idx], [])
-        (hom, injective), size = _extend_block(G, F, row, _level_edges(level)), level[-1]
+        (hom, injective), size = _extend_block(G, F, row, level), level[-1]
     if not hom[0]:
         raise NotAHomomorphism("generator images are inconsistent on the Cayley graph")
     if size != G.order:

@@ -182,6 +182,21 @@ def test_induced_quotient_maps_match_generator_images(gspec, aspec):
             assert (induced.images == ref.images).all()
 
 
+SIGMA_PAIRS = tuple((f"elementary_abelian({p},{p + 1})", "jordan") for p in (2, 3, 5))
+
+
+@pytest.mark.parametrize("gspec,aspec", _DEFAULT_PAIRS + SIGMA_PAIRS)
+def test_action_order_is_the_closed_order(gspec, aspec):
+    # A_order is known at build (for one generator, its order) and is the
+    # order of A closed afterwards, on the pair and on its restriction to
+    # and its quotient by H = [G, A]
+    pair = build_action(build_group(gspec), aspec)
+    H = commutator_group_of_pair(pair)
+    for q in (pair, restrict_action(pair, H), induced_quotient_action(pair, H)):
+        order = q.A_order
+        assert q.A.order == order
+
+
 def test_restrict_action_to_commutator_subgroup(sigma3):
     H = gamma_term(sigma3, 2)
     rpair = restrict_action(sigma3, H)

@@ -196,14 +196,17 @@ def test_sylow_matches_growth_inside_normalizers(spec, aut, p):
 
 
 def test_sylow_product_counts(arithmetic):
-    # no element products: each step conjugates P's generators by every
-    # 3-element y outside P at once, two kernel rows per pair, after one row
-    # for each y's inverse y^2 not yet kept (all n3 - 2 of them at the
-    # second step, none at the third); for each y that P gains, one row for
-    # y^2 (y^0 and y^1 take none) and one per element of P y^i (P of order
-    # 1, 3, then 9), not a column of the whole Aut table.  Both tables have
-    # exponent 3, with n3 elements of order 3.  The Aut tables are built
-    # outside the count, and their kept inverses dropped.
+    # no element products: each step conjugates P's generators by the
+    # 3-elements y outside P in key-order blocks of 256, two kernel rows per
+    # pair, after one row for each y's inverse y^2 not yet kept, and stops at
+    # the first block that holds a normalizer (here always the first); for
+    # each y that P gains, one row for y^2 (y^0 and y^1 take none) and one per
+    # element of P y^i (P of order 1, 3, then 9), not a column of the whole
+    # Aut table.  Both tables have exponent 3, with n3 elements of order 3.
+    # The Aut tables are built outside the count, and their kept inverses
+    # dropped.  Before the blocks, every y was tested: 5100 rows on
+    # Aut(E(3,3)), and the same 564 on Aut(heisenberg(3)), whose n3 - 2 = 78
+    # fit one block.
     tables = {spec: _aut(spec).perm_group
               for spec in ("heisenberg(3)", "elementary_abelian(3,3)")}
 
@@ -213,12 +216,15 @@ def test_sylow_product_counts(arithmetic):
         sylow_p_subgroup(A, 3)
         return arithmetic["products"], arithmetic["rows"]
 
-    def rows(n3):
+    def rows(n3, fresh):
+        # the blocks of the second and third steps, and the inverses first
+        # needed at the third (its block reaches `fresh` past the second's)
+        second, third = min(256, n3 - 2), min(256, n3 - 3 * 3 + 1)
         gains = 3 * 1 + 3 * (1 + 3 + 9)
-        return gains + (n3 - 2) + 2 * 1 * (n3 - 2) + 2 * 2 * (n3 - 3 * 3 + 1)
+        return gains + second + 2 * 1 * second + fresh + 2 * 2 * third
 
-    assert count(tables["heisenberg(3)"]) == (0, rows(80))
-    assert count(tables["elementary_abelian(3,3)"]) == (0, rows(728))
+    assert count(tables["heisenberg(3)"]) == (0, rows(80, 0)) == (0, 564)
+    assert count(tables["elementary_abelian(3,3)"]) == (0, rows(728, 2)) == (0, 1836)
 
 
 def _reference_extend(G, gens, images):

@@ -79,6 +79,19 @@ def test_action_cap_boundary():
     assert inner_action(G, cap=243).A_order == 243
 
 
+@pytest.mark.parametrize("spec,action,order", [("elementary_abelian(3,4)", "jordan", 9),
+                                               ("elementary_abelian(2,4)", "jordan", 4),
+                                               ("elementary_abelian(2,4)", "jordan_power(2)", 2)])
+def test_one_generator_action_cap_boundary(spec, action, order):
+    # one generator: |A| is its order, so the cap is met at build, with the
+    # closure's message, and A is closed with exactly that many elements
+    G = build_group(spec)
+    with pytest.raises(CapExceeded, match=f"action closure exceeded cap of {order - 1}$"):
+        build_action(G, action, action_cap=order - 1)
+    pair = build_action(G, action, action_cap=order)
+    assert pair.A_order == pair.A.order == order
+
+
 def test_closure_product_counts(arithmetic):
     # close: one product per element that is not a coset representative,
     # and one per representative and generator (ut(4,3): 692 + 96)
@@ -90,19 +103,25 @@ def test_closure_product_counts(arithmetic):
         return arithmetic["products"], arithmetic["rows"]
 
     assert count(lambda: build_group("ut(4,3)")) == (788, 0)
-    # only A's closure takes products, one per power sigma^2..sigma^9 of the
-    # order-9 Jordan map (8); its generator images take 6 + 5 kernel rows
-    # (e_i * e_{i-d} for d = 0, 1; the powers e^1 take none); [G, A] is
-    # closed in the table: its seeds are one kernel call, each closure step
-    # a call for its conjugates and a right column per generator kept, and
-    # the inverses of G's 6 generators two rows each for their orders (x^3)
-    # and one for x^2
-    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (8, 8238 + 11)
-    # the search takes right columns of G and finds G's orders through the
+    # no products: A = <sigma> is sized by sigma's order and never closed.
+    # The Jordan map's generator images take 6 + 5 kernel rows (e_i * e_{i-d}
+    # for d = 0, 1; the powers e^1 take none); its extension takes the right
+    # columns of G's 6 generators (6 * 729 rows) and gathers every other
+    # column through them.  The mixed series is closed in the table: each
+    # term's seeds are one kernel call (6 + 5 + ... + 1 rows), its
+    # conjugates two rows per pair of its generators and G's (2 * 6 * 15),
+    # and the inverses of G's 6 generators two rows each for their orders
+    # (x^3) and one for x^2.  Before: (8, 8249), with sigma^2..sigma^9 of
+    # A's closure and five right columns through the kernel.
+    assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (
+        0, 11 + 6 * 729 + 21 + 180 + 18)
+    # the search takes the right columns of G's 2 generators (2 * 27 rows)
+    # and gathers the others through them, finds G's orders through the
     # kernel (two rows per non-identity element, 52), and the Aut table
     # picks its generators through its own right columns (3 * 432 rows):
-    # every product closes the action
-    assert count(lambda: build_action(H, "full_aut")) == (452, 2050)
+    # every product closes the action.  Before: (452, 2050), with 24 more
+    # columns of G through the kernel.
+    assert count(lambda: build_action(H, "full_aut")) == (452, 2 * 27 + 52 + 3 * 432)
 
 
 @pytest.mark.parametrize("x", [Permutation([]), FpMatrix(3, np.zeros((0, 0), dtype=np.int64))],

@@ -1,9 +1,9 @@
 """Automorphism actions on groups and the mixed commutator machinery.
 
 An ActionPair bundles a group G with a finite automorphism group A, held as a
-GroupTable of automorphisms (closed under composition, identity included);
-an A of one generator is sized by that generator's order and closed only when
-first read.
+GroupTable of automorphisms, closed by `close` over image rows, or a searched
+Aut(G) taken as it is; an A of one generator is sized by that generator's
+order and closed only when first read.
 The mixed commutator [g, a] = g^-1 a(g) matches the semidirect-product
 commutator, so with A = Inn(G) everything here degenerates to the ordinary
 commutator calculus — that consistency is pinned by tests.
@@ -63,7 +63,7 @@ class ActionPair:
     """A group together with a finite group of automorphisms acting on it,
     A = <A_generators>, of order A_order.  With one generator (or none, for
     the identity) |A| is the generator's order, and A is closed when first
-    read; with more, A is closed at build."""
+    read; with more, A is closed at build, unless its table is given."""
 
     def __init__(self, G: GroupTable, A_generators: Sequence[Automorphism],
                  A_order: int, A: Optional[GroupTable] = None):
@@ -75,21 +75,20 @@ class ActionPair:
 
     @classmethod
     def build(cls, G: GroupTable, A_generators: Sequence[Automorphism],
-              *, cap: int = DEFAULT_ACTION_CAP) -> "ActionPair":
-        """The pair, or CapExceeded when |A| is above `cap`."""
-        for a in A_generators:
-            if a.domain is not G:
-                raise ValueError("acting automorphism is not defined on the given group")
-        if len(A_generators) > 1:
+              *, cap: int = DEFAULT_ACTION_CAP, A: Optional[GroupTable] = None) -> "ActionPair":
+        """The pair, or CapExceeded when |A| is above `cap`; A, if given, is
+        the table that the generators generate (a searched Aut(G))."""
+        if any(a.domain is not G for a in A_generators):
+            raise ValueError("acting automorphism is not defined on the given group")
+        if A is None and len(A_generators) > 1:
             try:
                 A = close(list(A_generators), cap=cap, p=G.p)
             except CapExceeded:
                 raise CapExceeded(f"action closure exceeded cap of {cap}") from None
-            return cls(G, A_generators, A.order, A)
-        order = A_generators[0].order() if A_generators else 1
+        order = A.order if A is not None else A_generators[0].order() if A_generators else 1
         if order > cap:
             raise CapExceeded(f"action closure exceeded cap of {cap}")
-        return cls(G, A_generators, order)
+        return cls(G, A_generators, order, A)
 
     @property
     def A(self) -> GroupTable:
@@ -186,7 +185,7 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     G = pair.G
     N, cap, every = G.order, k_max - 1, np.arange(G.order)
     if entries == "all":
-        letters, maps = every, pair.A._aut_images()
+        letters, maps = every, pair.A._images
     elif entries == "generators":
         letters = np.concatenate([G._gens, G._inverses(G._gens)])
         maps = [m for a in pair.A_generators for m in (a.images, a.inverse().images)]

@@ -21,7 +21,6 @@ from .groups import (
     _BLOCK_ROWS,
     GroupTable,
     _extend_block,
-    _image_codes,
     _inside,
     _rows_in,
     _subgroup_at,
@@ -85,7 +84,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     gens, levels = _greedy_levels(G._right_column, np.arange(G.order) == e, orders)
     if not gens:  # trivial group
         ident = identity_automorphism(G)
-        return AutGroupResult(G, GroupTable([ident], [ident]), 0)
+        return AutGroupResult(G, GroupTable([ident], [ident], p=G.p), 0)
     candidates = [(orders == orders[g]).nonzero()[0].astype(np.int32) for g in gens]
     found: List[np.ndarray] = []  # blocks of automorphisms, a row each
     tuples_tried = 0
@@ -117,31 +116,22 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
 
 def _aut_table(G: GroupTable, blocks: List[np.ndarray]) -> GroupTable:
     """The automorphisms whose index arrays are the rows of the `blocks`, as
-    a table generated by minimal_generating_sequence's greedy rule: highest
-    order first, ties by key.  Its rows are coded by the images of G's
-    generators, in key order, and the maps in that order are its stacked
-    images (GroupTable._aut_images), from which its automorphisms are made
-    when read; _greedy_levels then picks the generators.  Each block is
-    popped from the list into its rows of the stack, so the maps are held
-    at most twice; the list is left empty.
+    a table of G's prime generated by minimal_generating_sequence's greedy
+    rule: highest order first, ties by key.  It is rooted on the maps'
+    images of G's generators (GroupTable._root_maps), and each block is
+    popped from the list into its rows of the table's stack, so the maps are
+    held at most twice; the list is left empty.  _greedy_levels then picks
+    the generators.
     """
     A = GroupTable.__new__(GroupTable)
-    A._domain = G
-    codes = [_image_codes(G, block[:, G._gens]) for block in blocks]
-    rows = A._root(np.concatenate(codes), (), identity_automorphism(G), None)
+    rows = A._root_maps(G, np.concatenate([block[:, G._gens] for block in blocks]), G.p)
     if A.order != len(rows):
         raise AssertionError("automorphism search produced duplicate maps")
-    A._images = np.empty((A.order, G.order), dtype=np.int32)
-    blocks.reverse()
-    start = 0
-    for code in codes:
-        A._images[rows[start:start + len(code)]] = blocks.pop()
-        start += len(code)
-    A._images.setflags(write=False)
-    chosen, _ = _greedy_levels(A._right_column, np.arange(A.order) == A._identity_row,
-                               A._orders())
+    for at in np.split(rows, np.cumsum([len(block) for block in blocks])[:-1]):
+        A._images[at] = blocks.pop(0)
     # the table was built before its generators could be picked
-    A._gens = np.array(chosen, dtype=np.intp)
+    A._gens = np.array(_greedy_levels(A._right_column, np.arange(A.order) == A._identity_row,
+                                      A._orders())[0], dtype=np.intp)
     return A
 
 

@@ -200,29 +200,14 @@ def _dihedral(order: int, cap: int) -> GroupTable:
     return close([rot, flip], cap=cap, p=_prime_power_base(order))
 
 
-_QUATERNION_UNITS = ("1", "i", "j", "k")
-_QUATERNION_MUL = {  # (sign, unit) of the product of two units
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-    ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-    ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-}
-
-
 def _quaternion(order: int, cap: int) -> GroupTable:
+    """Q8 on its units 1, -1, i, -i, j, -j, k, -k (points 0..7), generated
+    by the left multiplications by i and by j."""
     if order != 8:
         raise ConfigError(f"quaternion is catalogued only at order 8, got {order}")
-    basis = [(s, u) for u in _QUATERNION_UNITS for s in (1, -1)]
-    index = {q: i for i, q in enumerate(basis)}
-
-    def mul(a, b):
-        sign, unit = _QUATERNION_MUL[(a[1], b[1])]
-        return (a[0] * b[0] * sign, unit)
-
-    def left_mult(g) -> Permutation:
-        return Permutation([index[mul(g, x)] for x in basis])
-
-    return close([left_mult((1, "i")), left_mult((1, "j"))], cap=cap, p=2)
+    i = Permutation.from_cycles(8, [(0, 2, 1, 3), (4, 6, 5, 7)])  # 1 -> i -> -1 -> -i
+    j = Permutation.from_cycles(8, [(0, 4, 1, 5), (2, 7, 3, 6)])  # 1 -> j, i -> ji = -k
+    return close([i, j], cap=cap, p=2)
 
 
 def _wreath_cp_cp(p: int, cap: int) -> GroupTable:
@@ -413,8 +398,8 @@ def build_action(G: GroupTable, spec: Union[str, FamilySpec], *,
         (m,) = _int_args(spec, 1)
     elif name == "full_aut":
         _int_args(spec, 0)
-        result = brute_force_aut(G, budget=aut_budget)
-        return ActionPair.build(G, result.perm_group.generators, cap=action_cap)
+        A = brute_force_aut(G, budget=aut_budget).perm_group
+        return ActionPair.build(G, A.generators, cap=action_cap, A=A)
     else:
         raise UnknownFamily(f"unknown action {name!r}")
     sigma = automorphism_from_images(G, G._gens, _jordan_images(G, m))

@@ -174,7 +174,7 @@ def check_mixed_series_ladder(pair: ActionPair) -> Verdict:
     for i in range(1, s.stabilized_at + 2):
         cs = _rows_in(G, s.term(i), s.term(i)._gens)
         for j in range(1, alcs.stabilized_at + 2):
-            target, maps = s.term(i + j), [a.images for a in alcs.term(j).generators]
+            target, maps = s.term(i + j), P._images[_rows_in(P, alcs.term(j), alcs.term(j)._gens)]
             # witnesses a-major, c within a
             ws = _mixed_commutators(G, cs, maps).reshape(len(cs), len(maps)).T.ravel()
             graded_bad += [{"i": i, "j": j, "witness": G._row_key(w).hex()}
@@ -422,7 +422,7 @@ def check_power_order_criterion(pair: ActionPair) -> Verdict:
                         {"acting_exponent": exp_a,
                          "reason": "acting exponent is not a p-power"})
     H, ns, orders = commutator_group_of_pair(pair), range(1, m + 2), A._orders()
-    ws = _mixed_commutators(G, G._gens, A._aut_images()).reshape(len(G._gens), A.order)
+    ws = _mixed_commutators(G, G._gens, A._images).reshape(len(G._gens), A.order)
     # [row of sigma, n - 1]: sigma^(p^n) = 1, and sigma trivial mod omega_n(H)
     power = np.array([p ** n % orders == 0 for n in ns]).T
     inside = np.array([_inside(omega_subgroup(H, n), G)[ws].all(axis=0) for n in ns]).T

@@ -184,9 +184,6 @@ class Element:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Element) and self.key == other.key
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __lt__(self, other: "Element") -> bool:
         return self.key < other.key
 

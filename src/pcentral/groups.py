@@ -1,15 +1,15 @@
 """Fully enumerated finite groups and their basic machinery.
 
-Everything is desk scale: groups are grown coset by coset from their
-generators (`close`) and stored as tables of rows sorted by canonical key,
-so all downstream iteration is deterministic.  A table is its rows, and one
-lookup, `_find` among its sorted row codes, finds an element's row; element
-objects are made when first read.  A subgroup is cut from its parent table
-by a membership mask (`_subgroup_at`): it is its rows of its root table.  A
-quotient numbers its cosets by an id array over the cover's rows, and its
-elements are cosets keyed by their canonically minimal representative; an
-automorphism is an index array over its domain's rows, so automorphism
-groups are group tables too.
+Everything is desk scale: groups are grown breadth first over arrays from
+their generators (`close`) and stored as tables of rows sorted by canonical
+key, so all downstream iteration is deterministic.  A table is its rows, and
+one lookup, `_find` among its sorted row codes, finds an element's row;
+element objects are made when first read.  A subgroup is cut from its parent
+table by a membership mask (`_subgroup_at`): it is its rows of its root
+table.  A quotient numbers its cosets by an id array over the cover's rows,
+and its elements are cosets keyed by their canonically minimal
+representative; an automorphism is an index array over its domain's rows,
+so automorphism groups are group tables too.
 
 Once a table exists, the group core works on element indices: one pairwise
 kernel, GroupTable._products, multiplies index arrays in batches on every
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence as _Sequence
-from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,17 +87,17 @@ class GroupTable:
 
     The constructor makes a root table from element objects, which it keeps,
     on their sorted distinct row codes (`_root`): the key bodies of matrices
-    or permutations (`_bodies`), the _image_codes of automorphisms of one
-    `_domain`, or else the keys.  A subgroup is cut from its `parent` by a
-    mask (_subgroup_at): it takes the parent's prime, and is `root_rows`, its
-    rows in its `root` (the table at the end of its chain of parents; a root
-    is its own).  Every table keeps its identity's row and its generators'
-    rows (`_gens`); given no generators, it takes every non-identity element.
+    or permutations (`_bodies`), or else the keys; automorphisms of one
+    `_domain` keep only their stacked images (_root_maps).  A subgroup is cut
+    from its `parent` by a mask (_subgroup_at): it takes the parent's prime,
+    and is `root_rows`, its rows in its `root` (the table at the end of its
+    chain of parents; a root is its own).  Every table keeps its identity's
+    row and its generators' rows (`_gens`); given no generators, it takes
+    every non-identity element.
     """
 
     _bodies: Optional[np.ndarray] = None
     _domain: Optional["GroupTable"] = None
-    _images: Optional[np.ndarray] = None  # an automorphism table's (_aut_images)
 
     def __init__(self, elements: Iterable[Element], generators: Sequence[Element] = (),
                  p: Optional[int] = None):
@@ -107,10 +106,12 @@ class GroupTable:
             raise ValueError("a group needs at least the identity element")
         if p is not None:
             _require_prime(p)
+        if all(isinstance(x, Automorphism) and x.domain is els[0].domain for x in els):
+            dom, images = els[0].domain, np.array([x.images for x in els], dtype=np.int32)
+            rows = self._root_maps(dom, images[:, dom._gens], p, generators)
+            self._images[rows] = images
+            return
         codes = _key_bodies(els)
-        if codes is None and all(isinstance(x, Automorphism) and x.domain is els[0].domain
-                                 for x in els):
-            self._domain = els[0].domain
         self._root(self._codes_of(els) if codes is None else codes, els,
                    (generators[0] if generators else els[0]).identity_like(), p, generators)
 
@@ -156,6 +157,18 @@ class GroupTable:
         rows -= 1
         return rows[np.argsort(rank)] if moved else rows
 
+    def _root_maps(self, domain: "GroupTable", heads: np.ndarray, p: Optional[int],
+                   generators: Sequence[Element] = ()) -> np.ndarray:
+        """Become the root table of the automorphisms of `domain` whose images
+        of its generators are the rows of `heads`: the one automorphism table
+        constructor.  It keeps no object; the caller writes each map once
+        into its stack (`_images`), at its head's row, which it returns."""
+        self._domain = domain
+        rows = self._root(_image_codes(domain, heads), (), identity_automorphism(domain), p,
+                          generators)
+        self._images = np.empty((self.order, domain.order), dtype=np.int32)
+        return rows
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -193,7 +206,7 @@ class GroupTable:
 
     def _make(self, row: int) -> Element:
         if self._domain is not None:
-            return Automorphism(self._domain, self._aut_images()[row])
+            return Automorphism(self._domain, self._images[row])
         return self._proto._like(self._row_key(row))
 
     def _row_key(self, row: int) -> bytes:
@@ -326,22 +339,11 @@ class GroupTable:
                                                          bodies[ys[start:start + _BLOCK_ROWS]]))
                 for start in range(0, len(xs), _BLOCK_ROWS)])
         if self._domain is not None:
-            images, gen_idx = self._aut_images(), self._domain._gens
+            images, gen_idx = self._images, self._domain._gens
             return _find(self._codes, _image_codes(self._domain, images[xs[:, None],
                                                                        images[ys[:, None], gen_idx]]))
         els = self.elements
         return self._lookup([els[i] * els[j] for i, j in zip(xs.tolist(), ys.tolist())])
-
-    def _aut_images(self) -> np.ndarray:
-        """An automorphism table's maps, stacked a row at a time on first use,
-        each automorphism's images re-pointed at its row: one copy is held."""
-        if self._images is None:
-            images = self._images = np.empty((self.order, self._domain.order), dtype=np.int32)
-            for row, a in self._made.items():
-                images[row] = a.images
-                a.images = images[row]
-                a.images.setflags(write=False)
-        return self._images
 
     def _powers(self, xs: np.ndarray, k) -> np.ndarray:
         """[index(elements[x] ** k) for x in xs], k one count or one per x, by
@@ -492,7 +494,7 @@ def _cycle_orders(A: GroupTable, rows: np.ndarray) -> np.ndarray:
     """The orders of the automorphisms at rows of the table A: the lcm of
     their cycle lengths through the domain's generators (Automorphism.order),
     followed for every row at once by gathers from the stacked images."""
-    images = A._aut_images()
+    images = A._images
     orders = np.ones(len(rows), dtype=np.int64)
     for s in A._domain._gens.tolist():
         length = np.ones(len(rows), dtype=np.int64)
@@ -538,36 +540,64 @@ def _find(rows: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
           p: Optional[int] = None) -> GroupTable:
-    """Enumerate the group generated by `generators`, grown from the identity
-    by element products, for elements that have no table yet.
-
-    Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
-    Groups*, 1991): a generator g missing when reached adds the right coset
-    Hg of the group H held so far, then Hrs for each coset representative r
-    and generator s with rs new, so each element is made once.  Raises
-    CapExceeded as soon as more than `cap` elements are found.
-    """
+    """Enumerate the group generated by `generators`, for elements that have
+    no table yet, by a breadth-first closure over arrays (_breadth_first).
+    Matrices and permutations are rows of key bodies, multiplied by
+    _pair_products.  An automorphism is the row of its images of the
+    domain's generators, s * a's is s.images[a's]; once the closure is under
+    `cap`, each full map is written, from its parent's, into the table's
+    stack.  Elements with empty key bodies are each the identity."""
     if not generators:
         raise ValueError("need at least one generator")
-    identity = generators[0].identity_like()
-    found = {identity.key: identity}
-    held = [g for g in generators if g.key in found]
-    for g in generators:
-        if g.key in found:
-            continue
-        base = [h for h in found.values() if h.key != identity.key]
-        held.append(g)
-        reps: List[Element] = []
-        # reps grows while the products rs are walked
-        for r in chain((g,), (r * s for r in reps for s in held)):
-            if r.key in found:
-                continue
-            reps.append(r)
-            for y in chain((r,), (h * r for h in base)):
-                found[y.key] = y
-                if len(found) > cap:
-                    raise CapExceeded(f"closure exceeded cap of {cap} elements")
-    return GroupTable(found.values(), generators, p=p)
+    T, first, k = GroupTable.__new__(GroupTable), generators[0], len(generators)
+    if isinstance(first, Automorphism):
+        dom = first.domain
+        if not all(isinstance(a, Automorphism) and a.domain is dom for a in generators):
+            raise BackendMismatch("automorphisms act on different groups")
+        maps = np.array([a.images for a in generators], dtype=np.int32)
+        heads, edges = _breadth_first(dom._gens.astype(np.int32)[None],
+                                      lambda js, xs: maps[js[:, None], xs],
+                                      lambda xs: _image_codes(dom, xs), k, cap)
+        rows, (parent, via) = T._root_maps(dom, heads, p, generators), np.divmod(edges, k)
+        T._images[rows[0]] = np.arange(dom.order)
+        # in the order reached, so each parent's row is written before its own
+        for row, above, j in zip(rows[1:].tolist(), rows[parent].tolist(), via.tolist()):
+            maps[j].take(T._images[above], out=T._images[row])
+        return T
+    identity = first.identity_like()
+    bodies = _key_bodies([identity, *generators])
+    if bodies is None:
+        if any(g != identity for g in generators):
+            raise BackendMismatch("generators differ in backend, size or prime")
+        return GroupTable([identity], generators, p=p)
+    rows, _ = _breadth_first(bodies[:1], lambda js, xs: identity._pair_products(bodies[1 + js], xs),
+                             _opaque_rows, k, cap)
+    T._root(rows, (), identity, p, generators)
+    return T
+
+
+def _breadth_first(start: np.ndarray, step: Callable, code: Callable, k: int,
+                   cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows reached from the row `start` by left products with k
+    generators, a layer at a time: step(js, xs) is the rows s_j * x, asked
+    for _BLOCK_ROWS pairs at a time, and code(rows) tells rows apart, an int
+    or bytes each.  Returns the rows in the order reached and the edge
+    k * parent + j that first reached each after the start; CapExceeded once
+    more than `cap` rows are found."""
+    seen, layers, edges = set(code(start).tolist()), [start], []
+    while len(layers[-1]):
+        first = len(seen) - len(layers[-1])  # the layer's first index
+        at, js = np.divmod(np.arange(len(layers[-1]) * k), k)  # x-major
+        ys = np.concatenate([step(js[i:i + _BLOCK_ROWS], layers[-1][at[i:i + _BLOCK_ROWS]])
+                             for i in range(0, len(js), _BLOCK_ROWS)])
+        # the candidates not seen before, each once (set.add returns None)
+        fresh = np.array([i for i, c in enumerate(code(ys).tolist())
+                          if c not in seen and not seen.add(c)], dtype=np.intp)
+        if len(seen) > cap:
+            raise CapExceeded(f"closure exceeded cap of {cap} elements")
+        edges.append(fresh + k * first)
+        layers.append(ys[fresh])
+    return np.concatenate(layers), np.concatenate(edges)
 
 
 def _grow(G: GroupTable, inside: np.ndarray, held: List[int],
@@ -966,9 +996,7 @@ class QuotientGroup(GroupTable):
         """The full preimage in the cover of a subgroup of this quotient."""
         if not S.lies_in(self):
             raise ValueError("subgroup does not live in this quotient")
-        ids = np.zeros(self.order, dtype=bool)
-        ids[_rows_in(self, S)] = True
-        return _subgroup_at(self.cover, ids[self.coset_id])
+        return _subgroup_at(self.cover, _inside(S, self)[self.coset_id])
 
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.order} = {self.cover.order}/{self.normal_subgroup.order})"

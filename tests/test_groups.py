@@ -93,8 +93,10 @@ def test_one_generator_action_cap_boundary(spec, action, order):
 
 
 def test_closure_product_counts(arithmetic):
-    # close: one product per element that is not a coset representative,
-    # and one per representative and generator (ut(4,3): 692 + 96)
+    # close: no product of element objects and no kernel row; it multiplies
+    # key bodies by _pair_products (before, Dimino's closure over objects
+    # took one product per element that is not a coset representative, and
+    # one per representative and generator: ut(4,3), 692 + 96 = 788)
     E, H = build_group("elementary_abelian(3,6)"), build_group("heisenberg(3)")
 
     def count(build):
@@ -102,7 +104,7 @@ def test_closure_product_counts(arithmetic):
         build()
         return arithmetic["products"], arithmetic["rows"]
 
-    assert count(lambda: build_group("ut(4,3)")) == (788, 0)
+    assert count(lambda: build_group("ut(4,3)")) == (0, 0)
     # no products: A = <sigma> is sized by sigma's order and never closed.
     # The Jordan map's generator images take 6 + 5 kernel rows (e_i * e_{i-d}
     # for d = 0, 1; the powers e^1 take none); its extension takes the right
@@ -118,10 +120,11 @@ def test_closure_product_counts(arithmetic):
     # the search takes the right columns of G's 2 generators (2 * 27 rows)
     # and gathers the others through them, finds G's orders through the
     # kernel (two rows per non-identity element, 52), and the Aut table
-    # picks its generators through its own right columns (3 * 432 rows):
-    # every product closes the action.  Before: (452, 2050), with 24 more
-    # columns of G through the kernel.
-    assert count(lambda: build_action(H, "full_aut")) == (452, 2 * 27 + 52 + 3 * 432)
+    # picks its generators through its own right columns (3 * 432 rows),
+    # and is the acting group as it is.  Before: (452, ...), the 452
+    # products closing the table again from its generators, and before
+    # that (452, 2050), with 24 more columns of G through the kernel.
+    assert count(lambda: build_action(H, "full_aut")) == (0, 2 * 27 + 52 + 3 * 432)
 
 
 @pytest.mark.parametrize("x", [Permutation([]), FpMatrix(3, np.zeros((0, 0), dtype=np.int64))],

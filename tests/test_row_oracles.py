@@ -17,7 +17,7 @@ trivial group, and relabeled tables (`tests/test_relabeling.py`).
 
 A serial built-in run, counted, looks up no element outside a table's
 construction, multiplies element objects only where the statement checked
-is about them, and makes a handful of element objects.
+is about them (never in `close`), and makes a handful of element objects.
 """
 
 import functools
@@ -217,7 +217,7 @@ def _called_inside(name):
 
 
 def test_a_builtin_run_reads_rows(monkeypatch, tmp_path):
-    counts = {"lookups": 0, "products": 0, "made": 0}
+    counts = {"lookups": 0, "products": 0, "products in close": 0, "made": 0}
     lookup = GroupTable._lookup
 
     def counted_lookup(table, xs):
@@ -228,7 +228,8 @@ def test_a_builtin_run_reads_rows(monkeypatch, tmp_path):
     monkeypatch.setattr(GroupTable, "_lookup", counted_lookup)
     for cls in (FpMatrix, Permutation, Automorphism):
         def product(x, y, real=cls.__mul__):
-            counts["products"] += not _called_inside("close")
+            counts["products"] += 1
+            counts["products in close"] += _called_inside("close")
             return real(x, y)
         monkeypatch.setattr(cls, "__mul__", product)
     for cls in (GroupTable, QuotientGroup):
@@ -249,9 +250,14 @@ def test_a_builtin_run_reads_rows(monkeypatch, tmp_path):
         # 249 for the Jordan images and 54 for the Sylow search)
         "products": sum(bin(n).count("1") + n.bit_length()
                         for p in (2, 3, 5) for n in range(p * p + 1)),
+        # close grows every group over key bodies or image rows (before,
+        # its products of element objects were not counted above)
+        "products in close": 0,
         # the generators of the two Aut tables that act (Aut(E(2,2)) and
-        # Aut(E(3,2)), two each), and the identities of the cyclic factors
-        # of the three direct products (1 + 2 + 1) (before, 300 tables'
-        # objects: 205 of them omega sets, and 72 quotient keys as cosets)
-        "made": 2 * 2 + 4,
+        # Aut(E(3,2)), two each), and the identities of the factors of the
+        # three direct products (2 * 3; before, 1 + 2 + 1, as a closed
+        # quaternion(8) kept the objects it was given) (before that, 300
+        # tables' objects: 205 of them omega sets, and 72 quotient keys as
+        # cosets)
+        "made": 2 * 2 + 2 * 3,
     }

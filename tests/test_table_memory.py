@@ -1,13 +1,14 @@
 """What a table makes and holds: element objects on demand, one copy of an
-automorphism table's images, and the traced peaks of the sigma example and
-of an Aut(G) search.
+automorphism table's images, and the traced peaks of the sigma example, of
+an Aut(G) search and of an acting group over its cap.
 
-A table built from a stacked array (`elementary_abelian`, `cyclic`) holds its
-key bodies and makes an element object only when something reads one, so
-the rank-6 sigma example at p = 5 makes a few dozen matrices instead of one
-per element.  An automorphism table stacks its maps once and re-points each
-automorphism's images at its row of the stack, so |A| * |G| indices are held
-once.
+A table holds its rows, key bodies or maps, and makes an element object
+only when something reads one, so the rank-6 sigma example at p = 5 makes a
+few dozen matrices instead of one per element.  An automorphism table is
+born holding its maps, one stack of |A| * |G| indices, and its objects are
+views of their rows.  An acting group is closed on its maps' images of G's
+generators, and its stack is written only once the closure is under its
+cap.
 """
 
 import gc
@@ -22,6 +23,7 @@ from pcentral.autsearch import brute_force_aut
 from pcentral.catalog import build_group, paper_sigma_pair
 from pcentral.checks import check_sigma_example_tightness
 from pcentral.elements import FpMatrix
+from pcentral.errors import CapExceeded
 from pcentral.groups import close
 
 
@@ -96,18 +98,37 @@ def test_the_aut_search_peak_stays_bounded():
     assert peak < 4 * 2 ** 20
 
 
+def test_an_action_cap_is_met_before_any_map_is_stacked():
+    # Inn(ut(5,3)) has |G:Z| = 19683 > 10000, the default action cap.  The
+    # closure holds only each map's images of G's 4 generators, so the cap
+    # is met before a row of 59049 images is written: a traced peak of 8.2
+    # MiB, most of it the one kernel call of the conjugation maps (an A
+    # closed over Automorphism objects would hold about 2.4 GB of images)
+    G = build_group("ut(5,3)")
+    inner_action(build_group("heisenberg(3)"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="^action closure exceeded cap of 10000$"):
+            inner_action(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
 @pytest.mark.parametrize("kind", ["closed", "searched"])
 def test_automorphism_tables_hold_their_images_once(kind):
-    # an A closed from objects stacks their images on first use and
-    # re-points each at its row; a searched Aut table makes its objects on
-    # its rows
+    # every automorphism table is born holding its stack, and makes its
+    # objects on its rows: an A closed from generators writes each map's
+    # images once, through its parent's (before, an A closed from objects
+    # stacked their images on first use and re-pointed each at its row)
     G = build_group("dihedral(16)")
     A = inner_action(G).A if kind == "closed" else brute_force_aut(G).perm_group
-    given = [a.images.copy() for a in A.elements]
-    stack = A._aut_images()
+    stack = A._images
     assert stack.shape == (A.order, G.order)
-    for a, images, row in zip(A.elements, given, stack):
+    for a, row in zip(A.elements, stack):
         assert np.shares_memory(a.images, stack)
-        assert np.array_equal(a.images, images) and np.array_equal(row, images)
+        assert np.array_equal(a.images, row)
         assert not a.images.flags.writeable
-    assert A._aut_images() is stack
+    assert A._images is stack

@@ -108,9 +108,11 @@ def trivial_action(G: GroupTable) -> ActionPair:
 
 
 def inner_action(G: GroupTable, *, cap: int = DEFAULT_ACTION_CAP) -> ActionPair:
-    """Conjugation by G's generators, each map a column of one _conjugates call."""
-    images = G._conjugates(np.arange(G.order), G._gens).reshape(G.order, -1).T
-    return ActionPair.build(G, [Automorphism(G, m) for m in images], cap=cap)
+    """Conjugation by G's generators, each map one _conjugates call of its
+    generator, so that one map's temporaries are held at a time."""
+    every = np.arange(G.order)
+    return ActionPair.build(G, [Automorphism(G, G._conjugates(every, G._gens[k:k + 1]))
+                                for k in range(len(G._gens))], cap=cap)
 
 
 def mixed_commutator(g: Element, a: Automorphism) -> Element:

@@ -2,10 +2,10 @@
 
 No classification shortcuts: Aut(G) is found by trying generator images (order
 matching plus partial-homomorphism pruning over a Schreier tree, a block of
-candidate tuples at a time as int32 rows of element indices, through G's
-cached product columns), and a Sylow subgroup P grows by the first p-element
-outside P, in key order, that normalizes P.  Classical orders are test
-oracles only.
+candidate tuples at a time as rows of element indices in G's index dtype,
+through G's cached product columns), and a Sylow subgroup P grows by the
+first p-element outside P, in key order, that normalizes P.  Classical
+orders are test oracles only.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .groups import (
     _BLOCK_ROWS,
     GroupTable,
     _extend_block,
+    _index_dtype,
     _inside,
     _rows_in,
     _subgroup_at,
@@ -69,8 +70,9 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
     of images that survived depth d-1 plus one element of the order of g_d.
     The search takes the tuples of a depth in prefix-major order,
     `_BLOCK_ROWS` at a time, and extends a block's maps over that depth's
-    level of the tree as int32 rows (groups._extend_block); the rows that
-    stay injective homomorphisms descend before the next block is tried.
+    level of the tree as rows of G's index dtype (groups._extend_block);
+    the rows that stay injective homomorphisms descend before the next block
+    is tried.
     Every tuple is tried that the one-tuple-at-a-time search tries, in the
     same order, so `tuples_tried`, the budget outcome and the automorphisms
     found do not depend on the blocks; the budget is tested before a block
@@ -109,7 +111,7 @@ def brute_force_aut(G: GroupTable, *, budget: int = DEFAULT_AUT_BUDGET) -> AutGr
             elif len(block):
                 descend(depth + 1, block, block_images)
 
-    root = np.full((1, G.order), e, dtype=np.int32)
+    root = np.full((1, G.order), e, dtype=_index_dtype(G.order))
     descend(0, root, np.empty((1, 0), dtype=np.int32))
     return AutGroupResult(G, _aut_table(G, found), tuples_tried)
 

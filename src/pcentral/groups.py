@@ -66,6 +66,14 @@ DEFAULT_CLOSURE_CAP = 200_000
 _BLOCK_ROWS = 256
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest dtype that holds every row of a table of order n, for
+    the index arrays a table keeps: one byte up to 256 rows, two up to
+    65536, else int32.  Such arrays are gathered and compared, never added
+    to: a narrow sum wraps (and numpy before 2 promotes it otherwise)."""
+    return np.dtype(np.uint8 if n <= 1 << 8 else np.uint16 if n <= 1 << 16 else np.int32)
+
+
 class _Elements(_Sequence):
     """A table's elements, read-only, each made by the root when first read."""
 
@@ -107,7 +115,8 @@ class GroupTable:
         if p is not None:
             _require_prime(p)
         if all(isinstance(x, Automorphism) and x.domain is els[0].domain for x in els):
-            dom, images = els[0].domain, np.array([x.images for x in els], dtype=np.int32)
+            dom = els[0].domain
+            images = np.array([x.images for x in els], dtype=_index_dtype(dom.order))
             rows = self._root_maps(dom, images[:, dom._gens], p, generators)
             self._images[rows] = images
             return
@@ -143,7 +152,9 @@ class GroupTable:
         if self._codes.ndim == 2:
             self._bodies, self._proto, self._header = (self._codes, identity,
                                                        identity.key[:identity._BODY[0]])
-        self.parent, self.root, self.root_rows = None, self, np.arange(len(self._codes))
+        order = len(self._codes)
+        self.parent, self.root = None, self
+        self.root_rows = np.arange(order, dtype=_index_dtype(order))
         self.p, self._cache, self.elements = p, {}, _Elements(self)
         if identity is not None:  # else the caller sets the identity's and generators' rows
             try:
@@ -162,11 +173,12 @@ class GroupTable:
         """Become the root table of the automorphisms of `domain` whose images
         of its generators are the rows of `heads`: the one automorphism table
         constructor.  It keeps no object; the caller writes each map once
-        into its stack (`_images`), at its head's row, which it returns."""
+        into its stack (`_images`, of the domain's index dtype), at its
+        head's row, which it returns."""
         self._domain = domain
         rows = self._root(_image_codes(domain, heads), (), identity_automorphism(domain), p,
                           generators)
-        self._images = np.empty((self.order, domain.order), dtype=np.int32)
+        self._images = np.empty((self.order, domain.order), dtype=_index_dtype(domain.order))
         return rows
 
     # -- basic queries ---------------------------------------------------
@@ -265,15 +277,16 @@ class GroupTable:
         return self._bodies
 
     def _right_column(self, j: int) -> np.ndarray:
-        """[index(x * e_j) for x in elements] as C ints, built on first use
-        and kept; KeyError if a product lies outside the table.  A subgroup's
-        columns and a root's generators' columns are one _products call each;
-        a root's other columns are gathers through its generators' columns
-        (_tree_column)."""
+        """[index(x * e_j) for x in elements] in the table's index dtype,
+        built on first use and kept; KeyError if a product lies outside the
+        table.  A subgroup's columns and a root's generators' columns are one
+        _products call each; a root's other columns are gathers through its
+        generators' columns (_tree_column)."""
         columns = self._cache.setdefault("right_columns", {})
         if j not in columns:
-            columns[j] = (self._products(np.arange(self.order), np.full(self.order, j))
-                          if self.parent is not None or j in self._gens else self._tree_column(j))
+            column = (self._products(np.arange(self.order), np.full(self.order, j))
+                      if self.parent is not None or j in self._gens else self._tree_column(j))
+            columns[j] = column.astype(_index_dtype(self.order), copy=False)
         return columns[j]
 
     def _tree_column(self, j: int) -> np.ndarray:
@@ -289,7 +302,7 @@ class GroupTable:
                 return self._products(np.arange(self.order), np.full(self.order, j))
             path.append(int(via[j]))
             j = int(parent[j])
-        column = columns[j] if j in columns else np.arange(self.order, dtype=np.intc)
+        column = columns[j] if j in columns else self.root_rows  # the identity's
         for g in reversed(path):
             column = self._right_column(g)[column]
         return column
@@ -369,11 +382,17 @@ class GroupTable:
 
     def _inverses(self, xs: np.ndarray) -> np.ndarray:
         """The indices of the inverses x^(order - 1) of the elements xs, each
-        found once and kept."""
-        inv = self._cache.setdefault("inverses", np.full(self.order, -1, dtype=np.intp))
+        found once and kept in the table's index dtype; a row not yet found
+        holds the identity's row, which is no other element's inverse."""
+        inv = self._cache.get("inverses")
+        if inv is None:
+            inv = self._cache["inverses"] = np.full(self.order, self._identity_row,
+                                                    dtype=_index_dtype(self.order))
         todo = np.zeros(self.order, dtype=bool)
         todo[xs] = True
-        todo = (todo & (inv < 0)).nonzero()[0]
+        todo &= inv == self._identity_row
+        todo[self._identity_row] = False
+        todo = todo.nonzero()[0]
         if len(todo):
             inv[todo] = self._powers(todo, self._orders(todo) - 1)
         return inv[xs]
@@ -554,8 +573,9 @@ def close(generators: Sequence[Element], *, cap: int = DEFAULT_CLOSURE_CAP,
         dom = first.domain
         if not all(isinstance(a, Automorphism) and a.domain is dom for a in generators):
             raise BackendMismatch("automorphisms act on different groups")
-        maps = np.array([a.images for a in generators], dtype=np.int32)
-        heads, edges = _breadth_first(dom._gens.astype(np.int32)[None],
+        dtype = _index_dtype(dom.order)
+        maps = np.array([a.images for a in generators], dtype=dtype)
+        heads, edges = _breadth_first(dom._gens.astype(dtype)[None],
                                       lambda js, xs: maps[js[:, None], xs],
                                       lambda xs: _image_codes(dom, xs), k, cap)
         rows, (parent, via) = T._root_maps(dom, heads, p, generators), np.divmod(edges, k)
@@ -698,7 +718,8 @@ def centralizer(G: GroupTable, S: Iterable[Element]) -> GroupTable:
 
 class Automorphism(Element):
     """A bijective homomorphism G -> G as an index array: images[i] is the
-    index of the image of domain.elements[i].
+    index of the image of domain.elements[i], in the domain's index dtype,
+    so that a table's objects are views of its stack's rows.
 
     The key is a tag byte, which no element key starts with, followed by the
     generators' image keys.  Those all have one length, so automorphisms sort
@@ -708,7 +729,7 @@ class Automorphism(Element):
     __slots__ = ("domain", "images")
 
     def __init__(self, domain: GroupTable, images: Sequence[int]):
-        self.domain, self.images = domain, np.asarray(images, dtype=np.int32)
+        self.domain, self.images = domain, np.asarray(images, dtype=_index_dtype(domain.order))
         self.images.setflags(write=False)
         self.key = bytes((_TAG_AUT,)) + b"".join(
             map(domain._row_key, self.images[domain._gens].tolist()))
@@ -803,7 +824,7 @@ def _extend_block(G: GroupTable, F: np.ndarray, images: np.ndarray,
     """Extend each row of F over one level of _schreier_levels, in place, a
     breadth-first layer at a time.
 
-    Row r of the int32 array F maps H_{d-1} by index; images[r, j] is the
+    Row r of the index array F maps H_{d-1} by index; images[r, j] is the
     index of its image of g_j, for each generator g_j of H_d.  A layer's
     edges are x -> x*g_j = y for its xs and its generators j >= j0, the
     products read again from the level's columns.  Its tree edges set
@@ -864,7 +885,7 @@ def automorphism_from_images(G: GroupTable, gens: Sequence[Element],
         raise ValueError(f"{len(gens)} generators but {len(images)} images")
     gen_idx = G._rows(gens).tolist()
     row = G._rows(images).astype(np.int32)[None]
-    F = np.full((1, G.order), G._identity_row, dtype=np.int32)
+    F = np.full((1, G.order), G._identity_row, dtype=_index_dtype(G.order))
     hom = injective = np.ones(1, dtype=bool)
     size = 1  # <> is the trivial group
     if len(gen_idx):  # one level, with every generator, grown from the identity

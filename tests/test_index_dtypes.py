@@ -15,6 +15,11 @@ The inputs are the acting group of every built-in action spec, every
 built-in `aut--*` group, the order-256 and order-257 cyclic groups (the
 edges of one- and two-byte indices) with their Aut, and relabeled tables
 (tests/test_relabeling.py).
+
+Each array is kept in the narrowest dtype that holds the rows of the table
+it indexes (groups._index_dtype): one byte up to 256 rows, two up to 65536.
+Every table that a built-in entry's checks make is read for that after the
+checks have run.
 """
 
 import functools
@@ -25,11 +30,18 @@ from hypothesis import given, settings, strategies as st
 
 from test_relabeling import relabelings
 
+from pcentral import groups
 from pcentral.actions import inner_action
 from pcentral.autsearch import brute_force_aut
 from pcentral.catalog import build_action, build_group
-from pcentral.corpus import _DEFAULT_AUT_ROWS, _DEFAULT_PAIRS
-from pcentral.groups import _image_codes, center, close, quotient
+from pcentral.corpus import (
+    _DEFAULT_AUT_ROWS,
+    _DEFAULT_PAIRS,
+    DEFAULT_CAPS,
+    default_config,
+    run_entry,
+)
+from pcentral.groups import _image_codes, _index_dtype, center, close, quotient
 
 # the rows whose right columns are compared on a table of more than 64
 # elements, besides its generators', spread over the table
@@ -132,3 +144,35 @@ def test_relabeled_tables_match_their_references(data):
     _assert_stack(inner_action(G).A)
     if G.order <= 27:
         _assert_stack(brute_force_aut(G).perm_group)
+
+
+def _assert_index_dtypes(T):
+    """T's kept index arrays in the index dtype of the table they index:
+    its right columns and inverses in its own, its root rows in its
+    root's, its stack and its objects' images in its domain's."""
+    own = _index_dtype(T.order)
+    assert T.root_rows.dtype == _index_dtype(T.root.order)
+    for column in T._cache.get("right_columns", {}).values():
+        assert column.dtype == own
+    if "inverses" in T._cache:
+        assert T._cache["inverses"].dtype == own
+    if T._domain is not None:
+        images = _index_dtype(T._domain.order)
+        assert T._images.dtype == images
+        assert all(a.images.dtype == images for a in T._made.values())
+
+
+@pytest.mark.parametrize("entry", default_config().entries, ids=lambda e: e.entry_id)
+def test_every_kept_index_array_has_its_tables_index_dtype(entry, monkeypatch):
+    # every table an entry's checks make (each root and subgroup makes its
+    # element sequence), each read after they have run
+    made = []
+
+    def recording(elements, table, real=groups._Elements.__init__):
+        made.append(table)
+        real(elements, table)
+    monkeypatch.setattr(groups._Elements, "__init__", recording)
+    run_entry(entry, dict(DEFAULT_CAPS))
+    assert made
+    for T in made:
+        _assert_index_dtypes(T)

@@ -1,14 +1,17 @@
 """What a table makes and holds: element objects on demand, one copy of an
-automorphism table's images, and the traced peaks of the sigma example, of
-an Aut(G) search and of an acting group over its cap.
+automorphism table's images, the width of its indices, and the traced
+peaks of the sigma example, of an Aut(G) search and of an acting group
+over its cap.
 
 A table holds its rows, key bodies or maps, and makes an element object
 only when something reads one, so the rank-6 sigma example at p = 5 makes a
 few dozen matrices instead of one per element.  An automorphism table is
 born holding its maps, one stack of |A| * |G| indices, and its objects are
-views of their rows.  An acting group is closed on its maps' images of G's
-generators, and its stack is written only once the closure is under its
-cap.
+views of their rows.  Each index takes the bytes of the narrowest dtype
+that holds |G| rows: one byte up to 256, two up to 65536, else four.  An
+acting group is closed on its maps' images of G's generators, and its
+stack is written only once the closure is under its cap; inner maps are
+made a generator at a time.
 """
 
 import gc
@@ -83,9 +86,10 @@ def test_the_sigma_check_peak_stays_bounded():
 
 def test_the_aut_search_peak_stays_bounded():
     # tracemalloc's peak over Aut(E(3,3)), 11232 maps of 27 indices (1.2 MB
-    # a copy), after a small search has loaded every module and cache:
-    # 4.8 MiB when the found blocks, their concatenation and its sorted copy
-    # were held at once, 2.8 MiB with the blocks popped into one stack
+    # a copy in int32), after a small search has loaded every module and
+    # cache: 4.8 MiB when the found blocks, their concatenation and its
+    # sorted copy were held at once, 2.8 MiB with the blocks popped into one
+    # stack (see test_the_aut_search_holds_one_byte_indices)
     brute_force_aut(build_group("elementary_abelian(3,2)"))
     gc.collect()
     tracemalloc.start()
@@ -102,8 +106,9 @@ def test_an_action_cap_is_met_before_any_map_is_stacked():
     # Inn(ut(5,3)) has |G:Z| = 19683 > 10000, the default action cap.  The
     # closure holds only each map's images of G's 4 generators, so the cap
     # is met before a row of 59049 images is written: a traced peak of 8.2
-    # MiB, most of it the one kernel call of the conjugation maps (an A
-    # closed over Automorphism objects would hold about 2.4 GB of images)
+    # MiB when one kernel call made every conjugation map (an A closed over
+    # Automorphism objects would hold about 2.4 GB of images); see
+    # test_inner_maps_are_made_a_generator_at_a_time
     G = build_group("ut(5,3)")
     inner_action(build_group("heisenberg(3)"))
     gc.collect()
@@ -115,6 +120,43 @@ def test_an_action_cap_is_met_before_any_map_is_stacked():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def test_inner_maps_are_made_a_generator_at_a_time():
+    # the same cap on Inn(ut(5,3)): 8.2 MiB with the 4 maps from one
+    # _conjugates call over every element and generator, 3.9 MiB with a
+    # call a generator and two-byte images
+    G = build_group("ut(5,3)")
+    inner_action(build_group("heisenberg(3)"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="^action closure exceeded cap of 10000$"):
+            inner_action(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
+def test_the_aut_search_holds_one_byte_indices():
+    # the search above with its blocks and stack in uint8, as |E(3,3)| =
+    # 27: a stack of 0.3 MB and a traced peak of 1.4 MiB (2.8 in int32)
+    brute_force_aut(build_group("elementary_abelian(3,2)"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        A = brute_force_aut(build_group("elementary_abelian(3,3)")).perm_group
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A._images.nbytes == 11232 * 27
+    assert peak < 2 * 2 ** 20
+
+
+def test_an_inner_stack_holds_two_bytes_a_cell():
+    # Inn(ut(4,3)) has |G:Z| = 243 maps of 729 indices, each two bytes
+    assert inner_action(build_group("ut(4,3)")).A._images.nbytes == 243 * 729 * 2
 
 
 @pytest.mark.parametrize("kind", ["closed", "searched"])

@@ -109,8 +109,10 @@ def trivial_action(G: GroupTable) -> ActionPair:
 
 def inner_action(G: GroupTable, *, cap: int = DEFAULT_ACTION_CAP) -> ActionPair:
     """Conjugation by G's generators, each map one _conjugates call of its
-    generator, so that one map's temporaries are held at a time."""
+    generator, so that one map's temporaries are held at a time; the
+    generators' inverses are found together first, and kept for each call."""
     every = np.arange(G.order)
+    G._inverses(G._gens)
     return ActionPair.build(G, [Automorphism(G, G._conjugates(every, G._gens[k:k + 1]))
                                 for k in range(len(G._gens))], cap=cap)
 

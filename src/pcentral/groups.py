@@ -382,7 +382,7 @@ class GroupTable:
 
     def _inverses(self, xs: np.ndarray) -> np.ndarray:
         """The indices of the inverses x^(order - 1) of the elements xs, each
-        found once and kept in the table's index dtype; a row not yet found
+        found once and kept in the table's index dtype.  A row not yet found
         holds the identity's row, which is no other element's inverse."""
         inv = self._cache.get("inverses")
         if inv is None:
@@ -411,11 +411,15 @@ class GroupTable:
 
     def _orders(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The orders of the elements at the given rows, or of all, as
-        int64s.  A root keeps them in one array, 0 where not yet known, and
-        fills the rows asked for; a subgroup reads its root's rows."""
+        int64s.  A root keeps them in one array, 0 where not yet known (the
+        identity's is 1 from the start), and fills the rows asked for; a
+        subgroup reads its root's rows."""
         if self.parent is not None:
             return self.root._orders(self.root_rows if rows is None else self.root_rows[rows])
-        orders = self._cache.setdefault("orders", np.zeros(self.order, dtype=np.int64))
+        orders = self._cache.get("orders")
+        if orders is None:
+            orders = self._cache["orders"] = np.zeros(self.order, dtype=np.int64)
+            orders[self._identity_row] = 1
         todo = (orders == 0).nonzero()[0] if rows is None else rows[orders[rows] == 0]
         if len(todo):
             rule = _cycle_orders if self._domain is not None else _prime_power_orders

@@ -23,7 +23,13 @@ from .actions import DEFAULT_ACTION_CAP, ActionPair, inner_action, trivial_actio
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut
 from .elements import FpMatrix, Permutation, _is_prime, _p_split, _require_degree
 from .errors import CapExceeded, ConfigError, UnknownFamily
-from .groups import DEFAULT_CLOSURE_CAP, GroupTable, automorphism_from_images, close
+from .groups import (
+    DEFAULT_CLOSURE_CAP,
+    GroupTable,
+    _index_dtype,
+    automorphism_from_images,
+    close,
+)
 
 __all__ = [
     "FamilySpec",
@@ -138,7 +144,10 @@ def _elementary_abelian(p: int, n: int, cap: int) -> GroupTable:
     """The affine row matrices [[1, v], [0, I]], which multiply by adding
     their rows v, built as a table of the key bodies of one uint8 array,
     written in place, with v in key order: v's entry i is digit i of its
-    row in base p, most significant first."""
+    row in base p, most significant first.  The table is handed its
+    generators' right columns, made by digit arithmetic and not by the
+    product kernel: adding the unit vector e_i advances digit i by one
+    mod p, a roll of the rows along that digit's axis."""
     if not _is_prime(p) or n < 1:
         raise ConfigError(f"elementary_abelian needs a prime and a rank >= 1, got ({p},{n})")
     if p ** n > cap:
@@ -149,9 +158,11 @@ def _elementary_abelian(p: int, n: int, cap: int) -> GroupTable:
     for i in range(n):
         stack.reshape(p ** i, p, -1, n + 1, n + 1)[:, :, :, 0, 1 + i] = np.arange(
             p, dtype=np.uint8)[:, None]
+    rows = np.arange(p ** n, dtype=_index_dtype(p ** n))
     # generated by the unit vectors e_1, ..., e_n
-    return GroupTable._of_bodies(stack.reshape(p ** n, -1), identity,
-                                 [p ** (n - 1 - i) for i in range(n)], p)
+    return GroupTable._of_bodies(
+        stack.reshape(p ** n, -1), identity, [p ** (n - 1 - i) for i in range(n)], p,
+        [np.roll(rows.reshape(p ** i, p, -1), -1, axis=1).ravel() for i in range(n)])
 
 
 def _unitriangular(n: int, p: int, cap: int) -> GroupTable:

@@ -16,6 +16,12 @@ kernel, GroupTable._products, multiplies index arrays in batches on every
 kind of table.  Right columns, centralizers, normality, coset numbering,
 orders and powers are built on it, and one closure, _schreier_levels, grows
 subgroups and Schreier trees as masks, layer by layer, through the columns.
+A matrix or permutation root of at most 256 elements keeps its whole
+multiplication table, one byte a cell, gathered from its generators' right
+columns along their Schreier tree; its kernel reads products off it, and its
+right columns are the table's rows.  A root may be handed its generators'
+columns where they are known without products, as the catalog's elementary
+abelian groups are.
 """
 
 from __future__ import annotations
@@ -126,11 +132,15 @@ class GroupTable:
 
     @classmethod
     def _of_bodies(cls, bodies: np.ndarray, identity: Element, gen_rows: Sequence[int],
-                   p: Optional[int]) -> "GroupTable":
+                   p: Optional[int], gen_columns: Sequence[np.ndarray] = ()) -> "GroupTable":
         """The root table on key bodies of the identity's backend, generated
-        by the elements at gen_rows; it makes no element object."""
+        by the elements at gen_rows; it makes no element object.  Bodies
+        given in ascending order may come with their generators' right
+        columns (gen_columns, in the table's index dtype), which it keeps."""
         T = cls.__new__(cls)
         T._gens = T._root(bodies, (), identity, p)[np.asarray(gen_rows, dtype=np.intp)]
+        if len(gen_columns):
+            T._cache["right_columns"] = dict(zip(T._gens.tolist(), gen_columns))
         return T
 
     def _root(self, codes: np.ndarray, objects: Sequence[Element], identity: Element,
@@ -279,15 +289,60 @@ class GroupTable:
     def _right_column(self, j: int) -> np.ndarray:
         """[index(x * e_j) for x in elements] in the table's index dtype,
         built on first use and kept; KeyError if a product lies outside the
-        table.  A subgroup's columns and a root's generators' columns are one
-        _products call each; a root's other columns are gathers through its
-        generators' columns (_tree_column)."""
+        table.  On a root with a product table it is a view of the table's
+        row j.  Otherwise a subgroup's columns and a root's generators'
+        columns are one _products call each, and a root's other columns are
+        gathers through its generators' columns (_tree_column)."""
         columns = self._cache.setdefault("right_columns", {})
         if j not in columns:
-            column = (self._products(np.arange(self.order), np.full(self.order, j))
-                      if self.parent is not None or j in self._gens else self._tree_column(j))
+            table = self._product_table()
+            if table is not None:
+                column = table[j]
+            elif self.parent is not None or j in self._gens:
+                column = self._products(np.arange(self.order), np.full(self.order, j))
+            else:
+                column = self._tree_column(j)
             columns[j] = column.astype(_index_dtype(self.order), copy=False)
         return columns[j]
+
+    def _product_table(self) -> Optional[np.ndarray]:
+        """A matrix or permutation root with one-byte indices (at most 256
+        elements, _index_dtype) keeps every right column in one |G| x |G|
+        table: row j is the column of e_j, so table[y, x] is the row of
+        x * y.  It is built on first use, from the generators' columns,
+        by gathers down their Schreier tree (_tree_edges): the column of
+        y = x * e_g is the column of g read at the column of x.  Rows the
+        generators do not reach take kernel columns.  The right columns
+        already kept become views of its rows.  None on any other table,
+        while the table is built (so its generators' columns come from the
+        kernel), and for good once a product lies outside the table."""
+        if "product_table" not in self._cache:
+            self._cache["product_table"] = None
+            if self._bodies is not None and _index_dtype(self.order).itemsize == 1:
+                try:
+                    self._cache["product_table"] = self._gathered_table()
+                except KeyError:  # a GroupTable of elements that are not closed
+                    pass
+        return self._cache["product_table"]
+
+    def _gathered_table(self) -> np.ndarray:
+        order = self.order
+        table = np.empty((order, order), dtype=np.uint8)
+        table[self._identity_row] = self.root_rows
+        reached = self.root_rows == self._identity_row
+        for g in self._gens.tolist():
+            table[g] = self._right_column(g)
+        for xs, gs, ys in self._tree_edges():
+            table[ys] = table[gs[:, None], table[xs]]
+            reached[ys] = True
+        rest = (~reached).nonzero()[0]
+        if len(rest):  # the generators generate less than the table
+            table[rest] = self._products(np.tile(self.root_rows, len(rest)),
+                                         np.repeat(rest, order)).reshape(len(rest), order)
+        columns = self._cache["right_columns"]
+        for j in columns:
+            columns[j] = table[j]
+        return table
 
     def _tree_column(self, j: int) -> np.ndarray:
         """A root's right column of a non-generator j: x * e_j = (x * e_u) * g
@@ -310,34 +365,46 @@ class GroupTable:
     def _schreier_tree(self) -> Tuple[np.ndarray, np.ndarray]:
         """Int32 arrays (parent, via) over a root's rows, built on first use
         and kept: y = parent[y] * e_{via[y]}, via[y] a generator's row, along
-        the tree edges of one _schreier_levels step of every generator from
-        the identity; -1 at the identity and at rows not reached."""
+        the edges of _tree_edges; -1 at the identity and at rows not
+        reached."""
         if "schreier_tree" not in self._cache:
-            gens = list(dict.fromkeys(self._gens.tolist()))
             tree = np.full((2, self.order), -1, dtype=np.int32)
-            inside = np.arange(self.order) == self._identity_row
-            ((layers, cols, _, _),) = _schreier_levels(self._right_column, inside, [gens], [])
-            for xs, _, reach in layers:  # j0 is 0 in a level grown from the identity
-                js, at = np.divmod(reach, len(xs))
-                for j, col in enumerate(cols):
-                    x = xs[at[js == j]]
-                    tree[0, col[x]], tree[1, col[x]] = x, gens[j]
+            for xs, gs, ys in self._tree_edges():
+                tree[0, ys], tree[1, ys] = xs, gs
             self._cache["schreier_tree"] = tree
         return self._cache["schreier_tree"]
+
+    def _tree_edges(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The edges y = x * e_g, as arrays (xs, gs, ys) a layer at a time,
+        of a breadth-first Schreier tree of a root's generators: one
+        _schreier_levels step of every generator from the identity.  A
+        layer's xs are the identity or the ys of the layer before."""
+        gens = list(dict.fromkeys(self._gens.tolist()))
+        if not gens:
+            return
+        inside = np.arange(self.order) == self._identity_row
+        ((layers, cols, _, _),) = _schreier_levels(self._right_column, inside, [gens], [])
+        gens = np.array(gens)
+        for xs, _, reach in layers:  # j0 is 0 in a level grown from the identity
+            js, at = np.divmod(reach, len(xs))
+            yield xs[at], gens[js], np.concatenate([c[xs] for c in cols])[reach]
 
     def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[index(elements[x] * elements[y]) for x, y in zip(xs, ys)] as C
         ints: the one pairwise product kernel of the group core; KeyError if
         a product lies outside the table.
 
-        A matrix or permutation root multiplies the paired key bodies in
-        blocks of _BLOCK_ROWS pairs (one float32 matmul mod p, or one gather
-        per row) and finds the products among its bodies.  A
-        subgroup multiplies in its root and maps back through its sorted
-        root_rows.  A quotient multiplies the representatives in its
-        cover (QuotientGroup._products).  An automorphism table gathers its
-        stacked images and finds the products' generator images among its
-        codes.  Any other table multiplies its objects a pair at a time.
+        A matrix or permutation root of at most 256 elements reads the
+        products off its multiplication table (_product_table).  Any other
+        matrix or permutation root, and one whose table is being built,
+        multiplies the paired key bodies in blocks of _BLOCK_ROWS pairs (one
+        float32 matmul mod p, or one gather per row) and finds the products
+        among its bodies.  A subgroup multiplies in its root and maps back
+        through its sorted root_rows.  A quotient multiplies the
+        representatives in its cover (QuotientGroup._products).  An
+        automorphism table gathers its stacked images and finds the
+        products' generator images among its codes.  Any other table
+        multiplies its objects a pair at a time.
         """
         xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
         if self.parent is not None:
@@ -345,6 +412,9 @@ class GroupTable:
             return _find(at, self.root._products(at[xs], at[ys]))
         if not len(xs):
             return np.empty(0, dtype=np.intc)
+        table = self._product_table()
+        if table is not None:
+            return table[ys, xs].astype(np.intc)
         bodies = self._bodies
         if bodies is not None:
             return np.concatenate([
@@ -508,6 +578,8 @@ def _prime_power_orders(T: GroupTable, rows: np.ndarray) -> np.ndarray:
         z = T._powers(rows, m)
         for _ in range(a):
             live = z != e
+            if not live.any():
+                break
             orders[live] *= r
             z[live] = T._powers(z[live], r)
     return orders
@@ -516,19 +588,29 @@ def _prime_power_orders(T: GroupTable, rows: np.ndarray) -> np.ndarray:
 def _cycle_orders(A: GroupTable, rows: np.ndarray) -> np.ndarray:
     """The orders of the automorphisms at rows of the table A: the lcm of
     their cycle lengths through the domain's generators (Automorphism.order),
-    followed for every row at once by gathers from the stacked images."""
+    followed for every row at once by gathers from the stacked images.
+    NotBijective once a walk passes |G| steps."""
     images = A._images
     orders = np.ones(len(rows), dtype=np.int64)
     for s in A._domain._gens.tolist():
         length = np.ones(len(rows), dtype=np.int64)
         live, at = np.arange(len(rows)), images[rows, s]
-        while len(live):
+        for _ in range(A._domain.order):  # no cycle is longer than |G|
             moving = at != s
             live, at = live[moving], at[moving]
+            if not len(live):
+                break
             length[live] += 1
             at = images[rows[live], at]
+        else:
+            raise _not_a_permutation()
         orders = np.lcm(orders, length)
     return orders
+
+
+def _not_a_permutation() -> NotBijective:
+    return NotBijective("an automorphism's images are not a permutation: "
+                        "a cycle walk passed |G| steps")
 
 
 def _opaque_rows(rows: np.ndarray) -> np.ndarray:
@@ -767,14 +849,17 @@ class Automorphism(Element):
     def order(self) -> int:
         """The lcm of the cycle lengths through the domain's generators: a^k
         is the identity exactly when it fixes every generator, as the
-        generators generate the domain (the key relies on that too)."""
+        generators generate the domain (the key relies on that too).
+        NotBijective once a walk passes |G| steps."""
         k = self._ord
         if k is None:
-            image = self.images.item
+            image, bound = self.images.item, self.domain.order
             k = 1
             for start in self.domain._gens.tolist():
                 i, length = image(start), 1
                 while i != start:
+                    if length == bound:
+                        raise _not_a_permutation()
                     i, length = image(i), length + 1
                 k = math.lcm(k, length)
             self._ord = k

@@ -107,16 +107,18 @@ def test_closure_product_counts(arithmetic):
     assert count(lambda: build_group("ut(4,3)")) == (0, 0)
     # no products: A = <sigma> is sized by sigma's order and never closed.
     # The Jordan map's generator images take 6 + 5 kernel rows (e_i * e_{i-d}
-    # for d = 0, 1; the powers e^1 take none); its extension takes the right
-    # columns of G's 6 generators (6 * 729 rows) and gathers every other
-    # column through them.  The mixed series is closed in the table: each
-    # term's seeds are one kernel call (6 + 5 + ... + 1 rows), its
-    # conjugates two rows per pair of its generators and G's (2 * 6 * 15),
-    # and the inverses of G's 6 generators two rows each for their orders
-    # (x^3) and one for x^2.  Before: (8, 8249), with sigma^2..sigma^9 of
-    # A's closure and five right columns through the kernel.
+    # for d = 0, 1; the powers e^1 take none); its extension reads the right
+    # columns of G's 6 generators, which the catalog made by digit
+    # arithmetic, and gathers every other column through them.  The mixed
+    # series is closed in the table: each term's seeds are one kernel call
+    # (6 + 5 + ... + 1 rows), its conjugates two rows per pair of its
+    # generators and G's (2 * 6 * 15), and the inverses of G's 6 generators
+    # two rows each for their orders (x^3) and one for x^2.  Before: (0,
+    # 4604), the generators' columns through the kernel (6 * 729 rows), and
+    # before that (8, 8249), with sigma^2..sigma^9 of A's closure and five
+    # right columns through the kernel.
     assert count(lambda: mixed_commutator_subgroup(build_action(E, "jordan"))) == (
-        0, 11 + 6 * 729 + 21 + 180 + 18)
+        0, 11 + 21 + 180 + 18)
     # the search takes the right columns of G's 2 generators (2 * 27 rows)
     # and gathers the others through them, finds G's orders through the
     # kernel (two rows per non-identity element, 52), and the Aut table
@@ -439,6 +441,35 @@ def _fresh(x):
 def test_cycle_order_matches_repeated_products(x):
     # Element.order, by repeated products, is the reference
     assert _fresh(x).order() == Element.order(_fresh(x))
+
+
+def test_a_cycle_walk_through_images_that_are_not_a_permutation_raises():
+    # a wrapped narrow index array is not a permutation; here the generator
+    # goes to the identity, which stays put, so its walk never comes back
+    G = build_group("cyclic(3,2)")
+    g = G.generators[0]
+    A = close([automorphism_from_images(G, [g], [G.mul(g, g)])], p=3)
+    row = next(r for r in range(A.order) if r != A._identity_row)
+    A._images[row, G._gens[0]] = G._identity_row
+    with pytest.raises(NotBijective):
+        A._orders()
+    with pytest.raises(NotBijective):
+        Automorphism(G, A._images[row]).order()
+
+
+def test_orders_stop_once_every_power_is_the_identity(monkeypatch):
+    # every non-identity element of E(3,6) has order 3: its 3-part is found
+    # by x^1 and one cube, not by six rounds of cubes
+    G = build_group("elementary_abelian(3,6)")
+    sizes = []
+    real = GroupTable._powers
+
+    def recording(self, xs, k):
+        sizes.append(len(xs))
+        return real(self, xs, k)
+    monkeypatch.setattr(GroupTable, "_powers", recording)
+    assert G.exponent() == 3
+    assert sizes == [728, 728]
 
 
 def test_automorphism_rejects_foreign_operands(q8, d4):

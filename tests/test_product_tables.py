@@ -12,6 +12,11 @@ edges of one- and two-byte indices), a table whose generators generate less
 than it holds, the elementary abelian groups of the catalog and of the sigma
 example at p = 2, 3, 5, and tables that are not closed, where a product
 outside the table must still raise KeyError.
+
+A matrix or permutation root of at most 256 elements keeps its right
+columns as the rows of one multiplication table, and no other table keeps
+one; the elementary abelian groups of the catalog are born with their
+generators' columns.
 """
 
 import functools
@@ -22,10 +27,12 @@ from hypothesis import given, settings, strategies as st
 
 from test_relabeling import relabelings
 
+from pcentral.actions import inner_action
 from pcentral.catalog import build_group
 from pcentral.corpus import default_config
 from pcentral.elements import FpMatrix, Permutation
-from pcentral.groups import GroupTable, _find, _index_dtype
+from pcentral.groups import GroupTable, _find, _index_dtype, center, quotient
+from pcentral.series import lower_central_series
 
 # random pairs compared on each table
 _PAIRS = 2000
@@ -136,3 +143,54 @@ def test_a_table_that_is_not_closed_raises_on_a_product_outside_it(T):
     assert T._products([g, e], [e, e]).tolist() == [g, e]
     with pytest.raises(KeyError):
         T._products([e, g], [g, g])
+
+
+@pytest.mark.parametrize("spec", ["heisenberg(3)", "elementary_abelian(2,4)", "cyclic(2,8)",
+                                  "wreath_cp_cp(3)"])
+def test_a_one_byte_root_keeps_its_right_columns_as_its_tables_rows(spec):
+    T = build_group(spec)
+    columns = [T._right_column(j) for j in range(T.order)]
+    table = T._cache["product_table"]
+    assert table.shape == (T.order, T.order) and table.dtype == np.uint8
+    assert all(column.base is table for column in columns)
+    assert all(column.base is table for column in T._cache["right_columns"].values())
+
+
+def test_a_one_byte_root_multiplies_through_its_generators_columns_alone(monkeypatch):
+    # heisenberg(3) has two generators, of 27 rows each: one block of the
+    # body kernel each, and every later product is read off the table
+    G = build_group("heisenberg(3)")
+    calls = []
+    real = FpMatrix._pair_products
+
+    def counting(self, lefts, rights):
+        calls.append(len(lefts))
+        return real(self, lefts, rights)
+    monkeypatch.setattr(FpMatrix, "_pair_products", counting)
+    assert lower_central_series(G).orders() == [27, 3, 1, 1]
+    assert G.exponent() == 3
+    assert calls == [27, 27]
+
+
+def test_no_other_table_keeps_a_product_table():
+    # over 256 elements, subgroups, quotients, automorphism tables and
+    # tables that are not closed multiply through their kernels
+    big, small = build_group("cyclic(257,1)"), build_group("heisenberg(3)")
+    Z = center(small)
+    tables = [big, build_group("elementary_abelian(3,6)"), Z, quotient(small, Z),
+              inner_action(small).A, *_not_closed()]
+    for T in tables:
+        e = T._identity_row
+        assert T._products([e], [e]).tolist() == [e]
+        assert T._cache.get("product_table") is None
+
+
+def test_elementary_abelian_groups_are_born_with_their_generators_columns(arithmetic):
+    # E(3,6) has 729 rows, so no product table: its generators' columns are
+    # made by digit arithmetic and read without a kernel row
+    T = build_group("elementary_abelian(3,6)")
+    gens = T._gens.tolist()
+    assert sorted(T._cache["right_columns"]) == sorted(gens)
+    for g in gens:
+        T._right_column(g)
+    assert arithmetic["rows"] == 0

@@ -326,20 +326,22 @@ class GroupTable:
         return self._cache["product_table"]
 
     def _gathered_table(self) -> np.ndarray:
+        """The product table, built as _product_table says; KeyError if a
+        product lies outside the table."""
         order = self.order
         table = np.empty((order, order), dtype=np.uint8)
         table[self._identity_row] = self.root_rows
         reached = self.root_rows == self._identity_row
         for g in self._gens.tolist():
             table[g] = self._right_column(g)
-        for xs, gs, ys in self._tree_edges():
-            table[ys] = table[gs[:, None], table[xs]]
+        for xs, g, ys in self._tree_edges():
+            table[ys] = table[g][table[xs]]
             reached[ys] = True
         rest = (~reached).nonzero()[0]
         if len(rest):  # the generators generate less than the table
             table[rest] = self._products(np.tile(self.root_rows, len(rest)),
                                          np.repeat(rest, order)).reshape(len(rest), order)
-        columns = self._cache["right_columns"]
+        columns = self._cache.setdefault("right_columns", {})
         for j in columns:
             columns[j] = table[j]
         return table
@@ -369,25 +371,26 @@ class GroupTable:
         reached."""
         if "schreier_tree" not in self._cache:
             tree = np.full((2, self.order), -1, dtype=np.int32)
-            for xs, gs, ys in self._tree_edges():
-                tree[0, ys], tree[1, ys] = xs, gs
+            for xs, g, ys in self._tree_edges():
+                tree[0, ys], tree[1, ys] = xs, g
             self._cache["schreier_tree"] = tree
         return self._cache["schreier_tree"]
 
-    def _tree_edges(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The edges y = x * e_g, as arrays (xs, gs, ys) a layer at a time,
-        of a breadth-first Schreier tree of a root's generators: one
-        _schreier_levels step of every generator from the identity.  A
-        layer's xs are the identity or the ys of the layer before."""
+    def _tree_edges(self) -> Iterator[Tuple[np.ndarray, int, np.ndarray]]:
+        """The edges y = x * e_g of a breadth-first Schreier tree of a root's
+        generators, as arrays (xs, g, ys) for each generator g of each layer:
+        one _schreier_levels step of every generator from the identity.  A
+        layer's xs are the identity or the ys of the layers before."""
         gens = list(dict.fromkeys(self._gens.tolist()))
         if not gens:
             return
         inside = np.arange(self.order) == self._identity_row
         ((layers, cols, _, _),) = _schreier_levels(self._right_column, inside, [gens], [])
-        gens = np.array(gens)
         for xs, _, reach in layers:  # j0 is 0 in a level grown from the identity
             js, at = np.divmod(reach, len(xs))
-            yield xs[at], gens[js], np.concatenate([c[xs] for c in cols])[reach]
+            for j, (g, col) in enumerate(zip(gens, cols)):
+                x = xs[at[js == j]]
+                yield x, g, col[x]
 
     def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[index(elements[x] * elements[y]) for x, y in zip(xs, ys)] as C

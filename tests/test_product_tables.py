@@ -112,6 +112,15 @@ def test_rows_the_generators_do_not_reach_multiply_like_the_kernel():
     _assert_matches_kernel(T)
 
 
+@pytest.mark.parametrize("x", [Permutation.identity(3), FpMatrix.identity(3, 2)],
+                         ids=["permutation", "matrix"])
+def test_a_trivial_table_multiplies_like_the_kernel(x):
+    # no generators: its one row is the identity's
+    T = GroupTable([x])
+    _assert_matches_kernel(T)
+    assert T._cache["product_table"].tolist() == [[0]]
+
+
 @pytest.mark.parametrize("spec", ELEMENTARY_SPECS)
 def test_elementary_abelian_generator_columns_are_the_kernels(spec):
     T = build_group(spec)

@@ -880,7 +880,10 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
     column(j) is [index(x * e_j) for every x]; step d adds the generators
     steps[d] to `gens`, and `inside` grows in place to H_d = <H_0,
     steps[0..d]>.  Steps are read lazily, so a step source may pick its
-    generators from the mask as it stands.
+    generators from the mask as it stands.  A step's generators lie in the
+    mask once it ends, the identity's products with them; AssertionError
+    when a wrong column (a wrapped index array) leaves one out, as a step
+    source that picks indices outside the mask would pick it forever.
 
     Yields a level (layers, cols, new, size) as each step ends, so a caller
     that drops the levels frees each one before the next step: a layer
@@ -907,6 +910,9 @@ def _schreier_levels(column: Callable[[int], np.ndarray], inside: np.ndarray,
             layers.append((xs, j0, reach))
             new.append(added)
             xs, j0 = added, 0
+        if not inside[step].all():
+            raise AssertionError("a generator is outside the group it generates: "
+                                 "a right column is wrong")
         size += sum(map(len, new))
         yield layers, cols[:], np.concatenate(new), size
 

@@ -457,6 +457,17 @@ def test_a_cycle_walk_through_images_that_are_not_a_permutation_raises():
         Automorphism(G, A._images[row]).order()
 
 
+def test_a_closure_through_a_wrong_column_raises():
+    # right columns that send every row to the identity, as wrapped index
+    # arrays might: the first generator the greedy step source of the Aut
+    # search picks never enters the mask, and it would be picked forever
+    G = build_group("cyclic(2,2)")
+    for j in range(G.order):
+        G._right_column(j)[:] = G._identity_row
+    with pytest.raises(AssertionError):
+        brute_force_aut(G)
+
+
 def test_orders_stop_once_every_power_is_the_identity(monkeypatch):
     # every non-identity element of E(3,6) has order 3: its 3-part is found
     # by x^1 and one cube, not by six rounds of cubes

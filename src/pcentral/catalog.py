@@ -23,13 +23,7 @@ from .actions import DEFAULT_ACTION_CAP, ActionPair, inner_action, trivial_actio
 from .autsearch import DEFAULT_AUT_BUDGET, brute_force_aut
 from .elements import FpMatrix, Permutation, _is_prime, _p_split, _require_degree
 from .errors import CapExceeded, ConfigError, UnknownFamily
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    GroupTable,
-    _index_dtype,
-    automorphism_from_images,
-    close,
-)
+from .groups import DEFAULT_CLOSURE_CAP, GroupTable, _index_dtype, automorphism_from_images, close
 
 __all__ = [
     "FamilySpec",

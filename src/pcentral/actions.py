@@ -14,6 +14,8 @@ closed under G-conjugation and A-images (generators suffice, since
 [xy, a] = y^-1 [x, a] y [y, a]), and independently by a raw-definition
 breadth-first search over left-normed commutator values
 (mixed_series_definitional), so the two can be played against each other.
+A pair keeps both, and its restrictions and induced quotient pairs, in its
+`_cache` through groups._kept.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .groups import (
     Automorphism,
     GroupTable,
     _inside,
+    _kept,
     _rows_in,
     close,
     identity_automorphism,
@@ -144,14 +147,12 @@ def _mixed_commutators(G: GroupTable, cs: np.ndarray, maps: Sequence[np.ndarray]
 def mixed_lower_central_series(pair: ActionPair) -> SeriesRecord:
     """Mixed lower central series of the pair, computed to stabilization,
     seeding each term by [c, a] for generators c of the last (see above)."""
-    if "mixed_series" not in pair._cache:
-        G, A = pair.G, pair.A_generators
-        maps = [a.images for a in A]
+    G, A = pair.G, pair.A_generators
+    maps = [a.images for a in A]
 
-        def step(T: GroupTable) -> GroupTable:
-            return normal_closure(G, _mixed_commutators(G, _rows_in(G, T, T._gens), maps), A)
-        pair._cache["mixed_series"] = SeriesRecord.until_stable(G, step)
-    return pair._cache["mixed_series"]
+    def step(T: GroupTable) -> GroupTable:
+        return normal_closure(G, _mixed_commutators(G, _rows_in(G, T, T._gens), maps), A)
+    return _kept(pair, "mixed_series", lambda: SeriesRecord.until_stable(G, step))
 
 
 def gamma_term(pair: ActionPair, k: int) -> GroupTable:
@@ -183,7 +184,18 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     breadth-first level extends all its states by all letters in one kernel
     call.  Every state costs one step per letter, and the sweep raises
     BudgetExceeded before a level that would take the steps past `budget`.
+    The terms and step count are kept on the pair by (k_max, entries), and a
+    later call raises exactly when that count is above its budget.
     """
+    steps, terms = _kept(pair, ("definitional", k_max, entries),
+                         lambda: _definitional_sweep(pair, k_max, entries, budget))
+    if steps > budget:
+        raise BudgetExceeded(f"definitional sweep exceeded {budget} commutator steps")
+    return list(terms)
+
+
+def _definitional_sweep(pair: ActionPair, k_max: int, entries: str, budget: int) -> tuple:
+    """The steps and the terms of mixed_series_definitional's sweep."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     G = pair.G
@@ -213,8 +225,7 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
     while len(values):
         steps += len(values) * len(right)
         if steps > budget:
-            raise BudgetExceeded(
-                f"definitional sweep exceeded {budget} commutator steps")
+            raise BudgetExceeded(f"definitional sweep exceeded {budget} commutator steps")
         ws = G._products(np.tile(G._inverses(values), len(right)), right[:, values].ravel())
         states = (np.minimum(counts + shift, cap) * N).ravel() + ws
         states = states[~flat[states]]
@@ -225,7 +236,8 @@ def mixed_series_definitional(pair: ActionPair, k_max: int, *,
         counts, values = np.divmod(states, N)
 
     collected = np.logical_or.accumulate(seen[::-1])[::-1]
-    return [G] + [subgroup_generated(G, collected[k - 1].nonzero()[0]) for k in range(2, k_max + 1)]
+    return steps, (G, *(subgroup_generated(G, collected[k - 1].nonzero()[0])
+                        for k in range(2, k_max + 1)))
 
 
 def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> bool:
@@ -240,28 +252,34 @@ def is_p_central_action(pair: ActionPair, X: Optional[GroupTable] = None) -> boo
 
 
 def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
-    """The action induced on G/N; N must be normal and A-invariant.  Each
-    map ids[x] -> ids[a(x)], with ids = Q.coset_id, is one scatter, and one
-    gather asserts that it is well defined."""
+    """The action induced on G/N; N must be normal and A-invariant.  The
+    maps ids[x] -> ids[a(x)], with ids = Q.coset_id, are one scatter, and one
+    gather asserts that they are well defined.  Kept on the pair by N's mask."""
     G = pair.G
-    inside, gens = _inside(N, G), _rows_in(G, N, N._gens)
-    if not all(inside[a.images[gens]].all() for a in pair.A_generators):
-        raise NotInvariant("kernel subgroup is not invariant under the action")
-    Q = quotient(G, N)
-    ids = Q.coset_id
-    induced = []
-    for a in pair.A_generators:
-        moved, images = ids[a.images], np.empty(Q.order, dtype=np.int32)
-        images[ids] = moved
-        if (images[ids] != moved).any():
+    inside = _inside(N, G)
+
+    def build() -> ActionPair:
+        gens = _rows_in(G, N, N._gens)
+        if not all(inside[a.images[gens]].all() for a in pair.A_generators):
+            raise NotInvariant("kernel subgroup is not invariant under the action")
+        Q = quotient(G, N)
+        ids = Q.coset_id
+        moved = np.array([ids[a.images] for a in pair.A_generators], ids.dtype).reshape(-1, G.order)
+        images = np.empty((len(moved), Q.order), dtype=ids.dtype)
+        images[:, ids] = moved
+        if (images[:, ids] != moved).any():
             raise AssertionError("induced map is not well defined on the cosets")
-        induced.append(Automorphism(Q, images))
-    return ActionPair.build(Q, induced)
+        return ActionPair.build(Q, [Automorphism(Q, m) for m in images])
+    return _kept(pair, ("induced", inside.tobytes()), build)
 
 
 def restrict_action(pair: ActionPair, H: GroupTable) -> ActionPair:
-    """The action restricted to an A-invariant subgroup H, acting on H."""
-    return ActionPair.build(H, [restrict_automorphism(a, H) for a in pair.A_generators])
+    """The action restricted to an A-invariant subgroup H, acting on H; kept
+    on the pair, keyed by H's rows in G and its generators, which become the
+    pair's, so an equal H with the same generators gets the first H's pair."""
+    key = ("restrict", _rows_in(pair.G, H).tobytes(), tuple(H._gens.tolist()))
+    return _kept(pair, key, lambda: ActionPair.build(
+        H, [restrict_automorphism(a, H) for a in pair.A_generators]))
 
 
 def aut_perm_realization(pair: ActionPair) -> GroupTable:

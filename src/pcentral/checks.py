@@ -34,6 +34,7 @@ from .groups import (
     DEFAULT_CLOSURE_CAP,
     GroupTable,
     _inside,
+    _kept,
     _rows_in,
     center,
     commutator_subgroup,
@@ -345,14 +346,11 @@ def check_quotient_inheritance(pair: ActionPair) -> Verdict:
     if not ks:
         return _no_qualifying_k("quotient_inheritance", pair)
     omegas = omega_series(commutator_group_of_pair(pair))
-    qpairs: List[ActionPair] = []  # the quotient by omegas[i], built on first use
     detail = []
     ok = True
     for k in ks:
         for i, om in enumerate(omegas, 1):
-            if len(qpairs) < i:
-                qpairs.append(induced_quotient_action(pair, om))
-            qpair = qpairs[i - 1]
+            qpair = induced_quotient_action(pair, om)
             good = _p_central_on_term(qpair, k)
             detail.append({"k": k, "i": i, "omega_order": om.order,
                            "quotient_order": qpair.G.order, "ok": good})
@@ -478,7 +476,7 @@ def check_derived_exponent(G: GroupTable) -> Verdict:
     if skipped := _inner_gate("derived_exponent", G):
         return skipped
     derived = lower_central_series(G).term(2)
-    Q = quotient(G, center(G))
+    Q = _kept(G, "central_quotient", lambda: quotient(G, center(G)))
     return conclude("derived_exponent", True,
                     derived.exponent() == Q.exponent(),
                     {"derived_exponent": derived.exponent(),
@@ -491,7 +489,7 @@ def check_derived_omega_identity(G: GroupTable) -> Verdict:
     if skipped := _inner_gate("derived_omega_identity", G):
         return skipped
     p = G.p
-    Q = quotient(G, center(G))
+    Q = _kept(G, "central_quotient", lambda: quotient(G, center(G)))
     derived = lower_central_series(G).term(2)
     m = _p_split(Q.exponent(), p)[0]
     per_k = []

@@ -21,7 +21,9 @@ multiplication table, one byte a cell, gathered from its generators' right
 columns along their Schreier tree; its kernel reads products off it, and its
 right columns are the table's rows.  A root may be handed its generators'
 columns where they are known without products, as the catalog's elementary
-abelian groups are.
+abelian groups are.  What a table derives from itself (its center, central
+quotient, series, omega and agemo terms and commutator subgroups) is built
+once and kept in its `_cache` by `_kept`; `quotient` makes a new table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence as _Sequence
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -544,6 +546,15 @@ class GroupTable:
         return f"GroupTable(order={self.order}, p={self.p})"
 
 
+def _kept(owner, key: Hashable, build: Callable[[], object]) -> object:
+    """owner._cache[key], made by build() on the first call with the key and
+    kept for as long as the owner, a table or an action pair, lives; a
+    build that raises keeps nothing."""
+    if key not in owner._cache:
+        owner._cache[key] = build()
+    return owner._cache[key]
+
+
 def _rows_in(G: GroupTable, H: GroupTable, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """G's rows of H's elements at `rows` (all when None), read off their
     root rows, or looked up when H has another root; ValueError for one
@@ -779,20 +790,23 @@ def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTab
     y of Y.  Modulo that closure the generators of X and Y commute, so it holds
     every [x, y] with x in X and y in Y (Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, 2005).  When X and Y are both normal every
-    generator of [X, Y] lies in X ∩ Y, and that is asserted.
+    generator of [X, Y] lies in X ∩ Y, and that is asserted.  Kept on G,
+    keyed by the rows of X and Y in G and their generators, once asserted.
     """
-    seeds = G._commutators(_rows_in(G, X, X._gens), _rows_in(G, Y, Y._gens))
-    H = normal_closure(G, seeds)
-    if (not (_inside(X, H)[H._gens].all() and _inside(Y, H)[H._gens].all())
-            and is_normal(G, X) and is_normal(G, Y)):
-        raise AssertionError("[X, Y] left X ∩ Y for normal X, Y")
-    return H
+    xs, ys = _rows_in(G, X), _rows_in(G, Y)
+
+    def build() -> GroupTable:
+        H = normal_closure(G, G._commutators(xs[X._gens], ys[Y._gens]))
+        if (not (_inside(X, H)[H._gens].all() and _inside(Y, H)[H._gens].all())
+                and is_normal(G, X) and is_normal(G, Y)):
+            raise AssertionError("[X, Y] left X ∩ Y for normal X, Y")
+        return H
+    return _kept(G, ("commutator", xs.tobytes(), tuple(X._gens.tolist()),
+                     ys.tobytes(), tuple(Y._gens.tolist())), build)
 
 
 def center(G: GroupTable) -> GroupTable:
-    if "center" not in G._cache:
-        G._cache["center"] = centralizer(G, G._gens)
-    return G._cache["center"]
+    return _kept(G, "center", lambda: centralizer(G, G._gens))
 
 
 def centralizer(G: GroupTable, S: Iterable[Element]) -> GroupTable:
@@ -1060,8 +1074,8 @@ class Coset(Element):
 
 
 class QuotientGroup(GroupTable):
-    """G/N, with G its `cover`: the int array coset_id holds at i the index
-    in this table of the coset of cover.elements[i].
+    """G/N, with G its `cover`: coset_id, in this table's index dtype, holds
+    at i the index in this table of the coset of cover.elements[i].
 
     Each coset's representative and key is its least member in key order,
     so coset ids follow the table's sorted order, and the row codes are the
@@ -1087,10 +1101,10 @@ class QuotientGroup(GroupTable):
                 break
             label, jumps = least, [c[c] for c in jumps]
         first = label == np.arange(cover.order)
-        self.coset_id = (first.cumsum() - 1)[label]
+        self.coset_id = (first.cumsum() - 1).astype(_index_dtype(int(first.sum())))[label]
         self._root(first.nonzero()[0], (), None, cover.p)
         self._identity_row = int(self.coset_id[cover._identity_row])
-        self._gens = self.coset_id[cover._gens]
+        self._gens = self.coset_id[cover._gens].astype(np.intp)
 
     def _codes_of(self, xs: List[Element]) -> np.ndarray:
         """The cover rows of cosets' representatives, and of cover elements."""
@@ -1105,7 +1119,7 @@ class QuotientGroup(GroupTable):
     def _products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The cosets of the products of the representatives, in the cover."""
         reps = self._codes
-        return self.coset_id[self.cover._products(reps[xs], reps[ys])]
+        return self.coset_id[self.cover._products(reps[xs], reps[ys])].astype(np.intc)
 
     def project(self, x: Element) -> Coset:
         """The coset of an element of the cover."""

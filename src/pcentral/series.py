@@ -16,6 +16,7 @@ from .errors import NotPGroup, OddPrimeRequired
 from .groups import (
     GroupTable,
     _inside,
+    _kept,
     center,
     commutator_subgroup,
     quotient,
@@ -76,10 +77,8 @@ class SeriesRecord:
 
 def lower_central_series(G: GroupTable) -> SeriesRecord:
     """G = γ_1 ≥ γ_2 = [G,G] ≥ [γ_2,G] ≥ ..., recorded up to stabilization."""
-    if "lcs" not in G._cache:
-        G._cache["lcs"] = SeriesRecord.until_stable(
-            G, lambda T: commutator_subgroup(G, T, G))
-    return G._cache["lcs"]
+    return _kept(G, "lcs", lambda: SeriesRecord.until_stable(
+        G, lambda T: commutator_subgroup(G, T, G)))
 
 
 def nilpotency_class(G: GroupTable) -> Optional[int]:
@@ -92,10 +91,8 @@ def nilpotency_class(G: GroupTable) -> Optional[int]:
 
 def upper_central_series(G: GroupTable) -> SeriesRecord:
     """1 = Z_0 ≤ Z_1 = Z(G) ≤ ..., via centers of successive quotients."""
-    if "ucs" not in G._cache:
-        G._cache["ucs"] = SeriesRecord.until_stable(
-            G.trivial_subgroup, lambda Z: (Q := quotient(G, Z)).preimage(center(Q)))
-    return G._cache["ucs"]
+    return _kept(G, "ucs", lambda: SeriesRecord.until_stable(
+        G.trivial_subgroup, lambda Z: (Q := quotient(G, Z)).preimage(center(Q))))
 
 
 def omega_set(G: GroupTable, i: int) -> Tuple:
@@ -108,10 +105,8 @@ def omega_set(G: GroupTable, i: int) -> Tuple:
 def omega_subgroup(G: GroupTable, i: int) -> GroupTable:
     """Ω_i(G) = subgroup generated by the elements of order dividing p^i."""
     p = G.require_p_group()
-    key = ("omega", i)
-    if key not in G._cache:
-        G._cache[key] = subgroup_generated(G, (p ** i % G._orders() == 0).nonzero()[0])
-    return G._cache[key]
+    return _kept(G, ("omega", i),
+                 lambda: subgroup_generated(G, (p ** i % G._orders() == 0).nonzero()[0]))
 
 
 def omega_conv(G: GroupTable) -> GroupTable:
@@ -132,11 +127,8 @@ def agemo(G: GroupTable, n: int) -> GroupTable:
     """G^{p^n} = subgroup generated by all p^n-th powers, taken by squaring
     in the table."""
     p = G.require_p_group()
-    key = ("agemo", n)
-    if key not in G._cache:
-        powers = G._powers(np.arange(G.order), p ** n)
-        G._cache[key] = subgroup_generated(G, powers)
-    return G._cache[key]
+    return _kept(G, ("agemo", n),
+                 lambda: subgroup_generated(G, G._powers(np.arange(G.order), p ** n)))
 
 
 def is_omega_regular(G: GroupTable, i: int) -> bool:

@@ -2,7 +2,8 @@
 `close`.
 
 A table keeps rows of tables as index arrays: an automorphism table's stack
-of images, the right columns, the inverses and a subgroup's root rows.  Each
+of images, the right columns, the inverses, a subgroup's root rows and a
+quotient's coset ids.  Each
 is compared here, as values, with a reference that never reads it: the
 columns and inverses with the rows of element objects' products and
 inverses, a subgroup's root rows with the mask of its defining property.
@@ -95,7 +96,11 @@ def _assert_subgroups(G):
     assert np.array_equal(Z.root_rows.astype(np.int32),
                           G.root_rows[np.flatnonzero(mask)].astype(np.int32))
     _assert_columns_and_inverses(Z)
-    _assert_columns_and_inverses(quotient(G, Z))
+    Q = quotient(G, Z)
+    _assert_columns_and_inverses(Q)
+    assert Q.coset_id.dtype == _index_dtype(Q.order)
+    every = np.arange(Q.order)
+    assert Q._products(every, every).dtype == np.intc
 
 
 @pytest.mark.parametrize("gspec,aspec", sorted(set(_DEFAULT_PAIRS)))
@@ -148,10 +153,13 @@ def test_relabeled_tables_match_their_references(data):
 
 def _assert_index_dtypes(T):
     """T's kept index arrays in the index dtype of the table they index:
-    its right columns and inverses in its own, its root rows in its
-    root's, its stack and its objects' images in its domain's."""
+    its right columns, inverses and a quotient's coset ids in its own, its
+    root rows in its root's, its stack and its objects' images in its
+    domain's."""
     own = _index_dtype(T.order)
     assert T.root_rows.dtype == _index_dtype(T.root.order)
+    if isinstance(T, groups.QuotientGroup):
+        assert T.coset_id.dtype == own
     for column in T._cache.get("right_columns", {}).values():
         assert column.dtype == own
     if "inverses" in T._cache:

@@ -31,6 +31,7 @@ from .groups import (
     GroupTable,
     _inside,
     _kept,
+    _key_in,
     _rows_in,
     close,
     identity_automorphism,
@@ -270,15 +271,14 @@ def induced_quotient_action(pair: ActionPair, N: GroupTable) -> ActionPair:
         if (images[:, ids] != moved).any():
             raise AssertionError("induced map is not well defined on the cosets")
         return ActionPair.build(Q, [Automorphism(Q, m) for m in images])
-    return _kept(pair, ("induced", inside.tobytes()), build)
+    return _kept(pair, ("induced", np.packbits(inside).tobytes()), build)
 
 
 def restrict_action(pair: ActionPair, H: GroupTable) -> ActionPair:
     """The action restricted to an A-invariant subgroup H, acting on H; kept
-    on the pair, keyed by H's rows in G and its generators, which become the
-    pair's, so an equal H with the same generators gets the first H's pair."""
-    key = ("restrict", _rows_in(pair.G, H).tobytes(), tuple(H._gens.tolist()))
-    return _kept(pair, key, lambda: ActionPair.build(
+    on the pair by H's rows and generators (_key_in), which become the pair's:
+    an equal H with the same generators gets the first H's pair."""
+    return _kept(pair, ("restrict", *_key_in(pair.G, H)), lambda: ActionPair.build(
         H, [restrict_automorphism(a, H) for a in pair.A_generators]))
 
 

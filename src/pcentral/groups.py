@@ -548,11 +548,16 @@ class GroupTable:
 
 def _kept(owner, key: Hashable, build: Callable[[], object]) -> object:
     """owner._cache[key], made by build() on the first call with the key and
-    kept for as long as the owner, a table or an action pair, lives; a
-    build that raises keeps nothing."""
+    kept while the owner, a table or a pair, lives; a failed build keeps nothing."""
     if key not in owner._cache:
         owner._cache[key] = build()
     return owner._cache[key]
+
+
+def _key_in(G: GroupTable, H: GroupTable) -> tuple:
+    """H as part of a key kept on G: its packed mask over G's rows, and its
+    generators, which are H's rows, so the mask's set bits in order."""
+    return np.packbits(_inside(H, G)).tobytes(), tuple(H._gens.tolist())
 
 
 def _rows_in(G: GroupTable, H: GroupTable, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -791,18 +796,16 @@ def commutator_subgroup(G: GroupTable, X: GroupTable, Y: GroupTable) -> GroupTab
     every [x, y] with x in X and y in Y (Holt–Eick–O'Brien, *Handbook of
     Computational Group Theory*, 2005).  When X and Y are both normal every
     generator of [X, Y] lies in X ∩ Y, and that is asserted.  Kept on G,
-    keyed by the rows of X and Y in G and their generators, once asserted.
+    keyed by X and Y (_key_in), once asserted.
     """
-    xs, ys = _rows_in(G, X), _rows_in(G, Y)
 
     def build() -> GroupTable:
-        H = normal_closure(G, G._commutators(xs[X._gens], ys[Y._gens]))
+        H = normal_closure(G, G._commutators(_rows_in(G, X, X._gens), _rows_in(G, Y, Y._gens)))
         if (not (_inside(X, H)[H._gens].all() and _inside(Y, H)[H._gens].all())
                 and is_normal(G, X) and is_normal(G, Y)):
             raise AssertionError("[X, Y] left X ∩ Y for normal X, Y")
         return H
-    return _kept(G, ("commutator", xs.tobytes(), tuple(X._gens.tolist()),
-                     ys.tobytes(), tuple(Y._gens.tolist())), build)
+    return _kept(G, ("commutator", *_key_in(G, X), *_key_in(G, Y)), build)
 
 
 def center(G: GroupTable) -> GroupTable:
